@@ -238,12 +238,15 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
         if spec.pq == "off" and family == "complete":
             checks.append(_slope_check(f"{spec.example}-pq-off-n2", "work~n^2", work_n, 2.0))
         if spec.pq in ("on", "auto") and family == "sparse-connected":
-            ratios = [
-                medians[n]["pq_ops"] / (medians[n]["e"] * math.log2(n)) for n in sizes if n > 1
-            ]
-            checks.append(
-                _budget_check(f"{spec.example}-pq-on-elogn", "pq_ops<=c*e*log2(n)", ratios)
-            )
+            for suffix, counter in (("elogn", "pq_ops"), ("work-elogn", "work")):
+                ratios = [
+                    medians[n][counter] / (medians[n]["e"] * math.log2(n)) for n in sizes if n > 1
+                ]
+                checks.append(
+                    _budget_check(
+                        f"{spec.example}-pq-on-{suffix}", f"{counter}<=c*e*log2(n)", ratios
+                    )
+                )
     elif spec.example == "matching":
         checks.append(_slope_check("matching-linear-e", "work~e", work_e, 1.0))
     elif spec.example == "sort" and spec.factorize and spec.pq in ("on", "auto"):

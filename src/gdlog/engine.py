@@ -12,6 +12,14 @@ freshly derived candidates until after the extreme tuple has been picked and
 its conflicts purged, so tuples that die in the same iteration never touch
 the priority queue.
 
+Each rule compiles to one full plan and one delta plan per body atom, all
+ordered bound-first: a delta plan starts from its delta atom, the full plan
+from nothing bound; every comparison or arithmetic goal goes in as soon as
+its operands are bound, and otherwise the next goal is the atom with the
+most constant or already-bound arguments (ties in source order), which is
+then probed through an index on exactly those columns.  A builtin operand
+that is still unbound where the plan reaches it is an EngineError.
+
 run_lico_reference is the unoptimized one-tuple-per-step operator used to
 cross-check the differential engine.
 """
@@ -38,6 +46,7 @@ from .lang import (
     Rule,
     Var,
     format_const,
+    format_goal,
 )
 from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, tuple_key
 
@@ -95,8 +104,9 @@ class Interpretation:
 
 # ---------------------------------------------------------------------------
 # Rule compilation: each rule becomes one full plan plus one plan per body
-# atom occurrence with that occurrence moved to the front, which is where the
-# differential (delta) rows are fed in.
+# atom occurrence that starts from that occurrence, which is where the
+# differential (delta) rows are fed in.  Every plan orders the remaining goals
+# bound-first (_bound_first_order).
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class _PlusStep:
     out_slot: int
     left: tuple[str, object]
     right: tuple[str, object]
-    # in reordered delta plans the output may be bound already (e.g. by the
-    # chosen atom moved to the front); then the step checks instead of binding
+    # the output may be bound already (e.g. by the chosen atom a delta plan
+    # starts from); then the step checks instead of binding
     out_bound: bool = False
 
 
@@ -153,11 +163,45 @@ def _operand(term, slots) -> tuple[str, object]:
     return ("const", term)
 
 
-def _compile_goals(goals, slots, order: list[int]) -> tuple[_Step, ...]:
-    """Compile body goals in the given goal order (indices into goals)."""
+def _bound_first_order(goals, start: int | None) -> list[int]:
+    """Goal order of one plan (indices into goals), starting from the goal at
+    start (the delta atom) or from nothing bound.  Each builtin goes in as
+    soon as its operands are bound; otherwise the next goal is the atom with
+    the most constant or already-bound arguments, ties in source order.
+    Builtins whose operands no atom binds go last, where compilation rejects
+    them."""
+    order = [] if start is None else [start]
+    bound = set() if start is None else set(goals[start].vars())
+    rest = [i for i in range(len(goals)) if i != start]
+
+    def bound_args(i: int) -> int:
+        return sum(not isinstance(a, Var) or a in bound for a in goals[i].args)
+
+    while rest:
+        atoms = [i for i in rest if isinstance(goals[i], Atom)]
+        ready = [
+            i
+            for i in rest
+            if i not in atoms
+            and all(t in bound for t in (goals[i].left, goals[i].right) if isinstance(t, Var))
+        ]
+        if ready:
+            nxt = ready[0]
+        elif atoms:
+            nxt = max(atoms, key=lambda i: (bound_args(i), -i))
+        else:
+            nxt = rest[0]
+        order.append(nxt)
+        rest.remove(nxt)
+        bound.update(goals[nxt].vars())
+    return order
+
+
+def _compile_goals(goals, slots, order: list[int], rule_id: str) -> tuple[_Step, ...]:
+    """Compile body goals in the given goal order (indices into goals); a
+    builtin operand left unbound at its position is an EngineError."""
     steps: list[_Step] = []
     bound: set[int] = set()
-    occ_counter = {}
     # occurrence numbers follow the original body order, not the plan order
     occ_of = {}
     k = 0
@@ -208,7 +252,11 @@ def _compile_goals(goals, slots, order: list[int]) -> tuple[_Step, ...]:
             )
             for _, s in binds:
                 bound.add(s)
-        elif isinstance(g, Comparison):
+            continue
+        for t in (g.left, g.right):
+            if isinstance(t, Var) and slots[t] not in bound:
+                raise EngineError(f"{rule_id}: variable {t.name} is unbound in {format_goal(g)}")
+        if isinstance(g, Comparison):
             steps.append(_CompareStep(g.op, _operand(g.left, slots), _operand(g.right, slots)))
         else:
             out_slot = slots[g.out]
@@ -222,7 +270,7 @@ def _compile_goals(goals, slots, order: list[int]) -> tuple[_Step, ...]:
 def _compile_rule(rule: Rule, emit_terms: tuple, goals: tuple) -> _CompiledRule:
     slots: dict[Var, int] = {}
     for g in goals:
-        for v in _goal_vars(g):
+        for v in g.vars():
             slots.setdefault(v, len(slots))
     if len(slots) > 64:
         raise EngineError(f"{rule.rule_id}: too many distinct variables ({len(slots)})")
@@ -231,12 +279,12 @@ def _compile_rule(rule: Rule, emit_terms: tuple, goals: tuple) -> _CompiledRule:
             raise EngineError(f"{rule.rule_id}: emitted variable {t.name} is unbound")
     emit = tuple(_operand(t, slots) for t in emit_terms)
     atom_idx = [i for i, g in enumerate(goals) if isinstance(g, Atom)]
-    base_order = list(range(len(goals)))
-    full = _Plan(_compile_goals(goals, slots, base_order), None)
-    delta_plans: dict[int, _Plan] = {}
-    for occ, gi in enumerate(atom_idx):
-        order = [gi] + [j for j in base_order if j != gi]
-        delta_plans[occ] = _Plan(_compile_goals(goals, slots, order), occ)
+
+    def plan(start: int | None) -> tuple[_Step, ...]:
+        return _compile_goals(goals, slots, _bound_first_order(goals, start), rule.rule_id)
+
+    full = _Plan(plan(None), None)
+    delta_plans = {occ: _Plan(plan(gi), occ) for occ, gi in enumerate(atom_idx)}
     return _CompiledRule(
         rule_id=rule.rule_id,
         head_pred=rule.head.pred,
@@ -245,15 +293,6 @@ def _compile_rule(rule: Rule, emit_terms: tuple, goals: tuple) -> _CompiledRule:
         delta_plans=delta_plans,
         atom_preds=tuple(goals[i].pred for i in atom_idx),
     )
-
-
-def _goal_vars(g) -> Iterator[Var]:
-    if isinstance(g, Atom):
-        yield from g.vars()
-    elif isinstance(g, Comparison):
-        yield from g.vars()
-    else:
-        yield from g.vars()
 
 
 # ---------------------------------------------------------------------------

@@ -533,14 +533,14 @@ def chain_is_total_order(succ_pairs: Iterable[tuple], domain: Iterable, root="ro
         if x in nxt:
             return False
         nxt[x] = y
-    seen = []
+    seen = set()
     cur = root
     while cur in nxt:
         cur = nxt[cur]
         if cur in seen:
             return False
-        seen.append(cur)
-    return len(seen) == len(nxt) and set(seen) == domain
+        seen.add(cur)
+    return len(seen) == len(nxt) and seen == domain
 
 
 def reachable(arcs: Iterable[tuple], src) -> set:

@@ -131,9 +131,6 @@ class Relation:
         """Exactly the tuples matching key on the given columns."""
         return self._indexes[cols].get(key, _EMPTY)
 
-    def rows_since(self, pos: int) -> list[Tup]:
-        return self.rows[pos:]
-
 
 _EMPTY: list = []
 

@@ -15,6 +15,7 @@ from gdlog.corpus import (
 )
 from gdlog.engine import (
     Counters,
+    Engine,
     EngineError,
     Interpretation,
     closure_nonchoice,
@@ -24,6 +25,9 @@ from gdlog.engine import (
     run_greedy_fixpoint,
     run_lico_reference,
     run_with_counters,
+    _AtomStep,
+    _CompareStep,
+    _PlusStep,
 )
 from gdlog.lang import Atom, Rule, Var, parse_program
 from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight
@@ -363,3 +367,55 @@ def test_schedule_greedy_first_prefers_extreme_rules():
     m = run_greedy_fixpoint(parse_program(src), edb=edb, schedule="greedy-first")
     assert m.tuples("best") == [("q2", 1)]
     assert len(m.tuples("pick")) == 1
+
+
+# compiled plans ---------------------------------------------------------------
+
+
+def _compiled_rules(name):
+    prog = get_program(name)
+    eng = Engine(prog)
+    for r in prog.rules:
+        if not r.choice_goals:
+            yield eng._compile_nonchoice(r)
+            continue
+        info = eng.infos[r.rule_id]
+        yield eng._compile_rewritten(r, info)
+        yield eng._compile_candidates(r, info)
+
+
+def test_dijkstra_chosen_delta_plan_is_bound_first():
+    prog = get_program("dijkstra")
+    eng = Engine(prog)
+    rule = prog.rules[0]
+    info = eng.infos[rule.rule_id]
+    cr = eng._compile_rewritten(rule, info)
+    plan = cr.delta_plans[cr.atom_preds.index(info.chosen_pred)]
+    chosen, neq, g, dj, plus = plan.steps
+    assert isinstance(chosen, _AtomStep) and chosen.pred == info.chosen_pred
+    assert isinstance(neq, _CompareStep) and neq.op == "\\="
+    assert isinstance(g, _AtomStep) and (g.pred, g.index_cols) == ("g", (1,))
+    assert isinstance(dj, _AtomStep) and (dj.pred, dj.index_cols) == ("dj", (0,))
+    assert isinstance(plus, _PlusStep) and plus.out_bound
+
+
+@pytest.mark.parametrize("name", ["prim", "dijkstra", "reach"])
+def test_delta_plans_probe_an_index_after_the_delta_atom(name):
+    for cr in _compiled_rules(name):
+        for plan in cr.delta_plans.values():
+            atoms = [s for s in plan.steps if isinstance(s, _AtomStep)]
+            assert atoms[0].occ == plan.delta_occ
+            assert all(s.index_cols for s in atoms[1:]), (cr.rule_id, plan.steps)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["p(X) :- q(X), Y \\= X.", "p(X) :- Y \\= X, q(X).", "p(X) :- q(X), Y < X."],
+    ids=["neq-last", "neq-first", "less"],
+)
+def test_unbound_builtin_operand_is_an_engine_error(src):
+    prog = parse_program(src + " q(1). q(2).", strict=False)
+    with pytest.raises(EngineError, match="r1: variable Y is unbound"):
+        closure_nonchoice(prog, Interpretation())
+    with pytest.raises(EngineError, match="r1: variable Y is unbound"):
+        immediate_consequence(prog.rules, Interpretation())

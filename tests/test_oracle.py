@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +303,17 @@ def test_chain_checker():
     assert chain_is_total_order([("root", "root"), ("root", 3), (3, 1)], [3, 1])
     assert not chain_is_total_order([("root", 3), (3, 1)], [3, 1, 2])
     assert not chain_is_total_order([("root", 3), ("root", 1)], [3, 1])
+
+
+def test_chain_checker_rejects_bad_chains_and_scales():
+    assert not chain_is_total_order([("root", 1), (1, 2), (2, 1)], [1, 2])  # cycle
+    assert not chain_is_total_order([("root", 1), (1, 2), (1, 3)], [1, 2, 3])  # repeated x
+    assert not chain_is_total_order([("root", 1), (1, 2)], [1, 2, 3])  # missing element
+    n = 50_000
+    succ = [("root", "root"), ("root", 1)] + [(i, i + 1) for i in range(1, n)]
+    t0 = time.perf_counter()
+    assert chain_is_total_order(succ, range(1, n + 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_reachable_bfs():
