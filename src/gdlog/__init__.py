@@ -21,10 +21,6 @@ from .engine import (
     Interpretation,
     closure_nonchoice,
     immediate_consequence,
-    run_choice_fixpoint,
-    run_factorized_sort,
-    run_greedy_fixpoint,
-    run_lico_reference,
     run_with_counters,
 )
 from .lang import (
@@ -52,6 +48,7 @@ from .oracle import (
     enumerate_choice_models,
     ground,
     reference_graph_algos,
+    run_lico_reference,
 )
 from .storage import ChosenTable, Effect, FDViolation, Relation, ThetaTable, conflict
 

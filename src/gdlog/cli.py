@@ -21,7 +21,7 @@ from .oracle import (
     enumerate_choice_models,
     ground,
 )
-from .storage import StorageError
+from .storage import TIE_POLICIES, StorageError
 
 
 def _load_program(path: str):
@@ -44,14 +44,11 @@ def _out_stream(path: str | None):
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     edb = _load_edb(args)
-    ties = args.ties
-    if args.seed is not None and args.ties == "lex":
-        ties = "random"
     interp, counters = run_with_counters(
         program,
         mode=args.mode,
         pq=args.pq,
-        ties=ties,
+        ties=args.ties,
         seed=args.seed,
         edb=edb,
         schedule=args.schedule,
@@ -130,7 +127,7 @@ def cmd_explain(args) -> int:
     if args.trace:
         edb = _load_edb(args)
         with open(args.trace, "w", encoding="utf-8") as tr:
-            eng = Engine(program, edb=edb, greedy=_has_greedy(program), trace=tr)
+            eng = Engine(program, edb=edb, trace=tr)
             eng.run()
             tr.write("% final chosen tables\n")
             for rid in sorted(eng.choice_tables):
@@ -143,14 +140,6 @@ def cmd_explain(args) -> int:
                         tr.write(line + "\n")
         print(f"trace written to {args.trace}")
     return 0
-
-
-def _has_greedy(program) -> bool:
-    return any(
-        analysis.classify_rule(r)
-        in (analysis.RuleKind.CHOICE_LEAST, analysis.RuleKind.CHOICE_MOST)
-        for r in program.rules
-    )
 
 
 def cmd_bench(args) -> int:
@@ -204,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("program")
     run.add_argument("--facts", help="directory of <predicate>.facts TSV files")
     run.add_argument("--output", "-o", help="model file (default stdout)")
-    run.add_argument("--seed", type=int, help="randomize pure-choice selection under this seed")
-    run.add_argument("--ties", choices=["lex", "fifo", "random"], default="lex")
+    run.add_argument("--seed", type=int, help="seed for random ties")
+    run.add_argument("--ties", choices=TIE_POLICIES, help="default lex, or random with --seed")
     run.add_argument("--pq", choices=["on", "off", "auto"], default="auto")
     run.add_argument(
         "--schedule", choices=["greedy-first", "program-order"], default="greedy-first"
@@ -252,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--cost-max", type=int, default=1000)
     bn.add_argument("--pq", choices=["on", "off", "auto"], default="on")
     bn.add_argument("--factorize", action="store_true")
-    bn.add_argument("--ties", choices=["lex", "fifo", "random"], default="fifo")
+    bn.add_argument("--ties", choices=TIE_POLICIES, default="fifo")
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", help="report TSV (default stdout)")
     bn.set_defaults(func=cmd_bench)

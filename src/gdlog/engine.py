@@ -20,19 +20,18 @@ most constant or already-bound arguments (ties in source order), which is
 then probed through an index on exactly those columns.  A builtin operand
 that is still unbound where the plan reaches it is an EngineError.
 
-run_lico_reference is the unoptimized one-tuple-per-step operator used to
-cross-check the differential engine.
+run_with_counters is the one entry point: it builds an Engine, runs it and
+returns the model together with its operation counters.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
-from . import analysis
+from . import analysis, tsvio
 from .analysis import ChoiceInfo, RuleKind, Stratum
 from .lang import (
     MAX_INT,
@@ -41,14 +40,13 @@ from .lang import (
     Comparison,
     Const,
     GdlogError,
-    PlusBinding,
     Program,
     Rule,
     Var,
     format_const,
     format_goal,
 )
-from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, tuple_key
+from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, resolve_ties, tuple_key
 
 
 class EngineError(GdlogError):
@@ -74,11 +72,6 @@ class Interpretation:
             self.relations[pred] = r
         return r
 
-    def atoms(self) -> Iterator[tuple[str, Tup]]:
-        for pred in self.relations:
-            for t in self.relations[pred]:
-                yield pred, t
-
     def tuples(self, pred: str) -> list[Tup]:
         r = self.relations.get(pred)
         return list(r.rows) if r is not None else []
@@ -94,12 +87,7 @@ class Interpretation:
         return sum(len(r) for r in self.relations.values())
 
     def sorted_lines(self) -> list[str]:
-        out = []
-        for pred in sorted(self.relations):
-            rows = sorted(self.relations[pred].rows, key=tuple_key)
-            for t in rows:
-                out.append("\t".join([pred] + [format_const(c) for c in t]))
-        return out
+        return tsvio.model_lines({p: r.rows for p, r in self.relations.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +458,6 @@ class _Closure:
 # The engine
 
 
-def _resolve_policy(policy: str | None, seed: int | None) -> tuple[str, random.Random]:
-    if seed is not None and policy in (None, "seeded-random", "random"):
-        return "random", random.Random(seed)
-    if policy in (None, "arbitrary", "lex"):
-        return "lex", random.Random(0)
-    if policy in ("seeded-random", "random"):
-        return "random", random.Random(seed if seed is not None else 0)
-    if policy == "fifo":
-        return "fifo", random.Random(0)
-    raise EngineError(f"unknown tie policy {policy!r}")
-
-
 @dataclass
 class _ChoiceState:
     rule: Rule
@@ -494,9 +470,11 @@ class _ChoiceState:
 class Engine:
     """One fixpoint run over a validated program.
 
-    greedy=False runs the plain choice fixpoint (least/most goals read as
-    ordinary choice goals); greedy=True runs the greedy computation with
-    cost-based selection, unique-key retention and deferred candidate merge.
+    mode "choice" runs the plain choice fixpoint (least/most goals read as
+    ordinary choice goals); "greedy" runs the greedy computation with
+    cost-based selection, unique-key retention and deferred candidate merge,
+    and needs a choice_least or choice_most rule; "auto" is greedy exactly
+    when the program has one.  ties=None means lex, or random under a seed.
 
     A run is strictly sequential and owns its storage exclusively; run
     independent Engine instances for parallelism.  After run() returns, the
@@ -508,23 +486,21 @@ class Engine:
         program: Program,
         *,
         edb: EDB | None = None,
-        greedy: bool = False,
+        mode: str = "auto",
         pq: str = "auto",
         ties: str | None = None,
         seed: int | None = None,
         schedule: str = "greedy-first",
         factorize: bool = False,
         trace=None,
-        counters: Counters | None = None,
     ):
         self.program = program
-        self.greedy = greedy
         self.pq = pq
         self.schedule = schedule
         self.factorize = factorize
         self.trace = trace
-        self.counters = counters if counters is not None else Counters()
-        self.tie_policy, self.rng = _resolve_policy(ties, seed)
+        self.counters = Counters()
+        self.tie_policy, self.rng = resolve_ties(ties, seed)
         self.interp = Interpretation()
         self.factorized_strata: list[str] = []
         self.factorize_reasons: list[str] = []
@@ -537,11 +513,20 @@ class Engine:
                 info = analysis.choice_info(r)
                 self.infos[r.rule_id] = info
                 self.arities[info.chosen_pred] = len(info.w_vars)
+        self.greedy = self._resolve_mode(mode)
         graph = analysis.build_dependency_graph(program)
         self.plan = analysis.plan_subprograms(graph, program)
         self.ev = _Evaluator(self.interp, self.counters, self.arities)
 
         self._load_facts(edb)
+
+    def _resolve_mode(self, mode: str) -> bool:
+        if mode not in ("auto", "choice", "greedy"):
+            raise EngineError(f"unknown mode {mode!r}")
+        has_extreme = any(info.cost_pos is not None for info in self.infos.values())
+        if mode == "greedy" and not has_extreme:
+            raise EngineError("greedy fixpoint requires at least one choice_least or choice_most rule")
+        return has_extreme if mode == "auto" else mode == "greedy"
 
     def _load_facts(self, edb: EDB | None) -> None:
         for f in self.program.facts:
@@ -854,112 +839,6 @@ class _TraceTarget:
         return False
 
 
-def run_choice_fixpoint(
-    program: Program,
-    policy: str = "arbitrary",
-    *,
-    seed: int | None = None,
-    edb: EDB | None = None,
-    schedule: str = "program-order",
-    trace=None,
-    counters: Counters | None = None,
-) -> Interpretation:
-    """Compute a choice model by the semi-naive fixpoint; least/most goals are
-    read as plain choice goals (their declarative semantics coincide).
-
-    policy "arbitrary" is the deterministic lexicographic pick; "seeded-random"
-    randomizes pure-choice selection under the given seed; "fifo" picks the
-    oldest candidate in constant time.
-    """
-    with _TraceTarget(trace) as tr:
-        eng = Engine(
-            program,
-            edb=edb,
-            greedy=False,
-            ties=policy,
-            seed=seed,
-            schedule=schedule,
-            trace=tr,
-            counters=counters,
-        )
-        return eng.run()
-
-
-def run_greedy_fixpoint(
-    program: Program,
-    *,
-    pq: str = "auto",
-    ties: str = "lex",
-    seed: int | None = None,
-    edb: EDB | None = None,
-    schedule: str = "greedy-first",
-    factorize: bool = False,
-    trace=None,
-    counters: Counters | None = None,
-) -> Interpretation:
-    """Compute a greedy choice model: choice_least/choice_most rules move
-    their extreme-cost candidate first; cost ties break lexicographically."""
-    if not any(
-        analysis.classify_rule(r) in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST)
-        for r in program.rules
-    ):
-        raise EngineError("greedy fixpoint requires at least one choice_least or choice_most rule")
-    with _TraceTarget(trace) as tr:
-        eng = Engine(
-            program,
-            edb=edb,
-            greedy=True,
-            pq=pq,
-            ties=ties,
-            seed=seed,
-            schedule=schedule,
-            factorize=factorize,
-            trace=tr,
-            counters=counters,
-        )
-        return eng.run()
-
-
-def run_factorized_sort(
-    program: Program,
-    *,
-    pq: str = "auto",
-    ties: str = "lex",
-    seed: int | None = None,
-    edb: EDB | None = None,
-    counters: Counters | None = None,
-    trace=None,
-) -> tuple[Interpretation, bool, str]:
-    """Run with the Cartesian-product factorization enabled.
-
-    Returns (model, applied, reason): when no stratum matches the
-    frontier x domain pattern the engine falls back to the regular
-    evaluation and reports why.
-    """
-    greedy = any(
-        analysis.classify_rule(r) in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST)
-        for r in program.rules
-    )
-    with _TraceTarget(trace) as tr:
-        eng = Engine(
-            program,
-            edb=edb,
-            greedy=greedy,
-            pq=pq,
-            ties=ties,
-            seed=seed,
-            factorize=True,
-            trace=tr,
-            counters=counters,
-        )
-        interp = eng.run()
-    applied = bool(eng.factorized_strata)
-    reason = "; ".join(eng.factorize_reasons) if not applied else ""
-    if not applied and not reason:
-        reason = "no choice rule matches the frontier x domain pattern"
-    return interp, applied, reason
-
-
 def run_with_counters(
     program: Program,
     *,
@@ -972,30 +851,34 @@ def run_with_counters(
     factorize: bool = False,
     trace=None,
 ) -> tuple[Interpretation, Counters]:
-    """Run the program and report operation counters alongside the model."""
-    counters = Counters()
-    if mode == "auto":
-        greedy = any(
-            analysis.classify_rule(r) in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST)
-            for r in program.rules
-        )
-    else:
-        greedy = mode == "greedy"
+    """Run the program and report operation counters alongside the model.
+    The knobs are Engine's; trace may also be a path, and GDLOG_TRACE
+    stands in when it is None."""
     with _TraceTarget(trace) as tr:
         eng = Engine(
             program,
             edb=edb,
-            greedy=greedy,
+            mode=mode,
             pq=pq,
             ties=ties,
             seed=seed,
             schedule=schedule,
             factorize=factorize,
             trace=tr,
-            counters=counters,
         )
         interp = eng.run()
-    return interp, counters
+    return interp, eng.counters
+
+
+def _evaluator_for(interp: Interpretation, rules: list[Rule], counters: Counters | None) -> _Evaluator:
+    """An evaluator over interp that knows the arity of every predicate the
+    rules mention."""
+    arities: dict[str, int] = {p: r.arity for p, r in interp.relations.items()}
+    for r in rules:
+        arities.setdefault(r.head.pred, r.head.arity)
+        for a in r.body_atoms():
+            arities.setdefault(a.pred, a.arity)
+    return _Evaluator(interp, counters if counters is not None else Counters(), arities)
 
 
 def immediate_consequence(
@@ -1011,14 +894,8 @@ def immediate_consequence(
     (linear rules see exactly the delta; rules with two recursive goals are
     split into the standard pair of half-delta evaluations).
     """
-    counters = counters if counters is not None else Counters()
-    arities: dict[str, int] = {p: r.arity for p, r in interp.relations.items()}
     rules = list(rules)
-    for r in rules:
-        arities.setdefault(r.head.pred, r.head.arity)
-        for a in r.body_atoms():
-            arities.setdefault(a.pred, a.arity)
-    ev = _Evaluator(interp, counters, arities)
+    ev = _evaluator_for(interp, rules, counters)
     out: dict[str, set[Tup]] = {}
     for r in rules:
         if r.choice_goals:
@@ -1046,198 +923,15 @@ def closure_nonchoice(
 ) -> Interpretation:
     """Least fixpoint of the non-choice rules over the interpretation, by
     semi-naive iteration.  Choice rules in the input are ignored."""
-    counters = counters if counters is not None else Counters()
     if isinstance(program_or_rules, Program):
         rules = [r for r in program_or_rules.rules if not r.choice_goals]
         for f in program_or_rules.facts:
             interp.rel(f.pred, f.arity).insert(f.args)
     else:
         rules = [r for r in program_or_rules if not r.choice_goals]
-    arities: dict[str, int] = {p: r.arity for p, r in interp.relations.items()}
-    for r in rules:
-        arities.setdefault(r.head.pred, r.head.arity)
-        for a in r.body_atoms():
-            arities.setdefault(a.pred, a.arity)
-    ev = _Evaluator(interp, counters, arities)
+    ev = _evaluator_for(interp, rules, counters)
     compiled = [_compile_rule(r, r.head.args, r.body) for r in rules]
     for cr in compiled:
         ev.prepare(cr)
     _Closure(compiled, ev).run()
-    return interp
-
-
-# ---------------------------------------------------------------------------
-# Reference operator: unoptimized single-step semantics
-
-
-def _naive_matches(goals, atoms: dict[str, dict[Tup, None]], rule_id: str) -> Iterator[dict]:
-    """All bindings of the goals against plain atom stores; no indexes, no
-    deltas.  Kept separate from the compiled evaluator on purpose: this is
-    the yardstick the optimized engine is checked against.  Atom stores are
-    insertion-ordered dicts so enumeration order does not depend on hashing."""
-
-    def step(i: int, env: dict):
-        if i == len(goals):
-            yield dict(env)
-            return
-        g = goals[i]
-        if isinstance(g, Atom):
-            for t in atoms.get(g.pred, ()):
-                bound = {}
-                ok = True
-                for pos, a in enumerate(g.args):
-                    if isinstance(a, Var):
-                        v = env.get(a, bound.get(a))
-                        if v is None:
-                            bound[a] = t[pos]
-                        elif v != t[pos]:
-                            ok = False
-                            break
-                    elif t[pos] != a:
-                        ok = False
-                        break
-                if ok:
-                    env.update(bound)
-                    yield from step(i + 1, env)
-                    for k in bound:
-                        del env[k]
-        elif isinstance(g, Comparison):
-            a = env[g.left] if isinstance(g.left, Var) else g.left
-            b = env[g.right] if isinstance(g.right, Var) else g.right
-            if _compare(g.op, a, b, rule_id):
-                yield from step(i + 1, env)
-        else:
-            a = env[g.left] if isinstance(g.left, Var) else g.left
-            b = env[g.right] if isinstance(g.right, Var) else g.right
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise EngineError(f"{rule_id}: arithmetic over non-integers")
-            c = a + b
-            if not (MIN_INT <= c <= MAX_INT):
-                raise EngineError(f"{rule_id}: arithmetic overflow computing {a} + {b}")
-            env[g.out] = c
-            yield from step(i + 1, env)
-            del env[g.out]
-
-    yield from step(0, {})
-
-
-def run_lico_reference(
-    program: Program,
-    mode: str = "lazy",
-    *,
-    ties: str = "lex",
-    seed: int | None = None,
-    edb: EDB | None = None,
-    schedule: str = "greedy-first",
-) -> Interpretation:
-    """Direct implementation of the one-tuple-per-step operator: at each step
-    recompute every rule's candidate set from scratch, keep the tuples that
-    are new and compatible with the declared FDs, adjoin one, and re-close
-    the non-choice rules naively.
-
-    mode "lazy" ignores costs; "least"/"most" pick the extreme-cost candidate
-    of choice_least/choice_most rules (each rule under its own cost sense).
-    Rule scheduling and tie-breaking mirror the engine's defaults so the two
-    computations can be compared model-for-model.
-    """
-    if mode not in ("lazy", "least", "most"):
-        raise EngineError(f"unknown reference mode {mode!r}")
-    tie_policy, rng = _resolve_policy(ties, seed)
-    atoms: dict[str, dict[Tup, None]] = {}
-    for f in program.facts:
-        atoms.setdefault(f.pred, {})[f.args] = None
-    if edb:
-        for pred, rows in edb.items():
-            for t in rows:
-                atoms.setdefault(pred, {})[tuple(t)] = None
-
-    infos = {r.rule_id: analysis.choice_info(r) for r in program.rules if r.choice_goals}
-    closure_rules: list[tuple[str, Atom, tuple]] = []
-    for r in program.rules:
-        if not r.choice_goals:
-            closure_rules.append((r.rule_id, r.head, tuple(r.body)))
-        else:
-            info = infos[r.rule_id]
-            body = tuple(r.body) + (Atom(info.chosen_pred, info.w_vars),)
-            closure_rules.append((r.rule_id, r.head, body))
-
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            for rid, head, body in closure_rules:
-                produced = [
-                    tuple(env[a] if isinstance(a, Var) else a for a in head.args)
-                    for env in _naive_matches(body, atoms, rid)
-                ]
-                bucket = atoms.setdefault(head.pred, {})
-                for t in produced:
-                    if t not in bucket:
-                        bucket[t] = None
-                        changed = True
-
-    def fd_compatible(info: ChoiceInfo, t: Tup) -> bool:
-        chosen = atoms.get(info.chosen_pred, ())
-        for fd in info.fds:
-            for u in chosen:
-                if tuple(u[i] for i in fd.left) == tuple(t[i] for i in fd.left) and tuple(
-                    u[i] for i in fd.right
-                ) != tuple(t[i] for i in fd.right):
-                    return False
-        return True
-
-    choice_rules = [r for r in program.rules if r.choice_goals]
-    if schedule == "greedy-first" and mode != "lazy":
-        choice_rules.sort(
-            key=lambda r: 0 if analysis.classify_rule(r) is not RuleKind.PURE_CHOICE else 1
-        )
-
-    close()
-    while True:
-        delta = None
-        delta_info = None
-        for r in choice_rules:
-            info = infos[r.rule_id]
-            theta = []
-            seen = set()
-            for env in _naive_matches(tuple(r.body), atoms, r.rule_id):
-                t = tuple(env[v] for v in info.w_vars)
-                if t in seen or t in atoms.get(info.chosen_pred, ()):
-                    continue
-                seen.add(t)
-                if fd_compatible(info, t):
-                    theta.append(t)
-            if not theta:
-                continue
-            kind = info.kind
-            if mode != "lazy" and kind in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST):
-                sense = -1 if kind is RuleKind.CHOICE_MOST else 1
-
-                def cost_key(t, sense=sense, pos=info.cost_pos):
-                    c = t[pos]
-                    if not isinstance(c, int):
-                        raise EngineError(f"{r.rule_id}: cost argument must be an integer")
-                    return (sense * c, tuple_key(t))
-
-                delta = min(theta, key=cost_key)
-            elif tie_policy == "random":
-                delta = theta[rng.randrange(len(theta))]
-            elif tie_policy == "fifo":
-                delta = theta[0]
-            else:
-                delta = min(theta, key=tuple_key)
-            delta_info = info
-            break
-        if delta is None:
-            break
-        atoms.setdefault(delta_info.chosen_pred, {})[delta] = None
-        close()
-
-    interp = Interpretation()
-    for pred in sorted(atoms):
-        if not atoms[pred]:
-            continue
-        rel = interp.rel(pred, len(next(iter(atoms[pred]))))
-        for t in sorted(atoms[pred], key=tuple_key):
-            rel.insert(t)
     return interp

@@ -2,8 +2,10 @@
 
 Everything here is deliberately independent of the optimized engine: a naive
 grounder over the rewritten program, a stable-model checker built on the
-reduct, an exhaustive enumerator of choice models, and textbook graph
-algorithms used to cross-validate engine output.
+reduct, an exhaustive enumerator of choice models, the unoptimized
+one-tuple-per-step operator (run_lico_reference), and textbook graph
+algorithms used to cross-validate engine output.  All of them evaluate rule
+bodies with the same naive matcher, _all_matches.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .analysis import ChoiceInfo, FoeProgram, VectorNeq, foe_transform
+from .analysis import ChoiceInfo, FoeProgram, RuleKind, VectorNeq, choice_info, foe_transform
 from .lang import MAX_INT, MIN_INT, Atom, Comparison, GdlogError, PlusBinding, Program, Var
+from .storage import resolve_ties, tuple_key
 
 Tup = tuple
 GAtom = tuple[str, Tup]  # (predicate, argument tuple)
@@ -429,6 +432,119 @@ def enumerate_choice_models(
 
     explore(frozenset())
     return list(models.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference operator: unoptimized one-tuple-per-step semantics
+
+
+def run_lico_reference(
+    program: Program,
+    mode: str = "lazy",
+    *,
+    ties: str = "lex",
+    seed: int | None = None,
+    edb: dict[str, Iterable[Tup]] | None = None,
+    schedule: str = "greedy-first",
+) -> dict[str, frozenset]:
+    """Direct implementation of the one-tuple-per-step operator: at each step
+    recompute every rule's candidate set from scratch, keep the tuples that
+    are new and compatible with the declared FDs, adjoin one, and re-close
+    the non-choice rules naively.
+
+    mode "lazy" ignores costs; "least"/"most" pick the extreme-cost candidate
+    of choice_least/choice_most rules (each rule under its own cost sense).
+    Rule scheduling and tie-breaking mirror the engine's defaults so the two
+    computations can be compared model-for-model.  The model comes back as
+    {predicate: tuples}, chosen tables included, the shape of the engine's
+    Interpretation.as_sets().
+    """
+    if mode not in ("lazy", "least", "most"):
+        raise GdlogError(f"unknown reference mode {mode!r}")
+    tie_policy, rng = resolve_ties(ties, seed)
+    store: dict[str, dict[Tup, None]] = {}
+    for f in program.facts:
+        store.setdefault(f.pred, {})[f.args] = None
+    if edb:
+        for pred, rows in edb.items():
+            for t in rows:
+                store.setdefault(pred, {})[tuple(t)] = None
+
+    infos = {r.rule_id: choice_info(r) for r in program.rules if r.choice_goals}
+    closure_rules: list[tuple[Atom, tuple]] = []
+    for r in program.rules:
+        body = tuple(r.body)
+        if r.choice_goals:
+            info = infos[r.rule_id]
+            body += (Atom(info.chosen_pred, info.w_vars),)
+        closure_rules.append((r.head, body))
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            for head, body in closure_rules:
+                produced = [_subst_atom(head, env)[1] for env in _all_matches(body, store)]
+                bucket = store.setdefault(head.pred, {})
+                for t in produced:
+                    if t not in bucket:
+                        bucket[t] = None
+                        changed = True
+
+    def fd_compatible(info: ChoiceInfo, t: Tup) -> bool:
+        chosen = store.get(info.chosen_pred, ())
+        for fd in info.fds:
+            for u in chosen:
+                if tuple(u[i] for i in fd.left) == tuple(t[i] for i in fd.left) and tuple(
+                    u[i] for i in fd.right
+                ) != tuple(t[i] for i in fd.right):
+                    return False
+        return True
+
+    choice_rules = [r for r in program.rules if r.choice_goals]
+    if schedule == "greedy-first" and mode != "lazy":
+        choice_rules.sort(key=lambda r: infos[r.rule_id].kind is RuleKind.PURE_CHOICE)
+
+    close()
+    while True:
+        delta = None
+        delta_info = None
+        for r in choice_rules:
+            info = infos[r.rule_id]
+            theta = []
+            seen = set()
+            for env in _all_matches(tuple(r.body), store):
+                t = tuple(env[v] for v in info.w_vars)
+                if t in seen or t in store.get(info.chosen_pred, ()):
+                    continue
+                seen.add(t)
+                if fd_compatible(info, t):
+                    theta.append(t)
+            if not theta:
+                continue
+            if mode != "lazy" and info.cost_pos is not None:
+                sense = -1 if info.kind is RuleKind.CHOICE_MOST else 1
+
+                def cost_key(t, sense=sense, pos=info.cost_pos, rid=r.rule_id):
+                    c = t[pos]
+                    if not isinstance(c, int):
+                        raise GroundingError(f"{rid}: cost argument must be an integer")
+                    return (sense * c, tuple_key(t))
+
+                delta = min(theta, key=cost_key)
+            elif tie_policy == "random":
+                delta = theta[rng.randrange(len(theta))]
+            elif tie_policy == "fifo":
+                delta = theta[0]
+            else:
+                delta = min(theta, key=tuple_key)
+            delta_info = info
+            break
+        if delta is None:
+            break
+        store.setdefault(delta_info.chosen_pred, {})[delta] = None
+        close()
+    return {pred: frozenset(ts) for pred, ts in store.items() if ts}
 
 
 # ---------------------------------------------------------------------------

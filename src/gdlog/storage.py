@@ -41,6 +41,20 @@ def project(t: Tup, cols: tuple[int, ...]) -> Tup:
     return tuple(t[i] for i in cols)
 
 
+TIE_POLICIES = ("lex", "fifo", "random")
+
+
+def resolve_ties(policy: str | None, seed: int | None) -> tuple[str, random.Random]:
+    """The pure-choice tie policy and its generator: None means lex, or
+    random when a seed is given; the generator is only drawn from under
+    random."""
+    if policy is None:
+        policy = "lex" if seed is None else "random"
+    if policy not in TIE_POLICIES:
+        raise StorageError(f"unknown tie policy {policy!r}")
+    return policy, random.Random(seed or 0)
+
+
 @dataclass
 class Counters:
     """Machine-independent operation counters.
@@ -342,7 +356,9 @@ class ThetaTable:
         self.greedy = info.cost_pos is not None and not treat_as_pure
         self._entries: dict[Tup, int] = {}  # tuple -> insertion sequence
         self._seq = 0
-        self._fd_index: list[dict[Tup, set[Tup]]] = [dict() for _ in info.fds]
+        # buckets are insertion-ordered dicts, not sets, so purge order (and
+        # with it heap and random-tie upkeep) does not depend on str hashing
+        self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
         self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self.greedy) else None
         self._rand_list: list[Tup] = []
@@ -407,7 +423,7 @@ class ThetaTable:
         self._entries[t] = self._seq
         self._seq += 1
         for i, fd in enumerate(self.info.fds):
-            self._fd_index[i].setdefault(project(t, fd.left), set()).add(t)
+            self._fd_index[i].setdefault(project(t, fd.left), {})[t] = None
         if self.greedy and self.info.unique_key is not None:
             self._ukey_index[project(t, self.info.unique_key)] = t
         if self._heap is not None:
@@ -423,7 +439,7 @@ class ThetaTable:
         for i, fd in enumerate(self.info.fds):
             key = project(t, fd.left)
             bucket = self._fd_index[i][key]
-            bucket.discard(t)
+            del bucket[t]
             if not bucket:
                 del self._fd_index[i][key]
         if self.greedy and self.info.unique_key is not None:
@@ -494,13 +510,9 @@ class ThetaTable:
         maintenance)."""
         removed = 0
         for i, fd in enumerate(self.info.fds):
-            key = project(delta, fd.left)
-            bucket = self._fd_index[i].get(key)
-            while bucket:
-                t = next(iter(bucket))
+            for t in list(self._fd_index[i].get(project(delta, fd.left), ())):
                 self._remove(t)
                 removed += 1
-                bucket = self._fd_index[i].get(key)
         return removed
 
     def conflicts_with(self, delta: Tup, t: Tup) -> bool:

@@ -8,6 +8,7 @@ import os
 from typing import Iterable
 
 from .lang import Const, GdlogError, format_const
+from .storage import tuple_key
 
 
 class FactFileError(GdlogError):
@@ -23,29 +24,14 @@ def parse_cell(cell: str) -> Const:
         return cell
 
 
-def format_cell(c: Const) -> str:
-    return format_const(c)
-
-
 def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
-    from .storage import tuple_key
-
+    """One `predicate<TAB>args...` line per tuple, predicates in name order
+    and tuples in storage.tuple_key order."""
     out = []
     for pred in sorted(relations):
         for t in sorted(relations[pred], key=tuple_key):
-            out.append("\t".join([pred] + [format_cell(c) for c in t]))
+            out.append("\t".join([pred] + [format_const(c) for c in t]))
     return out
-
-
-def write_model(path_or_file, relations: dict[str, Iterable[tuple]]) -> None:
-    text = "\n".join(model_lines(relations))
-    if text:
-        text += "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as f:
-            f.write(text)
 
 
 def read_model(path_or_file) -> dict[str, set[tuple]]:
@@ -69,7 +55,7 @@ def write_facts_dir(dirpath: str, edb: dict[str, Iterable[tuple]]) -> None:
     for pred, rows in edb.items():
         with open(os.path.join(dirpath, f"{pred}.facts"), "w", encoding="utf-8") as f:
             for t in rows:
-                f.write("\t".join(format_cell(c) for c in t) + "\n")
+                f.write("\t".join(format_const(c) for c in t) + "\n")
 
 
 def read_facts_dir(dirpath: str) -> dict[str, list[tuple]]:

@@ -15,19 +15,14 @@ from gdlog.corpus import (
     get_program,
     sparse_connected_graph,
 )
-from gdlog.engine import (
-    run_choice_fixpoint,
-    run_factorized_sort,
-    run_greedy_fixpoint,
-    run_lico_reference,
-    run_with_counters,
-)
+from gdlog.engine import Engine, run_with_counters
 from gdlog.oracle import (
     check_stable_model,
     enumerate_choice_models,
     ground,
     ref_dijkstra,
     ref_mst_weight,
+    run_lico_reference,
 )
 
 CORPUS = [
@@ -66,12 +61,20 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion}: {detail}"
 
 
+def _choice(prog, ties="lex", **kw):
+    """The plain choice fixpoint, choice rules in program order."""
+    return run_with_counters(prog, mode="choice", ties=ties, schedule="program-order", **kw)[0]
+
+
+def _greedy(prog, **kw):
+    return run_with_counters(prog, mode="greedy", ties="lex", **kw)[0]
+
+
 def _run_engine(name, edb, seed=None):
     prog = get_program(name)
     if name in GREEDY:
-        return run_greedy_fixpoint(prog, edb=edb)
-    policy = "seeded-random" if seed is not None else "arbitrary"
-    return run_choice_fixpoint(prog, policy=policy, seed=seed, edb=edb)
+        return _greedy(prog, edb=edb)
+    return _choice(prog, ties="random" if seed is not None else "lex", seed=seed, edb=edb)
 
 
 def test_01_spanning_tree_enumeration():
@@ -145,11 +148,9 @@ def test_03_fd_property_randomized_runs():
         n = rng.choice([3, 4])
         edb = example_edb(name, n, seed=rng.randrange(10**6))
         if name in GREEDY and runs % 2 == 0:
-            interp = run_greedy_fixpoint(prog, edb=edb)
+            interp = _greedy(prog, edb=edb)
         else:
-            interp = run_choice_fixpoint(
-                prog, policy="seeded-random", seed=rng.randrange(10**6), edb=edb
-            )
+            interp = _choice(prog, ties="random", seed=rng.randrange(10**6), edb=edb)
         violations += _fd_violations(prog, interp)
         runs += 1
     elapsed = time.perf_counter() - t0
@@ -166,7 +167,7 @@ def test_04_dijkstra_equivalence():
     for i in range(100):
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 4 * n, cost_max=1000, seed=1000 + i, directed=True)
-        interp = run_greedy_fixpoint(get_program("dijkstra"), edb=edb)
+        interp = _greedy(get_program("dijkstra"), edb=edb)
         got = {y: c for y, c in interp.tuples("dj")}
         want = ref_dijkstra(edb["g"], "a")
         if got != want:
@@ -180,7 +181,7 @@ def test_05_prim_equivalence():
     for i in range(100):
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 3 * n, cost_max=1000, seed=2000 + i)
-        interp = run_greedy_fixpoint(get_program("prim"), edb=edb)
+        interp = _greedy(get_program("prim"), edb=edb)
         st = [t for t in interp.tuples("st") if t[0] != "root"]
         weight = sum(c for _, _, c in st)
         undirected = {tuple(sorted((u, v))) + (c,) for u, v, c in edb["g"]}
@@ -194,8 +195,10 @@ def test_06_sorting_chains():
     detail = []
     for n in (10, 100, 1000):
         edb = domain_facts(n, seed=n)
-        plain = run_greedy_fixpoint(get_program("sort"), edb=edb)
-        fact, applied, _ = run_factorized_sort(get_program("sort"), edb=edb)
+        plain = _greedy(get_program("sort"), edb=edb)
+        eng = Engine(get_program("sort"), edb=edb, ties="lex", factorize=True)
+        fact = eng.run()
+        applied = bool(eng.factorized_strata)
         succ = [t for t in plain.tuples("succ") if t != ("root", "root")]
         values = sorted((v for (v,) in edb["d"]), reverse=True)
         # strictly decreasing chain covering every element
@@ -270,7 +273,7 @@ def test_08_greedy_tsp_sanity():
     hamiltonian_ok = True
     for n in (12, 25, 50, 100):
         edb = complete_graph(n, cost_max=1000, seed=800 + n)
-        interp = run_greedy_fixpoint(get_program("tsp"), edb=edb)
+        interp = _greedy(get_program("tsp"), edb=edb)
         spath = interp.tuples("spath")
         start = [y for x, y, _ in spath if x == "root"]
         hops = dict((x, y) for x, y, _ in spath if x != "root")
@@ -297,12 +300,12 @@ def test_09_engine_lico_agreement():
         for seed in range(3):
             edb = example_edb(name, min(8, max(3, SMALL_SIZE[name] + 2)), seed=seed)
             if name in GREEDY:
-                a = run_greedy_fixpoint(prog, edb=edb, ties="lex")
+                a = _greedy(prog, edb=edb)
                 b = run_lico_reference(prog, "least", edb=edb, ties="lex")
             else:
-                a = run_choice_fixpoint(prog, policy="arbitrary", edb=edb, schedule="program-order")
+                a = _choice(prog, edb=edb)
                 b = run_lico_reference(prog, "lazy", edb=edb, ties="lex")
-            if a.as_sets() != b.as_sets():
+            if a.as_sets() != b:
                 disagreements.append((name, seed))
     report(
         "09 engine/LICO agreement",

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gdlog
 from gdlog.cli import main
 from gdlog.corpus import PROGRAMS
 from gdlog.oracle import reachable, ref_dijkstra
@@ -203,3 +208,52 @@ def test_facts_roundtrip(tmp_path):
     write_facts_dir(str(tmp_path / "f"), edb)
     back = read_facts_dir(str(tmp_path / "f"))
     assert back == {k: list(v) for k, v in edb.items()}
+
+
+@pytest.fixture
+def matching_run(tmp_path):
+    """matching.dl over a generated 6x6 bipartite graph: (program, facts dir)."""
+    facts = tmp_path / "facts"
+    args = ["gen", "--family", "bipartite", "--n", "6", "--seed", "1", "--out", str(facts)]
+    assert main(args) == 0
+    prog = tmp_path / "matching.dl"
+    prog.write_text(PROGRAMS["matching"])
+    return str(prog), str(facts)
+
+
+def _run_model(capsys, *args) -> str:
+    capsys.readouterr()
+    assert main(["run", *args]) == 0
+    return capsys.readouterr().out
+
+
+def test_run_seeded_output_independent_of_hash_seed(matching_run):
+    prog, facts = matching_run
+    src = os.path.dirname(os.path.dirname(gdlog.__file__))
+    outs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env.pop("GDLOG_TRACE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdlog.cli", "run", prog, "--facts", facts, "--seed", "7"],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+def test_run_seed_alone_means_random_ties(matching_run, capsys):
+    prog, facts = matching_run
+    lex = _run_model(capsys, prog, "--facts", facts)
+    rand = _run_model(capsys, prog, "--facts", facts, "--ties", "random", "--seed", "7")
+    assert rand != lex  # the instance tells the two policies apart
+    assert _run_model(capsys, prog, "--facts", facts, "--seed", "7") == rand
+    assert _run_model(capsys, prog, "--facts", facts, "--ties", "lex", "--seed", "7") == lex
+
+
+def test_run_mode_greedy_needs_least_or_most_rule(matching_run, capsys):
+    prog, facts = matching_run
+    assert main(["run", prog, "--facts", facts, "--mode", "greedy"]) == 2
+    assert "requires at least one choice_least or choice_most rule" in capsys.readouterr().err

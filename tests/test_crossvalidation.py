@@ -15,9 +15,9 @@ import zlib
 import pytest
 
 from gdlog.analysis import choice_info, foe_transform
-from gdlog.engine import run_choice_fixpoint, run_greedy_fixpoint, run_lico_reference
+from gdlog.engine import run_with_counters
 from gdlog.lang import parse_program
-from gdlog.oracle import check_stable_model, enumerate_choice_models, ground
+from gdlog.oracle import check_stable_model, enumerate_choice_models, ground, run_lico_reference
 
 SHAPES = {
     "single-fd": "h(X,Y) :- e2(X,Y), choice((X),(Y)).",
@@ -105,24 +105,26 @@ def test_engine_against_oracle_and_reference(shape):
         model_keys = {frozenset(_atoms_of(m)) for m in models}
 
         # nondeterministic fixpoint: stable and enumerable
-        interp = run_choice_fixpoint(prog, policy="seeded-random", seed=trial, edb=edb)
+        interp, _ = run_with_counters(
+            prog, mode="choice", ties="random", seed=trial, edb=edb, schedule="program-order"
+        )
         _check_fds(prog, interp)
         assert check_stable_model(g, _atoms(interp)).is_stable, (shape, trial)
         assert frozenset(_atoms(interp)) in model_keys, (shape, trial)
 
         # the reference operator lands in the same model set
         lazy = run_lico_reference(prog, "lazy", edb=edb, ties="random", seed=trial)
-        assert frozenset(_atoms(lazy)) in model_keys, (shape, trial)
+        assert frozenset(_atoms_of(lazy)) in model_keys, (shape, trial)
 
         if shape in GREEDY_SHAPES:
-            greedy = run_greedy_fixpoint(prog, edb=edb, ties="lex")
+            greedy, _ = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)
             _check_fds(prog, greedy)
             assert check_stable_model(g, _atoms(greedy)).is_stable, (shape, trial)
             assert frozenset(_atoms(greedy)) in model_keys, (shape, trial)
             ref = run_lico_reference(prog, "least", edb=edb, ties="lex")
-            assert greedy.as_sets() == ref.as_sets(), (shape, trial)
+            assert greedy.as_sets() == ref, (shape, trial)
             # both queue layouts agree tuple-for-tuple under lex ties
-            off = run_greedy_fixpoint(prog, edb=edb, ties="lex", pq="off")
+            off, _ = run_with_counters(prog, mode="greedy", ties="lex", edb=edb, pq="off")
             assert greedy.as_sets() == off.as_sets(), (shape, trial)
 
 

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,17 +23,14 @@ from gdlog.engine import (
     Interpretation,
     closure_nonchoice,
     immediate_consequence,
-    run_choice_fixpoint,
-    run_factorized_sort,
-    run_greedy_fixpoint,
-    run_lico_reference,
     run_with_counters,
     _AtomStep,
     _CompareStep,
     _PlusStep,
 )
+from gdlog import tsvio
 from gdlog.lang import Atom, Rule, Var, parse_program
-from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight
+from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight, run_lico_reference
 from gdlog.storage import tuple_key
 
 EXIT_RULE = Rule(Atom("st", ("root", "a", 0)), (), ())
@@ -38,6 +38,15 @@ EXIT_RULE = Rule(Atom("st", ("root", "a", 0)), (), ())
 
 def _model(interp):
     return interp.as_sets()
+
+
+def _choice(program, ties="lex", **kw):
+    """The plain choice fixpoint, choice rules in program order."""
+    return run_with_counters(program, mode="choice", ties=ties, schedule="program-order", **kw)[0]
+
+
+def _greedy(program, ties="lex", **kw):
+    return run_with_counters(program, mode="greedy", ties=ties, **kw)[0]
 
 
 # immediate consequences ------------------------------------------------------
@@ -122,7 +131,7 @@ def test_closure_after_choice_delta_is_trivial_step():
 
 
 def test_advisor_picks_exactly_one():
-    m = run_choice_fixpoint(get_program("advisor"), edb=ADVISOR_TOY)
+    m = _choice(get_program("advisor"), edb=ADVISOR_TOY)
     adv = m.tuples("actual_adv")
     assert len(adv) == 1
     assert adv[0] in [("Jim Black", "ohm"), ("Jim Black", "bell")]
@@ -136,9 +145,7 @@ def test_spantree_toy_gives_one_of_three_models():
     ]
     seen = set()
     for seed in range(12):
-        m = run_choice_fixpoint(
-            get_program("spantree"), policy="seeded-random", seed=seed, edb=TOY_TRIANGLE
-        )
+        m = _choice(get_program("spantree"), ties="random", seed=seed, edb=TOY_TRIANGLE)
         st = set(m.tuples("st")) - {("root", "a", 0)}
         assert st in expected
         seen.add(frozenset(st))
@@ -147,7 +154,7 @@ def test_spantree_toy_gives_one_of_three_models():
 
 def test_sequence_chain_is_permutation():
     edb = {"d": [(f"e{i}",) for i in range(1, 6)]}
-    m = run_choice_fixpoint(get_program("sequence"), policy="seeded-random", seed=3, edb=edb)
+    m = _choice(get_program("sequence"), ties="random", seed=3, edb=edb)
     succ = m.tuples("succ")
     assert chain_is_total_order(succ, [f"e{i}" for i in range(1, 6)])
 
@@ -155,7 +162,7 @@ def test_sequence_chain_is_permutation():
 def test_determinism_for_fixed_seed():
     edb = example_edb("spantree", 6, seed=9)
     runs = [
-        run_choice_fixpoint(get_program("spantree"), policy="seeded-random", seed=4, edb=edb)
+        _choice(get_program("spantree"), ties="random", seed=4, edb=edb)
         for _ in range(2)
     ]
     assert _model(runs[0]) == _model(runs[1])
@@ -165,7 +172,7 @@ def test_exit_choice_rule_executes_once():
     # matching: the single non-recursive choice rule fills theta once; the
     # model is a valid matching
     edb = {"g": [("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4)]}
-    m = run_choice_fixpoint(get_program("matching"), edb=edb)
+    m = _choice(get_program("matching"), edb=edb)
     pairs = m.tuples("matching")
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
@@ -178,23 +185,23 @@ def test_exit_choice_rule_executes_once():
 
 def test_greedy_requires_extreme_rule():
     with pytest.raises(EngineError):
-        run_greedy_fixpoint(get_program("sequence"), edb={"d": [("x",)]})
+        _greedy(get_program("sequence"), edb={"d": [("x",)]})
 
 
 def test_dijkstra_small_graph():
     edb = {"g": [("a", "b", 1), ("b", "c", 2), ("a", "c", 5)]}
-    m = run_greedy_fixpoint(get_program("dijkstra"), edb=edb)
+    m = _greedy(get_program("dijkstra"), edb=edb)
     assert sorted(m.tuples("dj")) == [("a", 0), ("b", 1), ("c", 3)]
 
 
 def test_dijkstra_matches_reference_on_cyclic_graph():
     edb = sparse_connected_graph(60, 240, cost_max=50, seed=11, directed=True)
-    m = run_greedy_fixpoint(get_program("dijkstra"), edb=edb)
+    m = _greedy(get_program("dijkstra"), edb=edb)
     assert {y: c for y, c in m.tuples("dj")} == ref_dijkstra(edb["g"], "a")
 
 
 def test_prim_toy_graph_is_min_spanning_tree():
-    m = run_greedy_fixpoint(get_program("prim"), edb=TOY_TRIANGLE)
+    m = _greedy(get_program("prim"), edb=TOY_TRIANGLE)
     st = set(m.tuples("st")) - {("root", "a", 0)}
     assert st == {("a", "b", 1), ("b", "c", 2)}
     assert sum(c for _, _, c in st) == 3 == ref_mst_weight(
@@ -203,7 +210,7 @@ def test_prim_toy_graph_is_min_spanning_tree():
 
 
 def test_sort_decreasing_chain():
-    m = run_greedy_fixpoint(get_program("sort"), edb={"d": [(3,), (1,), (2,)]})
+    m = _greedy(get_program("sort"), edb={"d": [(3,), (1,), (2,)]})
     succ = [t for t in m.tuples("succ") if t != ("root", "root")]
     assert set(succ) == {("root", 3), (3, 2), (2, 1)}
 
@@ -211,14 +218,14 @@ def test_sort_decreasing_chain():
 def test_greedy_pq_on_off_same_model():
     for name in ("prim", "dijkstra", "optmatching", "sort", "tsp"):
         edb = example_edb(name, 7, seed=2)
-        a = run_greedy_fixpoint(get_program(name), edb=edb, pq="on")
-        b = run_greedy_fixpoint(get_program(name), edb=edb, pq="off")
+        a = _greedy(get_program(name), edb=edb, pq="on")
+        b = _greedy(get_program(name), edb=edb, pq="off")
         assert _model(a) == _model(b), name
 
 
 def test_tsp_path_is_hamiltonian():
     edb = complete_graph(8, cost_max=30, seed=13)
-    m = run_greedy_fixpoint(get_program("tsp"), edb=edb)
+    m = _greedy(get_program("tsp"), edb=edb)
     spath = m.tuples("spath")
     start = [y for x, y, _ in spath if x == "root"]
     assert len(start) == 1
@@ -248,25 +255,25 @@ def test_lico_lazy_satisfies_fds():
 def test_lico_least_equals_greedy_on_small_graphs():
     for seed in range(4):
         edb = acyclic_digraph(7, 14, cost_max=40, seed=seed)
-        a = run_greedy_fixpoint(get_program("dijkstra"), edb=edb)
+        a = _greedy(get_program("dijkstra"), edb=edb)
         b = run_lico_reference(get_program("dijkstra"), "least", edb=edb)
-        assert _model(a) == _model(b)
+        assert _model(a) == b
 
 
 def test_lico_no_choice_rules_gives_minimal_model():
     prog = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). e(a,b). e(b,c).")
     m = run_lico_reference(prog, "lazy")
-    assert set(m.tuples("t")) == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert m["t"] == {("a", "b"), ("b", "c"), ("a", "c")}
 
 
-def _assert_fds_hold(prog, interp):
+def _assert_fds_hold(prog, model):
     from gdlog.analysis import choice_info
 
     for r in prog.rules:
         if not r.choice_goals:
             continue
         info = choice_info(r)
-        rows = interp.tuples(info.chosen_pred)
+        rows = model.get(info.chosen_pred, ())
         for fd in info.fds:
             seen = {}
             for t in rows:
@@ -280,9 +287,10 @@ def _assert_fds_hold(prog, interp):
 
 def test_factorized_sort_agrees_with_plain_engine():
     edb = domain_facts(50, seed=21)
-    a = run_greedy_fixpoint(get_program("sort"), edb=edb)
-    b, applied, _ = run_factorized_sort(get_program("sort"), edb=edb)
-    assert applied
+    a = _greedy(get_program("sort"), edb=edb)
+    eng = Engine(get_program("sort"), edb=edb, ties="lex", factorize=True)
+    b = eng.run()
+    assert eng.factorized_strata
     assert _model(a) == _model(b)
 
 
@@ -295,19 +303,73 @@ def test_factorized_sequence_linear_candidate_work():
 
 
 def test_factorized_prim_not_applicable():
-    m, applied, reason = run_factorized_sort(get_program("prim"), edb=TOY_TRIANGLE)
-    assert not applied
-    assert "product" in reason
+    eng = Engine(get_program("prim"), edb=TOY_TRIANGLE, ties="lex", factorize=True)
+    m = eng.run()
+    assert not eng.factorized_strata
+    assert "product" in "; ".join(eng.factorize_reasons)
     st = set(m.tuples("st")) - {("root", "a", 0)}
     assert sum(c for _, _, c in st) == 3  # fallback still computes the MST
 
 
 def test_factorized_sequence_agrees_with_plain_engine():
     edb = domain_facts(30, seed=5)
-    a = run_choice_fixpoint(get_program("sequence"), policy="lex", edb=edb)
-    b, applied, _ = run_factorized_sort(get_program("sequence"), edb=edb)
-    assert applied
+    a = _choice(get_program("sequence"), ties="lex", edb=edb)
+    eng = Engine(get_program("sequence"), edb=edb, ties="lex", factorize=True)
+    b = eng.run()
+    assert eng.factorized_strata
     assert _model(a) == _model(b)
+
+
+# run settings and public entry points ----------------------------------------
+
+
+def test_unknown_mode_is_an_engine_error():
+    with pytest.raises(EngineError, match="unknown mode 'bogus'"):
+        run_with_counters(get_program("sort"), mode="bogus", edb={"d": [(1,)]})
+
+
+def test_mode_auto_is_greedy_exactly_with_least_or_most_rule():
+    assert Engine(get_program("sort")).greedy
+    assert not Engine(get_program("sequence")).greedy
+    assert not Engine(get_program("sort"), mode="choice").greedy
+
+
+PERFBENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def _child_solve_call():
+    """The COUNTERS tuple of perfbench/child.py and the keyword names of its
+    engine.run_with_counters call, read from the source without importing it."""
+    tree = ast.parse(PERFBENCH_CHILD.read_text(encoding="utf-8"))
+    counters, keywords = None, None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets
+        ):
+            counters = ast.literal_eval(node.value)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run_with_counters"
+        ):
+            keywords = {k.arg for k in node.keywords}
+    return counters, keywords
+
+
+def test_benchmark_entry_points_keep_working():
+    counters_keys, keywords = _child_solve_call()
+    assert counters_keys and keywords
+    assert keywords <= set(inspect.signature(run_with_counters).parameters)
+    # the sort-factorized solve as the benchmark makes it, on a small domain
+    # with negative integers, plus a relation whose symbols need quoting
+    edb = {"d": [(5,), (-3,), (12,), (-40,)], "label": [("Jim Black",), ("x",)]}
+    interp, counters = run_with_counters(
+        get_program("sort"), mode="auto", pq="auto", ties="lex", edb=edb, factorize=True
+    )
+    lines = interp.sorted_lines()
+    assert lines == tsvio.model_lines(interp.as_sets())
+    assert "label\t'Jim Black'" in lines and "succ\t-3\t-40" in lines
+    assert set(counters_keys) <= set(counters.as_dict())
 
 
 # counters and trace ----------------------------------------------------------
@@ -339,9 +401,7 @@ def test_prim_pq_ops_bounded_by_e_log_n():
 
 def test_inflationary_growth_via_trace():
     buf = io.StringIO()
-    run_choice_fixpoint(
-        get_program("spantree"), edb=example_edb("spantree", 8, seed=4), trace=buf
-    )
+    _choice(get_program("spantree"), edb=example_edb("spantree", 8, seed=4), trace=buf)
     sizes = [int(line.split("\t")[5]) for line in buf.getvalue().splitlines()]
     assert sizes == sorted(sizes) and sizes
 
@@ -353,7 +413,7 @@ def test_overflow_is_a_run_error_with_rule_id():
         "reach(Y,C) :- reach(X,C1), big(Y,C2), C = C1 + C2, choice((Y),(C)).\n"
     )
     with pytest.raises(EngineError, match="r1.*overflow"):
-        run_choice_fixpoint(prog)
+        _choice(prog)
 
 
 def test_schedule_greedy_first_prefers_extreme_rules():
@@ -364,7 +424,7 @@ def test_schedule_greedy_first_prefers_extreme_rules():
         "best(X,C) :- cand2(X,C), choice_least((),(C)).\n"
     )
     edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
-    m = run_greedy_fixpoint(parse_program(src), edb=edb, schedule="greedy-first")
+    m = _greedy(parse_program(src), edb=edb, schedule="greedy-first")
     assert m.tuples("best") == [("q2", 1)]
     assert len(m.tuples("pick")) == 1
 

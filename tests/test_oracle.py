@@ -12,7 +12,7 @@ from gdlog.corpus import (
     get_program,
     sparse_connected_graph,
 )
-from gdlog.engine import run_choice_fixpoint, run_greedy_fixpoint
+from gdlog.engine import run_with_counters
 from gdlog.lang import parse_program
 from gdlog.oracle import (
     EnumerationError,
@@ -221,7 +221,9 @@ def test_engine_models_are_enumerated_models():
         models = enumerate_choice_models(prog, edb)
         assert models, name
         for seed in range(3):
-            interp = run_choice_fixpoint(prog, policy="seeded-random", seed=seed, edb=edb)
+            interp, _ = run_with_counters(
+                prog, mode="choice", ties="random", seed=seed, edb=edb, schedule="program-order"
+            )
             got = interp.as_sets()
             assert any(m == got for m in models), name
 
@@ -231,7 +233,7 @@ def test_greedy_model_is_a_choice_model():
         prog = get_program(name)
         edb = example_edb(name, size, seed=6)
         models = enumerate_choice_models(prog, edb)
-        got = run_greedy_fixpoint(prog, edb=edb).as_sets()
+        got = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)[0].as_sets()
         assert any(m == got for m in models), name
 
 
