@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import corpus
 from .engine import run_with_counters
 from .lang import GdlogError
+from .storage import Counters
 
 DEFAULT_FAMILY = {
     "advisor": "advisor",
@@ -90,18 +91,7 @@ class BenchReport:
         return all(c.verdict != "FAIL" for c in self.checks)
 
     def to_tsv(self) -> str:
-        cols = [
-            "iterations",
-            "firings",
-            "derived",
-            "join_probes",
-            "theta_inserts",
-            "theta_deletes",
-            "pq_ops",
-            "conflict_checks",
-            "work",
-            "wall_time_s",
-        ]
+        cols = [f.name for f in fields(Counters)]
         fam = self.spec.resolved_family()
         lines = [
             f"# gdlog bench example={self.spec.example} family={fam} pq={self.spec.pq}"

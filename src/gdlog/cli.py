@@ -51,7 +51,6 @@ def cmd_run(args) -> int:
         ties=args.ties,
         seed=args.seed,
         edb=edb,
-        schedule=args.schedule,
         factorize=args.factorize,
         trace=args.trace,
     )
@@ -134,10 +133,9 @@ def cmd_explain(args) -> int:
                 chosen, theta = eng.choice_tables[rid]
                 for line in tsvio.model_lines({chosen.info.chosen_pred: list(chosen)}):
                     tr.write(line + "\n")
-                tr.write(f"% theta_{rid}: {len(theta) if theta is not None else 0} candidates left\n")
-                if theta is not None:
-                    for line in tsvio.model_lines({f"theta_{rid}": list(theta)}):
-                        tr.write(line + "\n")
+                tr.write(f"% theta_{rid}: {len(theta)} candidates left\n")
+                for line in tsvio.model_lines({f"theta_{rid}": list(theta)}):
+                    tr.write(line + "\n")
         print(f"trace written to {args.trace}")
     return 0
 
@@ -196,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="seed for random ties")
     run.add_argument("--ties", choices=TIE_POLICIES, help="default lex, or random with --seed")
     run.add_argument("--pq", choices=["on", "off", "auto"], default="auto")
-    run.add_argument(
-        "--schedule", choices=["greedy-first", "program-order"], default="greedy-first"
-    )
     run.add_argument("--mode", choices=["auto", "choice", "greedy"], default="auto")
     run.add_argument("--factorize", action="store_true")
     run.add_argument("--trace", help="per-iteration TSV trace file (env GDLOG_TRACE)")

@@ -12,6 +12,12 @@ freshly derived candidates until after the extreme tuple has been picked and
 its conflicts purged, so tuples that die in the same iteration never touch
 the priority queue.
 
+With factorize, a stratum whose one choice rule chains a frontier value X to
+a fresh database domain value Y (sort, sequence) keeps only the domain
+column of theta: a ThetaTable over the domain values, filled once.  Each
+step selects Y from it, chooses (X, Y) and moves the frontier to Y, so
+selection, ties, counters and trace rows are those of every choice rule.
+
 Each rule compiles to one full plan and one delta plan per body atom, all
 ordered bound-first: a delta plan starts from its delta atom, the full plan
 from nothing bound; every comparison or arithmetic goal goes in as soon as
@@ -26,6 +32,7 @@ returns the model together with its operation counters.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass
@@ -474,7 +481,10 @@ class Engine:
     ordinary choice goals); "greedy" runs the greedy computation with
     cost-based selection, unique-key retention and deferred candidate merge,
     and needs a choice_least or choice_most rule; "auto" is greedy exactly
-    when the program has one.  ties=None means lex, or random under a seed.
+    when the program has one.  Within a stratum the greedy computation tries
+    least/most rules before pure ones and the choice fixpoint takes its rules
+    in program order.  ties=None means lex, or random under a seed; pq is
+    auto, on or off.
 
     A run is strictly sequential and owns its storage exclusively; run
     independent Engine instances for parallelism.  After run() returns, the
@@ -490,13 +500,13 @@ class Engine:
         pq: str = "auto",
         ties: str | None = None,
         seed: int | None = None,
-        schedule: str = "greedy-first",
         factorize: bool = False,
         trace=None,
     ):
+        if pq not in ("auto", "on", "off"):
+            raise EngineError(f"unknown pq setting {pq!r}")
         self.program = program
         self.pq = pq
-        self.schedule = schedule
         self.factorize = factorize
         self.trace = trace
         self.counters = Counters()
@@ -504,7 +514,7 @@ class Engine:
         self.interp = Interpretation()
         self.factorized_strata: list[str] = []
         self.factorize_reasons: list[str] = []
-        self.choice_tables: dict[str, tuple[ChosenTable, ThetaTable | None]] = {}
+        self.choice_tables: dict[str, tuple[ChosenTable, ThetaTable]] = {}
 
         self.arities = dict(program.predicates())
         self.infos: dict[str, ChoiceInfo] = {}
@@ -571,13 +581,6 @@ class Engine:
         self.counters.wall_time_s += time.perf_counter() - t0
         return self.interp
 
-    def _schedule_order(self, states: list[_ChoiceState]) -> list[_ChoiceState]:
-        if self.schedule == "program-order":
-            return states
-        extreme = [s for s in states if s.info.kind is not RuleKind.PURE_CHOICE]
-        pure = [s for s in states if s.info.kind is RuleKind.PURE_CHOICE]
-        return extreme + pure
-
     def _run_stratum(self, stratum: Stratum) -> None:
         nonchoice: list[_CompiledRule] = []
         states: list[_ChoiceState] = []
@@ -588,15 +591,7 @@ class Engine:
             info = self.infos[r.rule_id]
             nonchoice.append(self._compile_rewritten(r, info))
             cand = _DifferentialRule(self._compile_candidates(r, info), self.ev)
-            theta = ThetaTable(
-                info,
-                counters=self.counters,
-                use_pq=self._use_pq(info),
-                tie_policy=self.tie_policy,
-                rng=self.rng,
-                treat_as_pure=not self.greedy,
-            )
-            state = _ChoiceState(r, info, cand, theta, ChosenTable(info))
+            state = _ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info))
             states.append(state)
             self.choice_tables[r.rule_id] = (state.chosen, state.theta)
         for cr in nonchoice:
@@ -608,7 +603,11 @@ class Engine:
         closure.run()
         if not states:
             return
-        ordered = self._schedule_order(states)
+        # the greedy computation drains least/most rules first; the plain
+        # choice fixpoint takes its rules in program order
+        ordered = states
+        if self.greedy:
+            ordered = sorted(states, key=lambda s: s.info.kind is RuleKind.PURE_CHOICE)
 
         while True:
             selected: _ChoiceState | None = None
@@ -628,15 +627,14 @@ class Engine:
                     break
             if selected is None:
                 return
-            delta = selected.theta.select_extreme("auto" if self.greedy else "arbitrary")
+            delta = selected.theta.select_extreme()
             selected.chosen.insert(delta)
-            self.interp.rel(selected.info.chosen_pred, len(delta)).insert(delta)
             purged = selected.theta.purge_conflicting(delta)
             for t in pending:
                 if not selected.theta.conflicts_with(delta, t):
                     selected.theta.insert(t)
             self.counters.iterations += 1
-            self._trace_row(selected, delta, purged)
+            self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
             closure.run()
 
     def _fresh_candidates(self, st: _ChoiceState) -> list[Tup]:
@@ -663,24 +661,29 @@ class Engine:
             return fresh[self.rng.randrange(len(fresh))]
         return min(fresh, key=tuple_key)
 
-    def _use_pq(self, info: ChoiceInfo) -> bool:
-        if not self.greedy or info.cost_pos is None:
-            return False
-        if self.pq == "on":
-            return True
-        if self.pq == "off":
-            return False
-        return True  # auto: heap-order every least/most table
+    def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
+        # pq auto heap-orders every least/most table, as does pq on
+        return ThetaTable(
+            info,
+            counters=self.counters,
+            use_pq=self.greedy and info.cost_pos is not None and self.pq != "off",
+            tie_policy=self.tie_policy,
+            rng=self.rng,
+            treat_as_pure=not self.greedy,
+        )
 
-    def _trace_row(self, st: _ChoiceState, delta: Tup, purged: int) -> None:
+    def _chosen_table(self, info: ChoiceInfo) -> ChosenTable:
+        return ChosenTable(info, self.ev.rel(info.chosen_pred))
+
+    def _trace_row(self, rule_id: str, theta: ThetaTable, delta: Tup, purged: int) -> None:
         if self.trace is None:
             return
         self.trace.write(
             "\t".join(
                 [
                     str(self.counters.iterations),
-                    st.rule.rule_id,
-                    str(len(st.theta)),
+                    rule_id,
+                    str(len(theta)),
                     ",".join(format_const(c) for c in delta),
                     str(purged),
                     str(self.interp.size()),
@@ -728,91 +731,37 @@ class Engine:
             return None
         if info.w_vars != (x_var, y):
             return None
-        return (stratum, r, info, dom.pred, starts[0][1])
+        return (r, info, dom.pred, starts[0][1])
 
-    def _run_stratum_factorized(self, stratum, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
-        """Maintain only the domain column of theta: avail = d minus the
-        already chosen values, heap-ordered for least/most rules."""
-        from .storage import _Heap
-
+    def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
+        """Keep only the domain column of theta: a table over the domain
+        values, filled once, from which each step takes the next y and
+        chooses (x, y), y becoming the next x."""
         self.factorized_strata.append(rule.rule_id)
-        chosen = ChosenTable(info)
-        self.choice_tables[rule.rule_id] = (chosen, None)
+        dom_info = dataclasses.replace(
+            info,
+            w_vars=info.w_vars[1:],
+            fds=(),
+            unique_key=None,
+            cost_pos=None if info.cost_pos is None else 0,
+        )
+        theta = self._theta_table(dom_info)
+        chosen = self._chosen_table(info)
+        self.choice_tables[rule.rule_id] = (chosen, theta)
         head_rel = self.interp.rel(rule.head.pred, 2)
-        chosen_rel = self.interp.rel(info.chosen_pred, 2)
-        domain = [t[0] for t in self.interp.rel(dom_pred, 1).rows]
+        for t in self.interp.rel(dom_pred, 1).rows:
+            theta.insert(t)
 
-        greedy_rule = self.greedy and info.cost_pos is not None
-        use_pq = greedy_rule and self._use_pq(info)
-        most = info.kind is RuleKind.CHOICE_MOST
-        heap = None
-        fifo_ptr = 0
-        if use_pq:
-            heap = _Heap(self.counters)
-            for y in domain:
-                heap.push(self._factor_key(y, most, rule.rule_id), y)
-            avail: list[Const] = []
-        else:
-            avail = list(domain)
-
-        x_cur = start
-        while True:
-            if heap is not None:
-                if not len(heap):
-                    break
-                y = heap.pop()
-                self.counters.work += 1
-            elif not greedy_rule and self.tie_policy == "fifo":
-                if fifo_ptr >= len(avail):
-                    break
-                y = avail[fifo_ptr]
-                fifo_ptr += 1
-                self.counters.work += 1
-            else:
-                if not avail:
-                    break
-                y = self._factor_pick(avail, most, greedy_rule, rule.rule_id)
-            t = (x_cur, y)
-            chosen.insert(t)
-            chosen_rel.insert(t)
-            head_rel.insert(t)
+        x = start
+        while len(theta):
+            (y,) = theta.select_extreme()
+            delta = (x, y)
+            chosen.insert(delta)
+            head_rel.insert(delta)
             self.counters.derived += 1
-            self.counters.theta_inserts += 1
-            self.counters.theta_deletes += 1
-            self.counters.work += 2
             self.counters.iterations += 1
-            if self.trace is not None:
-                size = len(heap) if heap is not None else len(avail) - fifo_ptr
-                self.trace.write(
-                    f"{self.counters.iterations}\t{rule.rule_id}\t{size}\t"
-                    f"{format_const(x_cur)},{format_const(y)}\t0\t{self.interp.size()}\n"
-                )
-            x_cur = y
-
-    def _factor_key(self, y: Const, most: bool, rule_id: str):
-        if not isinstance(y, int):
-            raise EngineError(f"{rule_id}: cost argument must be an integer, got {y!r}")
-        return ((-y if most else y),)
-
-    def _factor_pick(self, avail: list[Const], most: bool, greedy_rule: bool, rule_id: str) -> Const:
-        if greedy_rule:
-            best_i = 0
-            best_key = self._factor_key(avail[0], most, rule_id)
-            for i in range(1, len(avail)):
-                self.counters.work += 1
-                k = self._factor_key(avail[i], most, rule_id)
-                if k < best_key:
-                    best_i, best_key = i, k
-        elif self.tie_policy == "random":
-            best_i = self.rng.randrange(len(avail))
-        else:
-            best_i = min(range(len(avail)), key=lambda i: tuple_key((avail[i],)))
-            self.counters.work += len(avail)
-        y = avail[best_i]
-        avail[best_i] = avail[-1]
-        avail.pop()
-        self.counters.work += 1
-        return y
+            self._trace_row(rule.rule_id, theta, delta, 0)
+            x = y
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +796,6 @@ def run_with_counters(
     ties: str | None = None,
     seed: int | None = None,
     edb: EDB | None = None,
-    schedule: str = "greedy-first",
     factorize: bool = False,
     trace=None,
 ) -> tuple[Interpretation, Counters]:
@@ -862,7 +810,6 @@ def run_with_counters(
             pq=pq,
             ties=ties,
             seed=seed,
-            schedule=schedule,
             factorize=factorize,
             trace=tr,
         )

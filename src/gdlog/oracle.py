@@ -445,7 +445,6 @@ def run_lico_reference(
     ties: str = "lex",
     seed: int | None = None,
     edb: dict[str, Iterable[Tup]] | None = None,
-    schedule: str = "greedy-first",
 ) -> dict[str, frozenset]:
     """Direct implementation of the one-tuple-per-step operator: at each step
     recompute every rule's candidate set from scratch, keep the tuples that
@@ -453,11 +452,12 @@ def run_lico_reference(
     the non-choice rules naively.
 
     mode "lazy" ignores costs; "least"/"most" pick the extreme-cost candidate
-    of choice_least/choice_most rules (each rule under its own cost sense).
-    Rule scheduling and tie-breaking mirror the engine's defaults so the two
-    computations can be compared model-for-model.  The model comes back as
-    {predicate: tuples}, chosen tables included, the shape of the engine's
-    Interpretation.as_sets().
+    of choice_least/choice_most rules (each rule under its own cost sense)
+    and try those rules first; "lazy" takes the rules in program order.
+    Rule scheduling and tie-breaking mirror the engine's greedy and choice
+    modes so the two computations can be compared model-for-model.  The
+    model comes back as {predicate: tuples}, chosen tables included, the
+    shape of the engine's Interpretation.as_sets().
     """
     if mode not in ("lazy", "least", "most"):
         raise GdlogError(f"unknown reference mode {mode!r}")
@@ -502,7 +502,7 @@ def run_lico_reference(
         return True
 
     choice_rules = [r for r in program.rules if r.choice_goals]
-    if schedule == "greedy-first" and mode != "lazy":
+    if mode != "lazy":
         choice_rules.sort(key=lambda r: infos[r.rule_id].kind is RuleKind.PURE_CHOICE)
 
     close()

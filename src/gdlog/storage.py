@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .analysis import FD, ChoiceInfo, RuleKind
@@ -60,11 +62,12 @@ class Counters:
     """Machine-independent operation counters.
 
     work is the master counter: one tick per elementary engine operation
-    (join probe, table insert/delete, selection scan step, heap sift swap,
+    (join probe, table insert/delete, selection scan step, heap sift level,
     conflict check, derived tuple).  The benchmark slope checks run on these
     counters; wall time is reported only informationally.
     """
 
+    iterations: int = 0
     firings: int = 0
     derived: int = 0
     join_probes: int = 0
@@ -72,23 +75,13 @@ class Counters:
     theta_deletes: int = 0
     pq_ops: int = 0
     conflict_checks: int = 0
-    iterations: int = 0
     work: int = 0
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "iterations": self.iterations,
-            "firings": self.firings,
-            "derived": self.derived,
-            "join_probes": self.join_probes,
-            "theta_inserts": self.theta_inserts,
-            "theta_deletes": self.theta_deletes,
-            "pq_ops": self.pq_ops,
-            "conflict_checks": self.conflict_checks,
-            "work": self.work,
-            "wall_time_s": self.wall_time_s,
-        }
+        """The counters by field name, in field order (the --stats and bench
+        TSV column order)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +147,27 @@ _EMPTY: list = []
 
 
 class ChosenTable:
-    """Memo of the chosen_r tuples of one choice rule, with one hash index per
-    FD left side.  The FDs hold at all times; a violating insert raises."""
+    """The chosen_r tuples of one choice rule, with one hash index per FD left
+    side.  The FDs hold at all times; a violating insert raises.
 
-    def __init__(self, info: ChoiceInfo):
+    The tuples live in rel, the interpretation's chosen_r relation when the
+    engine passes it in (so each chosen tuple is stored once), otherwise a
+    relation of the table's own."""
+
+    def __init__(self, info: ChoiceInfo, rel: Relation | None = None):
         self.info = info
-        self.rows: list[Tup] = []
-        self._set: set[Tup] = set()
+        self.rel = rel if rel is not None else Relation(info.chosen_pred, len(info.w_vars))
         # one index per FD left side; FD invariant means key -> single tuple
         self._fd_index: list[dict[Tup, Tup]] = [dict() for _ in info.fds]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.rel)
 
     def __iter__(self) -> Iterator[Tup]:
-        return iter(self.rows)
+        return iter(self.rel)
 
     def __contains__(self, t: Tup) -> bool:
-        return t in self._set
+        return t in self.rel
 
     def fd_key(self, fd_idx: int, t: Tup) -> Tup:
         return project(t, self.info.fds[fd_idx].left)
@@ -185,19 +181,18 @@ class ChosenTable:
         return False
 
     def insert(self, t: Tup) -> None:
-        if t in self._set:
+        if t in self.rel:
             return
-        for i, fd in enumerate(self.info.fds):
-            key = project(t, fd.left)
-            other = self._fd_index[i].get(key)
+        keys = [project(t, fd.left) for fd in self.info.fds]
+        for fd, key, index in zip(self.info.fds, keys, self._fd_index):
+            other = index.get(key)
             if other is not None and project(other, fd.right) != project(t, fd.right):
                 raise FDViolation(
                     f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t} against {other}"
                 )
-        for i, fd in enumerate(self.info.fds):
-            self._fd_index[i][project(t, fd.left)] = t
-        self._set.add(t)
-        self.rows.append(t)
+        for key, index in zip(keys, self._fd_index):
+            index[key] = t
+        self.rel.insert(t)
 
 
 def conflict(fds: Iterable[FD], s: Iterable[Tup], against, counters: Counters | None = None) -> list[Tup]:
@@ -234,7 +229,8 @@ def conflict(fds: Iterable[FD], s: Iterable[Tup], against, counters: Counters | 
 class _Heap:
     """Min-heap over (key, tuple) pairs; each stored tuple keeps its heap
     position so conflicting candidates can be deleted from the middle in
-    O(log m).  Sift swaps are counted as priority-queue operations."""
+    O(log m).  A sift moves a hole and writes the sifted item once at the
+    end; each level it moves counts as one priority-queue operation."""
 
     __slots__ = ("items", "pos", "counters")
 
@@ -256,11 +252,6 @@ class _Heap:
     def peek(self) -> Tup:
         return self.items[0][1]
 
-    def pop(self) -> Tup:
-        t = self.items[0][1]
-        self.delete(t)
-        return t
-
     def delete(self, t: Tup) -> None:
         i = self.pos.pop(t)
         self.counters.pq_ops += 1
@@ -272,37 +263,52 @@ class _Heap:
             i = self._sift_up(i)
             self._sift_down(i)
 
-    def _swap(self, i: int, j: int) -> None:
-        self.items[i], self.items[j] = self.items[j], self.items[i]
-        self.pos[self.items[i][1]] = i
-        self.pos[self.items[j][1]] = j
-        self.counters.pq_ops += 1
-        self.counters.work += 1
+    def _place(self, item, i: int, moved: int) -> None:
+        self.items[i] = item
+        self.pos[item[1]] = i
+        self.counters.pq_ops += moved
+        self.counters.work += moved
 
     def _sift_up(self, i: int) -> int:
+        items, pos = self.items, self.pos
+        item = items[i]
+        key = item[0]
+        moved = 0
         while i > 0:
             parent = (i - 1) // 2
-            if self.items[i][0] < self.items[parent][0]:
-                self._swap(i, parent)
-                i = parent
-            else:
+            above = items[parent]
+            if not key < above[0]:
                 break
+            items[i] = above
+            pos[above[1]] = i
+            i = parent
+            moved += 1
+        if moved:
+            self._place(item, i, moved)
         return i
 
     def _sift_down(self, i: int) -> None:
-        n = len(self.items)
+        items, pos = self.items, self.pos
+        n = len(items)
+        item = items[i]
+        key = item[0]
+        moved = 0
         while True:
-            left = 2 * i + 1
-            right = left + 1
-            smallest = i
-            if left < n and self.items[left][0] < self.items[smallest][0]:
-                smallest = left
-            if right < n and self.items[right][0] < self.items[smallest][0]:
-                smallest = right
-            if smallest == i:
-                return
-            self._swap(i, smallest)
-            i = smallest
+            child = 2 * i + 1
+            if child >= n:
+                break
+            right = child + 1
+            if right < n and items[right][0] < items[child][0]:
+                child = right
+            below = items[child]
+            if not below[0] < key:
+                break
+            items[i] = below
+            pos[below[1]] = i
+            i = child
+            moved += 1
+        if moved:
+            self._place(item, i, moved)
 
     def audit(self) -> bool:
         """Structural check: every element's key is >= its parent's."""
@@ -331,10 +337,10 @@ class ThetaTable:
     value is retained.  With the priority queue enabled, selection of the
     extreme tuple is O(log m) instead of a linear scan.
 
-    tie_policy governs selection among pure-choice candidates (and is baked
-    into the heap key for cost ties):
+    tie_policy governs selection among pure-choice candidates (equal costs
+    always break in tuple_key order):
       lex    deterministic, lexicographically least tuple (linear for pure)
-      fifo   oldest surviving candidate, constant time
+      fifo   oldest surviving candidate, amortised constant time
       random seeded uniform choice, constant time
     """
 
@@ -349,18 +355,24 @@ class ThetaTable:
     ):
         self.info = info
         self.counters = counters if counters is not None else Counters()
-        self.tie_policy = tie_policy
         self.rng = rng if rng is not None else random.Random(0)
         # treat_as_pure drops cost-based retention and selection: the plain
         # choice fixpoint reads least/most goals as ordinary choice goals
         self.greedy = info.cost_pos is not None and not treat_as_pure
-        self._entries: dict[Tup, int] = {}  # tuple -> insertion sequence
+        self._most = info.kind is RuleKind.CHOICE_MOST
+        self._ukey = info.unique_key if self.greedy else None
+        self._random = tie_policy == "random" and not self.greedy
+        # tuple -> its order key (greedy) or its insertion sequence number
+        self._entries: dict[Tup, object] = {}
         self._seq = 0
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
         self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
         self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self.greedy) else None
+        # fifo: (sequence number, tuple) per insert, oldest first; a record
+        # whose tuple was removed since is skipped when it reaches the front
+        self._fifo: Optional[deque] = deque() if tie_policy == "fifo" and not self.greedy else None
         self._rand_list: list[Tup] = []
         self._rand_pos: dict[Tup, int] = {}
 
@@ -375,21 +387,17 @@ class ThetaTable:
 
     # -- cost / ordering ----------------------------------------------------
 
-    def cost_of(self, t: Tup) -> int:
+    def _order_key(self, t: Tup):
+        # heap/selection key: extreme cost first, then tuple_key order so
+        # equal-cost ties break deterministically.  tuple_key(t) is spliced
+        # in flat, one tuple per candidate instead of 2 + arity; all keys of
+        # a table have the same length, so the order is the same.
         c = t[self.info.cost_pos]
         if not isinstance(c, int):
             raise StorageError(
                 f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
             )
-        return c
-
-    def _order_key(self, t: Tup):
-        # heap/selection key: extreme cost first, then lexicographic tuple
-        # order so equal-cost ties break deterministically
-        c = self.cost_of(t)
-        if self.info.kind is RuleKind.CHOICE_MOST:
-            c = -c
-        return (c, tuple_key(t))
+        return (-c if self._most else c, *chain.from_iterable(map(const_key, t)))
 
     def better(self, a: Tup, b: Tup) -> bool:
         """True when a wins over b under this rule's cost sense."""
@@ -404,31 +412,34 @@ class ThetaTable:
         self.counters.theta_inserts += 1
         self.counters.work += 1
         if self.greedy:
-            self.cost_of(t)  # surface non-integer costs at insertion time
+            key = self._order_key(t)  # surfaces a non-integer cost at insertion time
+        else:
+            key = self._seq
+            self._seq += 1
         if t in self._entries:
             return Effect.REJECTED_DUPLICATE
-        if self.greedy and self.info.unique_key is not None:
-            key = project(t, self.info.unique_key)
-            cur = self._ukey_index.get(key)
+        if self._ukey is not None:
+            cur = self._ukey_index.get(project(t, self._ukey))
             if cur is not None:
-                if self.better(t, cur):
+                if key < self._entries[cur]:
                     self._remove(cur)
-                    self._add(t)
+                    self._add(t, key)
                     return Effect.REPLACED_WORSE
                 return Effect.REJECTED_WORSE
-        self._add(t)
+        self._add(t, key)
         return Effect.ADDED
 
-    def _add(self, t: Tup) -> None:
-        self._entries[t] = self._seq
-        self._seq += 1
+    def _add(self, t: Tup, key) -> None:
+        self._entries[t] = key
         for i, fd in enumerate(self.info.fds):
             self._fd_index[i].setdefault(project(t, fd.left), {})[t] = None
-        if self.greedy and self.info.unique_key is not None:
-            self._ukey_index[project(t, self.info.unique_key)] = t
+        if self._ukey is not None:
+            self._ukey_index[project(t, self._ukey)] = t
         if self._heap is not None:
-            self._heap.push(self._order_key(t), t)
-        if self.tie_policy == "random" and not self.greedy:
+            self._heap.push(key, t)
+        if self._fifo is not None:
+            self._fifo.append((key, t))
+        if self._random:
             self._rand_pos[t] = len(self._rand_list)
             self._rand_list.append(t)
 
@@ -442,13 +453,13 @@ class ThetaTable:
             del bucket[t]
             if not bucket:
                 del self._fd_index[i][key]
-        if self.greedy and self.info.unique_key is not None:
-            key = project(t, self.info.unique_key)
+        if self._ukey is not None:
+            key = project(t, self._ukey)
             if self._ukey_index.get(key) == t:
                 del self._ukey_index[key]
         if self._heap is not None:
             self._heap.delete(t)
-        if self.tie_policy == "random" and not self.greedy:
+        if self._random:
             i = self._rand_pos.pop(t)
             last = self._rand_list.pop()
             if last != t:
@@ -457,45 +468,31 @@ class ThetaTable:
 
     # -- selection ----------------------------------------------------------
 
-    def select_extreme(self, mode: str = "auto") -> Optional[Tup]:
-        """Remove and return the minimal (least) / maximal (most) cost tuple,
-        or an arbitrary one; None when the table is empty.
-
-        mode "auto" resolves to this rule's kind.  With the priority queue the
-        extreme selection costs O(log m); without it, a linear scan.
-        """
-        if mode not in ("auto", "least", "most", "arbitrary"):
-            raise StorageError(f"unknown selection mode {mode!r}")
+    def select_extreme(self) -> Optional[Tup]:
+        """Remove and return the next tuple to choose, None when the table is
+        empty: for a greedy rule the least (choice_least) or most
+        (choice_most) cost tuple, equal costs in lexicographic order, in
+        O(log m) with the priority queue and by a linear scan without it; for
+        pure choice the tie policy's pick."""
         if not self._entries:
             return None
-        if mode == "auto":
-            mode = "arbitrary" if not self.greedy else (
-                "least" if self.info.kind is RuleKind.CHOICE_LEAST else "most"
-            )
-        if mode in ("least", "most"):
-            if self.info.cost_pos is None:
-                raise StorageError(f"{self.info.chosen_pred}: rule has no cost column")
-            if self._heap is not None:
-                t = self._heap.peek()
-                self._remove(t)
-                return t
-            best = None
-            best_key = None
-            for t in self._entries:
+        if self._heap is not None:
+            t = self._heap.peek()
+        elif self.greedy:
+            t = best_key = None
+            for cand, k in self._entries.items():
                 self.counters.work += 1
-                k = self._order_key(t)
                 if best_key is None or k < best_key:
-                    best, best_key = t, k
-            self._remove(best)
-            return best
-        # arbitrary (pure choice)
-        if self.tie_policy == "fifo":
-            t = next(iter(self._entries))
-        elif self.tie_policy == "random":
+                    t, best_key = cand, k
+        elif self._fifo is not None:
+            while True:
+                seq, t = self._fifo.popleft()
+                if self._entries.get(t) == seq:
+                    break
+        elif self._random:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
         else:  # lex
-            t = None
-            best_key = None
+            t = best_key = None
             for cand in self._entries:
                 self.counters.work += 1
                 k = tuple_key(cand)

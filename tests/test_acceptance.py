@@ -63,7 +63,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def _choice(prog, ties="lex", **kw):
     """The plain choice fixpoint, choice rules in program order."""
-    return run_with_counters(prog, mode="choice", ties=ties, schedule="program-order", **kw)[0]
+    return run_with_counters(prog, mode="choice", ties=ties, **kw)[0]
 
 
 def _greedy(prog, **kw):

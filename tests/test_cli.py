@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import pytest
 
 import gdlog
+from gdlog import cli
 from gdlog.cli import main
+from gdlog.engine import Engine
 from gdlog.corpus import PROGRAMS
 from gdlog.oracle import reachable, ref_dijkstra
 from gdlog.tsvio import read_facts_dir, read_model, write_facts_dir
@@ -146,6 +149,41 @@ def test_explain_trace_dumps_tables(advisor_file, tmp_path, capsys):
     assert "% final chosen tables" in text
     assert "chosen_r1" in text
     assert "% theta_r1: 0 candidates left" in text
+
+
+def test_explain_trace_factorized_sort(tmp_path, monkeypatch):
+    # explain builds a plain Engine; with factorize on, the stratum's domain
+    # theta table is what it reports
+    monkeypatch.setattr(cli, "Engine", functools.partial(Engine, factorize=True))
+    prog = tmp_path / "sort.dl"
+    prog.write_text("d(3).\nd(1).\nd(2).\n" + PROGRAMS["sort"])
+    trace = tmp_path / "trace.tsv"
+    assert main(["explain", str(prog), "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    assert lines[:3] == [
+        "1\tr1\t2\troot,3\t0\t6",
+        "2\tr1\t1\t3,2\t0\t8",
+        "3\tr1\t0\t2,1\t0\t10",
+    ]
+    assert "chosen_r1\t3\t2" in lines
+    assert "% theta_r1: 0 candidates left" in lines
+
+
+COUNTER_COLUMNS = [
+    "iterations", "firings", "derived", "join_probes", "theta_inserts",
+    "theta_deletes", "pq_ops", "conflict_checks", "work", "wall_time_s",
+]
+
+
+def test_stats_and_bench_counter_columns(advisor_file, tmp_path, capsys):
+    assert main(["run", advisor_file, "-o", str(tmp_path / "m.tsv"), "--stats"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("\t")[0] for line in err] == COUNTER_COLUMNS
+    out = tmp_path / "report.tsv"
+    args = ["bench", "--example", "sequence", "--sizes", "16", "--reps", "3", "--out", str(out)]
+    assert main(args) == 0
+    header = out.read_text().splitlines()[1].split("\t")
+    assert header == ["example", "family", "n", "e", "rep", "seed"] + COUNTER_COLUMNS
 
 
 def test_trace_env_var(advisor_file, tmp_path, monkeypatch):

@@ -105,9 +105,7 @@ def test_engine_against_oracle_and_reference(shape):
         model_keys = {frozenset(_atoms_of(m)) for m in models}
 
         # nondeterministic fixpoint: stable and enumerable
-        interp, _ = run_with_counters(
-            prog, mode="choice", ties="random", seed=trial, edb=edb, schedule="program-order"
-        )
+        interp, _ = run_with_counters(prog, mode="choice", ties="random", seed=trial, edb=edb)
         _check_fds(prog, interp)
         assert check_stable_model(g, _atoms(interp)).is_stable, (shape, trial)
         assert frozenset(_atoms(interp)) in model_keys, (shape, trial)

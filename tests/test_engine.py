@@ -28,10 +28,10 @@ from gdlog.engine import (
     _CompareStep,
     _PlusStep,
 )
-from gdlog import tsvio
+from gdlog import bench, tsvio
 from gdlog.lang import Atom, Rule, Var, parse_program
 from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight, run_lico_reference
-from gdlog.storage import tuple_key
+from gdlog.storage import StorageError, tuple_key
 
 EXIT_RULE = Rule(Atom("st", ("root", "a", 0)), (), ())
 
@@ -42,7 +42,7 @@ def _model(interp):
 
 def _choice(program, ties="lex", **kw):
     """The plain choice fixpoint, choice rules in program order."""
-    return run_with_counters(program, mode="choice", ties=ties, schedule="program-order", **kw)[0]
+    return run_with_counters(program, mode="choice", ties=ties, **kw)[0]
 
 
 def _greedy(program, ties="lex", **kw):
@@ -285,10 +285,12 @@ def _assert_fds_hold(prog, model):
 # factorized evaluation -------------------------------------------------------
 
 
-def test_factorized_sort_agrees_with_plain_engine():
+@pytest.mark.parametrize("pq", ["auto", "off"])
+@pytest.mark.parametrize("ties", ["lex", "fifo"])
+def test_factorized_sort_agrees_with_plain_engine(ties, pq):
     edb = domain_facts(50, seed=21)
-    a = _greedy(get_program("sort"), edb=edb)
-    eng = Engine(get_program("sort"), edb=edb, ties="lex", factorize=True)
+    a = _greedy(get_program("sort"), edb=edb, pq=pq)
+    eng = Engine(get_program("sort"), edb=edb, ties=ties, pq=pq, factorize=True)
     b = eng.run()
     assert eng.factorized_strata
     assert _model(a) == _model(b)
@@ -311,16 +313,47 @@ def test_factorized_prim_not_applicable():
     assert sum(c for _, _, c in st) == 3  # fallback still computes the MST
 
 
-def test_factorized_sequence_agrees_with_plain_engine():
+@pytest.mark.parametrize("ties", ["lex", "fifo"])
+def test_factorized_sequence_agrees_with_plain_engine(ties):
     edb = domain_facts(30, seed=5)
-    a = _choice(get_program("sequence"), ties="lex", edb=edb)
-    eng = Engine(get_program("sequence"), edb=edb, ties="lex", factorize=True)
+    a = _choice(get_program("sequence"), ties=ties, edb=edb)
+    eng = Engine(get_program("sequence"), edb=edb, ties=ties, factorize=True)
     b = eng.run()
     assert eng.factorized_strata
     assert _model(a) == _model(b)
 
 
+def test_factorized_sort_counters():
+    # n = 1000 theta inserts and deletes and 8,482 sift levels:
+    # pq_ops = 2n + sifts, work = 4n + sifts
+    _, c = run_with_counters(
+        get_program("sort"), edb=domain_facts(1000, seed=3), ties="lex", factorize=True
+    )
+    assert (c.pq_ops, c.work) == (10_482, 12_482)
+    assert c.theta_inserts == c.theta_deletes == c.iterations == c.derived == 1000
+    assert (c.join_probes, c.firings, c.conflict_checks) == (0, 0, 0)
+
+
+def test_factorized_sort_non_integer_domain_is_a_storage_error():
+    edb = {"d": [(3,), ("x",), (5,)]}
+    for factorize in (False, True):
+        with pytest.raises(StorageError, match="r1: cost argument must be an integer, got 'x'"):
+            run_with_counters(get_program("sort"), edb=edb, factorize=factorize)
+
+
+@pytest.mark.parametrize("name, pq_ops", [("dijkstra", 2177), ("prim", 3878)])
+def test_heap_pq_ops_on_sparse_graphs(name, pq_ops):
+    spec = bench.BenchSpec(name, (256,))
+    _, c = run_with_counters(get_program(name), edb=bench.build_edb(spec, 256, 1), ties="lex")
+    assert c.pq_ops == pq_ops
+
+
 # run settings and public entry points ----------------------------------------
+
+
+def test_unknown_pq_is_an_engine_error():
+    with pytest.raises(EngineError, match="unknown pq setting 'bogus'"):
+        Engine(get_program("prim"), pq="bogus")
 
 
 def test_unknown_mode_is_an_engine_error():
@@ -424,9 +457,25 @@ def test_schedule_greedy_first_prefers_extreme_rules():
         "best(X,C) :- cand2(X,C), choice_least((),(C)).\n"
     )
     edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
-    m = _greedy(parse_program(src), edb=edb, schedule="greedy-first")
+    m = _greedy(parse_program(src), edb=edb)
     assert m.tuples("best") == [("q2", 1)]
     assert len(m.tuples("pick")) == 1
+
+
+def test_choice_mode_takes_rules_in_program_order():
+    # two choice rules in one stratum: the plain choice fixpoint drains the
+    # pure rule first, as written, the greedy one the least rule; the
+    # reference operator agrees in both modes
+    src = (
+        "pick(X,0) :- cand(X), choice((),(X)).\n"
+        "pick(X,C) :- cand2(X,C), choice_least((),(C)).\n"
+    )
+    edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
+    for mode, ref_mode, first in (("choice", "lazy", "r1"), ("greedy", "least", "r2")):
+        buf = io.StringIO()
+        interp, _ = run_with_counters(parse_program(src), mode=mode, ties="lex", edb=edb, trace=buf)
+        assert buf.getvalue().split("\t")[1] == first
+        assert interp.as_sets() == run_lico_reference(parse_program(src), ref_mode, edb=edb)
 
 
 # compiled plans ---------------------------------------------------------------

@@ -221,9 +221,7 @@ def test_engine_models_are_enumerated_models():
         models = enumerate_choice_models(prog, edb)
         assert models, name
         for seed in range(3):
-            interp, _ = run_with_counters(
-                prog, mode="choice", ties="random", seed=seed, edb=edb, schedule="program-order"
-            )
+            interp, _ = run_with_counters(prog, mode="choice", ties="random", seed=seed, edb=edb)
             got = interp.as_sets()
             assert any(m == got for m in models), name
 
