@@ -53,7 +53,7 @@ from .lang import (
     format_const,
     format_goal,
 )
-from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, resolve_ties, tuple_key
+from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, resolve_ties
 
 
 class EngineError(GdlogError):
@@ -616,7 +616,7 @@ class Engine:
                 fresh = self._fresh_candidates(st)
                 if self.greedy:
                     if fresh:
-                        x = self._extreme_of(st, fresh)
+                        x = st.theta.best_of(fresh)
                         st.theta.insert(x)
                         pending = [t for t in fresh if t != x]
                 else:
@@ -647,26 +647,13 @@ class Engine:
             out.append(t)
         return out
 
-    def _extreme_of(self, st: _ChoiceState, fresh: list[Tup]) -> Tup:
-        if self.greedy and st.info.cost_pos is not None:
-            best = fresh[0]
-            for t in fresh[1:]:
-                self.counters.work += 1
-                if st.theta.better(t, best):
-                    best = t
-            return best
-        if self.tie_policy == "fifo":
-            return fresh[0]
-        if self.tie_policy == "random":
-            return fresh[self.rng.randrange(len(fresh))]
-        return min(fresh, key=tuple_key)
-
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
-        # pq auto heap-orders every least/most table, as does pq on
+        # pq auto heap-orders every table with a fixed order (least/most, or
+        # pure under lex ties), as does pq on
         return ThetaTable(
             info,
             counters=self.counters,
-            use_pq=self.greedy and info.cost_pos is not None and self.pq != "off",
+            use_pq=self.pq != "off",
             tie_policy=self.tie_policy,
             rng=self.rng,
             treat_as_pure=not self.greedy,

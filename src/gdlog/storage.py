@@ -36,7 +36,10 @@ def const_key(c: Const):
 
 
 def tuple_key(t: Tup):
-    return tuple(const_key(c) for c in t)
+    """Sort key of a tuple in constant order, column by column: one flat
+    (kind0, v0, kind1, v1, ...) tuple.  Keys of same-arity tuples compare as
+    the tuples do under const_key."""
+    return (*chain.from_iterable(map(const_key, t)),)
 
 
 def project(t: Tup, cols: tuple[int, ...]) -> Tup:
@@ -227,30 +230,32 @@ def conflict(fds: Iterable[FD], s: Iterable[Tup], against, counters: Counters | 
 
 
 class _Heap:
-    """Min-heap over (key, tuple) pairs; each stored tuple keeps its heap
-    position so conflicting candidates can be deleted from the middle in
-    O(log m).  A sift moves a hole and writes the sifted item once at the
-    end; each level it moves counts as one priority-queue operation."""
+    """Min-heap over order keys whose last element is the keyed tuple (two
+    keys of distinct tuples differ before it, so the tuple itself is never
+    compared); each stored tuple keeps its heap position so conflicting
+    candidates can be deleted from the middle in O(log m).  A sift moves a
+    hole and writes the sifted key once at the end; each level it moves
+    counts as one priority-queue operation."""
 
     __slots__ = ("items", "pos", "counters")
 
     def __init__(self, counters: Counters):
-        self.items: list[tuple[object, Tup]] = []
+        self.items: list[tuple] = []
         self.pos: dict[Tup, int] = {}
         self.counters = counters
 
     def __len__(self):
         return len(self.items)
 
-    def push(self, key, t: Tup) -> None:
-        self.items.append((key, t))
-        self.pos[t] = len(self.items) - 1
+    def push(self, key: tuple) -> None:
+        self.items.append(key)
+        self.pos[key[-1]] = len(self.items) - 1
         self.counters.pq_ops += 1
         self.counters.work += 1
         self._sift_up(len(self.items) - 1)
 
     def peek(self) -> Tup:
-        return self.items[0][1]
+        return self.items[0][-1]
 
     def delete(self, t: Tup) -> None:
         i = self.pos.pop(t)
@@ -259,63 +264,61 @@ class _Heap:
         last = self.items.pop()
         if i < len(self.items):
             self.items[i] = last
-            self.pos[last[1]] = i
+            self.pos[last[-1]] = i
             i = self._sift_up(i)
             self._sift_down(i)
 
-    def _place(self, item, i: int, moved: int) -> None:
-        self.items[i] = item
-        self.pos[item[1]] = i
+    def _place(self, key, i: int, moved: int) -> None:
+        self.items[i] = key
+        self.pos[key[-1]] = i
         self.counters.pq_ops += moved
         self.counters.work += moved
 
     def _sift_up(self, i: int) -> int:
         items, pos = self.items, self.pos
-        item = items[i]
-        key = item[0]
+        key = items[i]
         moved = 0
         while i > 0:
             parent = (i - 1) // 2
             above = items[parent]
-            if not key < above[0]:
+            if not key < above:
                 break
             items[i] = above
-            pos[above[1]] = i
+            pos[above[-1]] = i
             i = parent
             moved += 1
         if moved:
-            self._place(item, i, moved)
+            self._place(key, i, moved)
         return i
 
     def _sift_down(self, i: int) -> None:
         items, pos = self.items, self.pos
         n = len(items)
-        item = items[i]
-        key = item[0]
+        key = items[i]
         moved = 0
         while True:
             child = 2 * i + 1
             if child >= n:
                 break
             right = child + 1
-            if right < n and items[right][0] < items[child][0]:
+            if right < n and items[right] < items[child]:
                 child = right
             below = items[child]
-            if not below[0] < key:
+            if not below < key:
                 break
             items[i] = below
-            pos[below[1]] = i
+            pos[below[-1]] = i
             i = child
             moved += 1
         if moved:
-            self._place(item, i, moved)
+            self._place(key, i, moved)
 
     def audit(self) -> bool:
         """Structural check: every element's key is >= its parent's."""
         for i in range(1, len(self.items)):
-            if self.items[i][0] < self.items[(i - 1) // 2][0]:
+            if self.items[i] < self.items[(i - 1) // 2]:
                 return False
-        return all(self.items[p][1] == t for t, p in self.pos.items())
+        return all(self.items[p][-1] == t for t, p in self.pos.items())
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +337,14 @@ class ThetaTable:
 
     Hash-keyed on every FD left side; for choice-least/most rules the union
     of the FD left sides is a unique key and only the best-cost tuple per key
-    value is retained.  With the priority queue enabled, selection of the
-    extreme tuple is O(log m) instead of a linear scan.
+    value is retained.  A table with a fixed order (least/most, or pure under
+    lex ties) stores each candidate's order key at insert; with the priority
+    queue enabled it selects in O(log m) through a heap on that key, without
+    it by a linear scan of the stored keys.
 
     tie_policy governs selection among pure-choice candidates (equal costs
     always break in tuple_key order):
-      lex    deterministic, lexicographically least tuple (linear for pure)
+      lex    deterministic, lexicographically least tuple
       fifo   oldest surviving candidate, amortised constant time
       random seeded uniform choice, constant time
     """
@@ -361,15 +366,17 @@ class ThetaTable:
         self.greedy = info.cost_pos is not None and not treat_as_pure
         self._most = info.kind is RuleKind.CHOICE_MOST
         self._ukey = info.unique_key if self.greedy else None
+        # greedy and lex tables have a fixed order: an order key per candidate
+        self._ordered = self.greedy or tie_policy == "lex"
         self._random = tie_policy == "random" and not self.greedy
-        # tuple -> its order key (greedy) or its insertion sequence number
+        # tuple -> its order key (ordered) or its insertion sequence number
         self._entries: dict[Tup, object] = {}
         self._seq = 0
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
         self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
-        self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self.greedy) else None
+        self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self._ordered) else None
         # fifo: (sequence number, tuple) per insert, oldest first; a record
         # whose tuple was removed since is skipped when it reaches the front
         self._fifo: Optional[deque] = deque() if tie_policy == "fifo" and not self.greedy else None
@@ -388,20 +395,30 @@ class ThetaTable:
     # -- cost / ordering ----------------------------------------------------
 
     def _order_key(self, t: Tup):
-        # heap/selection key: extreme cost first, then tuple_key order so
-        # equal-cost ties break deterministically.  tuple_key(t) is spliced
-        # in flat, one tuple per candidate instead of 2 + arity; all keys of
-        # a table have the same length, so the order is the same.
+        # heap/selection key: for a greedy table the extreme cost first, then
+        # tuple_key order so equal-cost ties break deterministically; the
+        # tuple itself last, where _Heap reads it
+        if not self.greedy:
+            return (*tuple_key(t), t)
         c = t[self.info.cost_pos]
         if not isinstance(c, int):
             raise StorageError(
                 f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
             )
-        return (-c if self._most else c, *chain.from_iterable(map(const_key, t)))
+        return (-c if self._most else c, *tuple_key(t), t)
 
-    def better(self, a: Tup, b: Tup) -> bool:
-        """True when a wins over b under this rule's cost sense."""
-        return self._order_key(a) < self._order_key(b)
+    def best_of(self, batch: list[Tup]) -> Tup:
+        """The tuple of a non-empty batch of fresh candidates that this table
+        would select first: the extreme cost (one work per comparison) for a
+        greedy rule, else the tie policy's pick (least tuple_key, the first,
+        or one random draw)."""
+        if self.greedy:
+            self.counters.work += len(batch) - 1
+        if self._ordered:
+            return min(batch, key=self._order_key)
+        if self._random:
+            return batch[self.rng.randrange(len(batch))]
+        return batch[0]
 
     # -- mutation -----------------------------------------------------------
 
@@ -411,7 +428,7 @@ class ThetaTable:
         rules, retaining only the better-cost tuple per key value."""
         self.counters.theta_inserts += 1
         self.counters.work += 1
-        if self.greedy:
+        if self._ordered:
             key = self._order_key(t)  # surfaces a non-integer cost at insertion time
         else:
             key = self._seq
@@ -436,7 +453,7 @@ class ThetaTable:
         if self._ukey is not None:
             self._ukey_index[project(t, self._ukey)] = t
         if self._heap is not None:
-            self._heap.push(key, t)
+            self._heap.push(key)
         if self._fifo is not None:
             self._fifo.append((key, t))
         if self._random:
@@ -471,19 +488,14 @@ class ThetaTable:
     def select_extreme(self) -> Optional[Tup]:
         """Remove and return the next tuple to choose, None when the table is
         empty: for a greedy rule the least (choice_least) or most
-        (choice_most) cost tuple, equal costs in lexicographic order, in
-        O(log m) with the priority queue and by a linear scan without it; for
-        pure choice the tie policy's pick."""
+        (choice_most) cost tuple, equal costs in lexicographic order; for
+        pure choice the tie policy's pick.  Greedy and lex tables take the
+        least order key, in O(log m) with the priority queue and by a linear
+        scan without it."""
         if not self._entries:
             return None
         if self._heap is not None:
             t = self._heap.peek()
-        elif self.greedy:
-            t = best_key = None
-            for cand, k in self._entries.items():
-                self.counters.work += 1
-                if best_key is None or k < best_key:
-                    t, best_key = cand, k
         elif self._fifo is not None:
             while True:
                 seq, t = self._fifo.popleft()
@@ -491,11 +503,10 @@ class ThetaTable:
                     break
         elif self._random:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
-        else:  # lex
+        else:  # ordered, without the queue
             t = best_key = None
-            for cand in self._entries:
+            for cand, k in self._entries.items():
                 self.counters.work += 1
-                k = tuple_key(cand)
                 if best_key is None or k < best_key:
                     t, best_key = cand, k
         self._remove(t)

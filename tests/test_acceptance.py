@@ -5,6 +5,8 @@ tests/test_acceptance.py` to see the lines as they complete."""
 import random
 import time
 
+import pytest
+
 from gdlog.analysis import choice_info, foe_transform
 from gdlog.bench import BenchSpec, run_bench
 from gdlog.corpus import (
@@ -250,9 +252,18 @@ def test_07d_dijkstra_pq_on_elogn_budget():
     report("07d dijkstra pq=on e*log n budget", ok, detail)
 
 
-def test_07e_matching_linear_in_e():
-    ok, detail = _ladder(BenchSpec("matching", (16, 32, 64, 128), family="bipartite", reps=5))
-    report("07e matching linear in e", ok, detail)
+@pytest.mark.parametrize(
+    "ties, sizes",
+    [
+        pytest.param("fifo", (16, 32, 64, 128), id="fifo"),
+        # lex up to K(128,128), where a linear scan per selection shows as
+        # slope ~1.36
+        pytest.param("lex", (32, 64, 128, 256), id="lex"),
+    ],
+)
+def test_07e_matching_linear_in_e(ties, sizes):
+    ok, detail = _ladder(BenchSpec("matching", sizes, family="bipartite", ties=ties, reps=5))
+    report(f"07e matching linear in e, {ties} ties", ok, detail)
 
 
 def test_07f_sort_factorized_nlogn():

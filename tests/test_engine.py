@@ -8,6 +8,7 @@ import pytest
 
 from gdlog.corpus import (
     ADVISOR_TOY,
+    PROGRAMS,
     TOY_TRIANGLE,
     acyclic_digraph,
     complete_graph,
@@ -341,6 +342,22 @@ def test_factorized_sort_non_integer_domain_is_a_storage_error():
             run_with_counters(get_program("sort"), edb=edb, factorize=factorize)
 
 
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_lex_models_agree_with_and_without_the_queue(name):
+    # under lex ties the heap and the linear scan pick the same least
+    # candidate, with and without the factorized stratum
+    for n, seed in ((16, 3), (64, 1)):
+        edb = bench.build_edb(bench.BenchSpec(name, (n,)), n, seed)
+        models = set()
+        for pq in ("auto", "off"):
+            for fac in (False, True):
+                interp, _ = run_with_counters(
+                    get_program(name), edb=edb, ties="lex", pq=pq, factorize=fac
+                )
+                models.add("\n".join(interp.sorted_lines()))
+        assert len(models) == 1
+
+
 @pytest.mark.parametrize("name, pq_ops", [("dijkstra", 2177), ("prim", 3878)])
 def test_heap_pq_ops_on_sparse_graphs(name, pq_ops):
     spec = bench.BenchSpec(name, (256,))
@@ -449,9 +466,10 @@ def test_overflow_is_a_run_error_with_rule_id():
         _choice(prog)
 
 
-def test_schedule_greedy_first_prefers_extreme_rules():
-    # one pure and one least rule over the same EDB: greedy-first drains the
-    # least rule first, program-order the pure one
+def test_each_stratum_choice_rule_selects_its_own_extreme():
+    # a pure and a least rule with different heads, so in different strata:
+    # the least rule chooses its cheapest candidate, the pure rule one of
+    # its own (which rule runs first is the stratum plan's, not the mode's)
     src = (
         "pick(X) :- cand(X), choice((),(X)).\n"
         "best(X,C) :- cand2(X,C), choice_least((),(C)).\n"

@@ -253,7 +253,7 @@ def test_heap_handle_deletion_is_logarithmic_shape():
     h = _Heap(Counters())
     items = [((i * 37) % 101, (i,)) for i in range(101)]
     for key, t in items:
-        h.push((key, t), t)
+        h.push((key, t))
     for key, t in sorted(items)[::3]:
         h.delete(t)
         assert h.audit()
@@ -310,6 +310,80 @@ def test_fifo_selection_is_amortised_constant_time():
     # taking the first key of a dict whose front was deleted scans the
     # deleted slots, which is quadratic: tens of seconds at this size
     assert elapsed < 4.0, f"fifo selection of {n} candidates took {elapsed:.2f} s"
+
+
+def _const_order(t):
+    # integers before symbols, then by value: the reference constant order
+    return [(isinstance(c, str), c) for c in t]
+
+
+def test_lex_policy_matches_sorted_reference():
+    # the least surviving candidate in constant order, through the heap and
+    # through the linear scan alike; the heap stays well-formed throughout
+    rng = random.Random(5)
+    consts = list(range(6)) + ["a", "b", "c", "d", "e", "f"]
+    heap = ThetaTable(PAIR, tie_policy="lex", use_pq=True)
+    scan = ThetaTable(PAIR, tie_policy="lex", use_pq=False)
+    ref: set = set()
+    for _ in range(2000):
+        op = rng.random()
+        if op < 0.5:
+            t = (rng.choice(consts), rng.choice(consts))
+            heap.insert(t)
+            scan.insert(t)
+            ref.add(t)
+        elif op < 0.7 and ref:
+            victim = sorted(ref, key=_const_order)[rng.randrange(len(ref))]
+            heap.purge_conflicting(victim)
+            scan.purge_conflicting(victim)
+            ref -= {t for t in ref if t[0] == victim[0] or t[1] == victim[1]}
+        else:
+            want = min(ref, key=_const_order, default=None)
+            assert heap.select_extreme() == want
+            assert scan.select_extreme() == want
+            ref.discard(want)
+        assert heap.audit_heap()
+        assert set(heap) == set(scan) == ref
+
+
+def test_lex_selection_with_the_queue_is_logarithmic():
+    # 1000 rows of 40 candidates under the FD X -> Y: each selection takes
+    # the least of a row and purges the other 39; a scan per selection
+    # visits ~20M candidates here, tens of seconds
+    th = ThetaTable(_info("p(X,Y) :- q(X,Y), choice((X),(Y))."), tie_policy="lex", use_pq=True)
+    cands = [(x, y) for x in range(1000) for y in range(40)]
+    random.Random(1).shuffle(cands)
+    t0 = time.perf_counter()
+    for t in cands:
+        th.insert(t)
+    picks = []
+    while len(th):
+        picks.append(th.select_extreme())
+        th.purge_conflicting(picks[-1])
+    elapsed = time.perf_counter() - t0
+    assert picks == [(x, 0) for x in range(1000)]
+    assert elapsed < 4.0, f"lex selection of {len(cands)} candidates took {elapsed:.2f} s"
+
+
+def test_tuple_key_is_flat_and_orders_integers_before_symbols():
+    assert tuple_key((3, "a")) == (0, 3, 1, "a")
+    rows = [("b", 2), (10, "a"), (2, "z"), ("a", 1)]
+    assert sorted(rows, key=tuple_key) == [(2, "z"), (10, "a"), ("a", 1), ("b", 2)]
+
+
+def test_best_of_is_what_the_table_selects_first():
+    triples = [("c", "b", 4), ("a", "d", 2), ("b", "a", 2)]
+    for info, batch in ((LEAST, triples), (MOST, triples), (PAIR, [t[:2] for t in triples])):
+        for ties in ("lex", "fifo"):
+            pick = ThetaTable(info, tie_policy=ties).best_of(batch)
+            th = ThetaTable(info, tie_policy=ties)
+            for t in batch:
+                th.insert(t)
+            assert pick == th.select_extreme()
+    # a least/most table counts one work per comparison
+    th = ThetaTable(LEAST)
+    th.best_of(triples)
+    assert th.counters.work == 2
 
 
 def test_random_policy_is_seeded():
