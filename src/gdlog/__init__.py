@@ -11,7 +11,6 @@ from .analysis import (
     SubprogramPlan,
     build_dependency_graph,
     classify_rules,
-    extract_fds,
     foe_transform,
     plan_subprograms,
 )
@@ -50,6 +49,6 @@ from .oracle import (
     reference_graph_algos,
     run_lico_reference,
 )
-from .storage import ChosenTable, Effect, FDViolation, Relation, ThetaTable, conflict
+from .storage import ChosenTable, FDViolation, Relation, ThetaTable
 
 __version__ = "0.1.0"

@@ -56,9 +56,6 @@ class DependencyGraph:
     edges: frozenset[tuple[str, str]]  # (p, q): p directly depends on q
     cliques: tuple[frozenset[str], ...]  # maximal strong components, dependencies first
 
-    def depends_on(self, p: str) -> set[str]:
-        return {q for (a, q) in self.edges if a == p}
-
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
     nodes: set[str] = set(program.predicates())
@@ -233,12 +230,6 @@ def choice_info(rule: Rule) -> ChoiceInfo:
         chosen_pred=f"chosen_{rule.rule_id}",
         diffchoice_pred=f"diffchoice_{rule.rule_id}",
     )
-
-
-def extract_fds(program: Program) -> dict[str, tuple[FD, ...]]:
-    """Per choice rule, the FDs declared by its choice goals over the chosen
-    schema W; choice_least/choice_most contribute X -> C exactly like choice."""
-    return {r.rule_id: choice_info(r).fds for r in program.rules if r.choice_goals}
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,9 @@ evaluated in dependency order; within a stratum the non-choice rules are
 closed by semi-naive iteration, and choice rules run the candidate/selection
 loop: derive new candidate tuples differentially, buffer them in per-rule
 theta tables, move one tuple per iteration into the chosen table, purge the
-candidates it conflicts with, and re-close the non-choice rules.
-
-For programs with choice_least/choice_most rules the loop defers merging
-freshly derived candidates until after the extreme tuple has been picked and
-its conflicts purged, so tuples that die in the same iteration never touch
-the priority queue.
+candidates it conflicts with, and re-close the non-choice rules.  Both
+modes run this one loop and insert every fresh candidate; when a candidate
+enters the priority queue is the theta table's decision alone.
 
 With factorize, a stratum whose one choice rule chains a frontier value X to
 a fresh database domain value Y (sort, sequence) keeps only the domain
@@ -479,12 +476,12 @@ class Engine:
 
     mode "choice" runs the plain choice fixpoint (least/most goals read as
     ordinary choice goals); "greedy" runs the greedy computation with
-    cost-based selection, unique-key retention and deferred candidate merge,
-    and needs a choice_least or choice_most rule; "auto" is greedy exactly
-    when the program has one.  Within a stratum the greedy computation tries
-    least/most rules before pure ones and the choice fixpoint takes its rules
-    in program order.  ties=None means lex, or random under a seed; pq is
-    auto, on or off.
+    cost-based selection and unique-key retention, and needs a choice_least
+    or choice_most rule; "auto" is greedy exactly when the program has one.
+    Both modes run the same candidate loop.  Within a stratum the greedy
+    computation tries least/most rules before pure ones and the choice
+    fixpoint takes its rules in program order.  ties=None means lex, or
+    random under a seed; pq is auto, on or off.
 
     A run is strictly sequential and owns its storage exclusively; run
     independent Engine instances for parallelism.  After run() returns, the
@@ -611,17 +608,8 @@ class Engine:
 
         while True:
             selected: _ChoiceState | None = None
-            pending: list[Tup] = []
             for st in ordered:
-                fresh = self._fresh_candidates(st)
-                if self.greedy:
-                    if fresh:
-                        x = st.theta.best_of(fresh)
-                        st.theta.insert(x)
-                        pending = [t for t in fresh if t != x]
-                else:
-                    for t in fresh:
-                        st.theta.insert(t)
+                self._insert_fresh(st)
                 if len(st.theta):
                     selected = st
                     break
@@ -630,22 +618,16 @@ class Engine:
             delta = selected.theta.select_extreme()
             selected.chosen.insert(delta)
             purged = selected.theta.purge_conflicting(delta)
-            for t in pending:
-                if not selected.theta.conflicts_with(delta, t):
-                    selected.theta.insert(t)
             self.counters.iterations += 1
             self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
             closure.run()
 
-    def _fresh_candidates(self, st: _ChoiceState) -> list[Tup]:
-        out = []
+    def _insert_fresh(self, st: _ChoiceState) -> None:
         for t in st.cand.evaluate():
             self.counters.conflict_checks += 1
             self.counters.work += 1
-            if t in st.theta or st.chosen.conflicts(t):
-                continue
-            out.append(t)
-        return out
+            if t not in st.theta and not st.chosen.conflicts(t):
+                st.theta.insert(t)
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
         # pq auto heap-orders every table with a fixed order (least/most, or

@@ -6,14 +6,13 @@ owned by one fixpoint run at a time.
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .analysis import FD, ChoiceInfo, RuleKind
+from .analysis import ChoiceInfo, RuleKind
 from .lang import Const, GdlogError
 
 Tup = tuple  # fixed-arity tuple of constants
@@ -104,7 +103,7 @@ class Relation:
         self.name = name
         self.arity = arity
         self.rows: list[Tup] = []
-        self._pos: dict[Tup, int] = {}
+        self._pos: set[Tup] = set()
         self._indexes: dict[tuple[int, ...], dict[Tup, list[Tup]]] = {}
 
     def __len__(self) -> int:
@@ -123,7 +122,7 @@ class Relation:
             raise StorageError(f"{self.name}: arity mismatch, expected {self.arity} got {len(t)}")
         if t in self._pos:
             return False
-        self._pos[t] = len(self.rows)
+        self._pos.add(t)
         self.rows.append(t)
         for cols, index in self._indexes.items():
             index.setdefault(project(t, cols), []).append(t)
@@ -196,33 +195,6 @@ class ChosenTable:
         for key, index in zip(keys, self._fd_index):
             index[key] = t
         self.rel.insert(t)
-
-
-def conflict(fds: Iterable[FD], s: Iterable[Tup], against, counters: Counters | None = None) -> list[Tup]:
-    """Tuples of s agreeing with some tuple of `against` on the left side of
-    at least one FD.  `against` may be a ChosenTable (whose own FD indexes
-    make each check constant time) or any iterable of tuples over the same
-    schema."""
-    if isinstance(against, ChosenTable):
-        out = []
-        for t in s:
-            if counters is not None:
-                counters.conflict_checks += 1
-                counters.work += 1
-            if against.conflicts(t):
-                out.append(t)
-        return out
-    fds = tuple(fds)
-    rows = list(against)
-    keysets = [{project(t, fd.left) for t in rows} for fd in fds]
-    out = []
-    for t in s:
-        if counters is not None:
-            counters.conflict_checks += 1
-            counters.work += 1
-        if any(project(t, fd.left) in keysets[i] for i, fd in enumerate(fds)):
-            out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +297,6 @@ class _Heap:
 # Theta tables
 
 
-class Effect(enum.Enum):
-    ADDED = "added"
-    REPLACED_WORSE = "replaced-worse"
-    REJECTED_WORSE = "rejected-worse"
-    REJECTED_DUPLICATE = "rejected-duplicate"
-
-
 class ThetaTable:
     """Future candidates for one choice rule.
 
@@ -341,6 +306,14 @@ class ThetaTable:
     lex ties) stores each candidate's order key at insert; with the priority
     queue enabled it selects in O(log m) through a heap on that key, without
     it by a linear scan of the stored keys.
+
+    With the heap, fresh candidates are staged outside it, together with
+    their least key.  A selection takes the better of that key and the heap
+    top, and a purge drops staged victims without a heap operation: a
+    candidate purged while still staged never touches the heap.  Once the
+    least staged key is lost (its tuple was selected, purged or replaced),
+    the staged survivors are pushed in insertion order at the next insert or
+    selection.
 
     tie_policy governs selection among pure-choice candidates (equal costs
     always break in tuple_key order):
@@ -377,6 +350,11 @@ class ThetaTable:
         self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
         self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self._ordered) else None
+        # heap tables only: tuple -> order key of the candidates not yet
+        # pushed, and their least key (None when staged is empty, or unknown
+        # since that key's tuple was removed)
+        self._staged: dict[Tup, tuple] = {}
+        self._staged_best: Optional[tuple] = None
         # fifo: (sequence number, tuple) per insert, oldest first; a record
         # whose tuple was removed since is skipped when it reaches the front
         self._fifo: Optional[deque] = deque() if tie_policy == "fifo" and not self.greedy else None
@@ -407,25 +385,13 @@ class ThetaTable:
             )
         return (-c if self._most else c, *tuple_key(t), t)
 
-    def best_of(self, batch: list[Tup]) -> Tup:
-        """The tuple of a non-empty batch of fresh candidates that this table
-        would select first: the extreme cost (one work per comparison) for a
-        greedy rule, else the tie policy's pick (least tuple_key, the first,
-        or one random draw)."""
-        if self.greedy:
-            self.counters.work += len(batch) - 1
-        if self._ordered:
-            return min(batch, key=self._order_key)
-        if self._random:
-            return batch[self.rng.randrange(len(batch))]
-        return batch[0]
-
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, t: Tup) -> Effect:
+    def insert(self, t: Tup) -> None:
         """Add a candidate; the caller has already filtered tuples conflicting
-        with the chosen table.  Restores the unique-key invariant for greedy
-        rules, retaining only the better-cost tuple per key value."""
+        with the chosen table.  A duplicate is ignored.  Restores the
+        unique-key invariant for greedy rules, retaining only the better-cost
+        tuple per key value."""
         self.counters.theta_inserts += 1
         self.counters.work += 1
         if self._ordered:
@@ -434,17 +400,14 @@ class ThetaTable:
             key = self._seq
             self._seq += 1
         if t in self._entries:
-            return Effect.REJECTED_DUPLICATE
+            return
         if self._ukey is not None:
             cur = self._ukey_index.get(project(t, self._ukey))
             if cur is not None:
-                if key < self._entries[cur]:
-                    self._remove(cur)
-                    self._add(t, key)
-                    return Effect.REPLACED_WORSE
-                return Effect.REJECTED_WORSE
+                if not key < self._entries[cur]:
+                    return
+                self._remove(cur)
         self._add(t, key)
-        return Effect.ADDED
 
     def _add(self, t: Tup, key) -> None:
         self._entries[t] = key
@@ -453,7 +416,12 @@ class ThetaTable:
         if self._ukey is not None:
             self._ukey_index[project(t, self._ukey)] = t
         if self._heap is not None:
-            self._heap.push(key)
+            if self._staged_best is None:
+                self._flush()
+                self._staged_best = key
+            elif key < self._staged_best:
+                self._staged_best = key
+            self._staged[t] = key
         if self._fifo is not None:
             self._fifo.append((key, t))
         if self._random:
@@ -475,7 +443,11 @@ class ThetaTable:
             if self._ukey_index.get(key) == t:
                 del self._ukey_index[key]
         if self._heap is not None:
-            self._heap.delete(t)
+            key = self._staged.pop(t, None)
+            if key is None:
+                self._heap.delete(t)
+            elif key is self._staged_best:
+                self._staged_best = None
         if self._random:
             i = self._rand_pos.pop(t)
             last = self._rand_list.pop()
@@ -495,7 +467,13 @@ class ThetaTable:
         if not self._entries:
             return None
         if self._heap is not None:
-            t = self._heap.peek()
+            if self._staged_best is None:
+                self._flush()
+            best = self._staged_best
+            if best is None or (self._heap and self._heap.items[0] < best):
+                t = self._heap.peek()
+            else:
+                t = best[-1]
         elif self._fifo is not None:
             while True:
                 seq, t = self._fifo.popleft()
@@ -515,7 +493,7 @@ class ThetaTable:
     def purge_conflicting(self, delta: Tup) -> int:
         """Drop every candidate agreeing with delta on the left side of some
         FD; each removal is constant time through the FD indexes (plus heap
-        maintenance)."""
+        maintenance for a candidate already pushed)."""
         removed = 0
         for i, fd in enumerate(self.info.fds):
             for t in list(self._fd_index[i].get(project(delta, fd.left), ())):
@@ -523,12 +501,21 @@ class ThetaTable:
                 removed += 1
         return removed
 
-    def conflicts_with(self, delta: Tup, t: Tup) -> bool:
-        self.counters.conflict_checks += 1
-        self.counters.work += 1
-        return any(
-            project(t, fd.left) == project(delta, fd.left) for fd in self.info.fds
-        )
+    def _flush(self) -> None:
+        for key in self._staged.values():
+            self._heap.push(key)
+        self._staged.clear()
 
     def audit_heap(self) -> bool:
-        return self._heap is None or self._heap.audit()
+        """The heap is well formed, it and the staged candidates hold every
+        entry exactly once under its order key, and the staged best is None
+        or the least staged key."""
+        if self._heap is None:
+            return True
+        heaped = {key[-1]: key for key in self._heap.items}
+        return (
+            self._heap.audit()
+            and not heaped.keys() & self._staged.keys()
+            and {**heaped, **self._staged} == self._entries
+            and self._staged_best in (None, min(self._staged.values(), default=None))
+        )

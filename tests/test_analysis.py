@@ -8,7 +8,6 @@ from gdlog.analysis import (
     build_dependency_graph,
     choice_info,
     classify_rules,
-    extract_fds,
     foe_transform,
     format_foe_program,
     plan_subprograms,
@@ -125,14 +124,17 @@ def test_foe_transform_identity_without_choice():
 
 
 def test_extract_fds():
-    fds = extract_fds(get_program("advisor"))
-    assert fds["r1"] == (FD((0,), (1,)),)
+    # the FDs a choice rule declares over its chosen schema W
+    def r1_fds(prog):
+        return choice_info(next(r for r in prog.rules if r.rule_id == "r1")).fds
+
+    assert r1_fds(get_program("advisor")) == (FD((0,), (1,)),)
 
     prog = parse_program("p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((X),(C)).")
-    assert extract_fds(prog)["r1"] == (FD((0,), (1,)), FD((0,), (2,)))
+    assert r1_fds(prog) == (FD((0,), (1,)), FD((0,), (2,)))
 
     prog = parse_program("p(root,X,0) :- g(X,Y,C), choice((),X).")
-    assert extract_fds(prog)["r1"] == (FD((), (0,)),)
+    assert r1_fds(prog) == (FD((), (0,)),)
 
 
 def test_choice_schema_first_occurrence_order():

@@ -10,13 +10,11 @@ from gdlog.lang import parse_program
 from gdlog.storage import (
     ChosenTable,
     Counters,
-    Effect,
     FDViolation,
     Relation,
     StorageError,
     ThetaTable,
     _Heap,
-    conflict,
     tuple_key,
 )
 
@@ -85,27 +83,42 @@ def test_relation_insert_amortized_constant():
     assert t_big <= 3 * t_small
 
 
-# conflict --------------------------------------------------------------------
+# conflicts -------------------------------------------------------------------
+
+
+def _chosen(against, rel=None):
+    # the chosen table the engine would build from `against`: each tuple that
+    # conflicts with none before it
+    chosen = ChosenTable(PAIR, rel)
+    for t in against:
+        if not chosen.conflicts(t):
+            chosen.insert(t)
+    return chosen
+
+
+def _conflicting(s, chosen):
+    return [t for t in s if chosen.conflicts(t)]
 
 
 def test_conflict_fd_key_agreement():
     s = [("a", "c"), ("d", "b"), ("d", "e")]
-    out = conflict(PAIR.fds, s, [("a", "b")])
-    assert out == [("a", "c"), ("d", "b")]
+    assert _conflicting(s, _chosen([("a", "b")])) == [("a", "c"), ("d", "b")]
 
 
 def test_conflict_empty_against():
-    assert conflict(PAIR.fds, [("a", "c")], []) == []
+    assert _conflicting([("a", "c")], _chosen([])) == []
 
 
 def test_conflict_tuple_conflicts_with_itself():
-    assert conflict(PAIR.fds, [("a", "b")], [("a", "b")]) == [("a", "b")]
+    assert _conflicting([("a", "b")], _chosen([("a", "b")])) == [("a", "b")]
 
 
 def test_conflict_against_chosen_table():
-    chosen = ChosenTable(PAIR)
-    chosen.insert(("a", "b"))
-    assert conflict(PAIR.fds, [("a", "c"), ("x", "y")], chosen) == [("a", "c")]
+    # over a relation it shares, as the engine's chosen_r relation is shared
+    rel = Relation(PAIR.chosen_pred, 2)
+    chosen = _chosen([("a", "b")], rel)
+    assert list(rel) == [("a", "b")]
+    assert _conflicting([("a", "c"), ("x", "y")], chosen) == [("a", "c")]
 
 
 @given(
@@ -113,13 +126,14 @@ def test_conflict_against_chosen_table():
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
 )
 def test_conflict_matches_bruteforce(s, against):
-    got = conflict(PAIR.fds, s, against)
-    brute = [
-        t
-        for t in s
-        if any(t[0] == u[0] for u in against) or any(t[1] == u[1] for u in against)
-    ]
-    assert got == brute
+    kept: list = []
+    for u in against:
+        if not any(u[0] == v[0] or u[1] == v[1] for v in kept):
+            kept.append(u)
+    chosen = _chosen(against)
+    assert list(chosen) == kept
+    brute = [t for t in s if any(t[0] == u[0] or t[1] == u[1] for u in kept)]
+    assert _conflicting(s, chosen) == brute
 
 
 # ChosenTable -----------------------------------------------------------------
@@ -141,25 +155,28 @@ def test_chosen_table_enforces_fds():
 
 def test_theta_insert_replaces_worse_in_least_mode():
     th = ThetaTable(LEAST)
-    assert th.insert(("x", "y", 5)) is Effect.ADDED
-    assert th.insert(("x", "y", 3)) is Effect.REPLACED_WORSE
-    assert th.insert(("x", "y", 3)) is Effect.REJECTED_DUPLICATE
-    assert th.insert(("w", "y", 5)) is Effect.REJECTED_WORSE
+    th.insert(("x", "y", 5))
+    assert list(th) == [("x", "y", 5)]
+    th.insert(("x", "y", 3))  # better cost for key Y = y replaces
     assert list(th) == [("x", "y", 3)]
+    th.insert(("x", "y", 3))  # duplicate
+    th.insert(("w", "y", 5))  # worse cost for key Y = y is rejected
+    assert list(th) == [("x", "y", 3)]
+    assert th.counters.theta_deletes == 1
 
 
 def test_theta_insert_most_mode_dual():
     th = ThetaTable(MOST)
     th.insert(("x", "y", 3))
-    assert th.insert(("x", "y", 5)) is Effect.REPLACED_WORSE
+    th.insert(("x", "y", 5))
     assert list(th) == [("x", "y", 5)]
 
 
 def test_theta_insert_pure_rule_accumulates():
     th = ThetaTable(PAIR)
-    assert th.insert(("a", "b")) is Effect.ADDED
-    assert th.insert(("a", "c")) is Effect.ADDED
-    assert len(th) == 2
+    th.insert(("a", "b"))
+    th.insert(("a", "c"))
+    assert list(th) == [("a", "b"), ("a", "c")]
 
 
 def test_select_extreme_least():
@@ -226,27 +243,51 @@ def test_pq_and_scan_agree_on_cost():
     assert b.select_extreme() is None
 
 
+TRIPLES = st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 30))
+
+
 @settings(max_examples=200)
 @given(
-    st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 30)),
-        max_size=40,
-    ),
-    st.data(),
+    st.lists(TRIPLES, max_size=40),
+    # a triple inserts, "select" selects, an integer purges the i-th candidate
+    st.lists(st.one_of(TRIPLES, st.just("select"), st.integers(0, 39)), max_size=60),
 )
-def test_heap_property_after_every_mutation(tuples, data):
+def test_heap_property_after_every_mutation(tuples, ops):
+    # inserts between selections and purges flush staged candidates and
+    # replace staged bests under the unique key (X, Y)
     th = ThetaTable(UNION, use_pq=True)
     for t in tuples:
         th.insert(t)
         assert th.audit_heap()
-    while len(th):
-        op = data.draw(st.sampled_from(["select", "purge"]))
-        if op == "select":
+    for op in ops:
+        if isinstance(op, tuple):
+            th.insert(op)
+        elif op == "select":
             th.select_extreme()
-        else:
-            victim = data.draw(st.sampled_from(sorted(th, key=tuple_key)))
-            th.purge_conflicting(victim)
+        elif len(th):
+            th.purge_conflicting(sorted(th, key=tuple_key)[op % len(th)])
         assert th.audit_heap()
+    while th.select_extreme() is not None:
+        assert th.audit_heap()
+
+
+def test_staged_candidates_reach_the_heap_only_when_their_best_is_lost():
+    th = ThetaTable(UNION, use_pq=True)  # unique key (X, Y), least C
+    for t in [("a", "b", 5), ("a", "c", 3), ("d", "b", 4)]:
+        th.insert(t)
+    assert th.select_extreme() == ("a", "c", 3)  # the staged best
+    assert th.purge_conflicting(("a", "c", 3)) == 1  # ("a", "b", 5), staged
+    assert th.counters.pq_ops == 0
+    # the staged best was taken: this insert pushes ("d", "b", 4) first
+    th.insert(("e", "f", 1))
+    assert th.counters.pq_ops == 1
+    # a better tuple for key (e, f) replaces the staged best ("e", "f", 1)
+    th.insert(("e", "f", 0))
+    assert th.audit_heap()
+    assert th.select_extreme() == ("e", "f", 0)
+    assert th.select_extreme() == ("d", "b", 4)  # one heap delete
+    assert th.select_extreme() is None
+    assert th.counters.pq_ops == 2
 
 
 def test_heap_handle_deletion_is_logarithmic_shape():
@@ -369,21 +410,6 @@ def test_tuple_key_is_flat_and_orders_integers_before_symbols():
     assert tuple_key((3, "a")) == (0, 3, 1, "a")
     rows = [("b", 2), (10, "a"), (2, "z"), ("a", 1)]
     assert sorted(rows, key=tuple_key) == [(2, "z"), (10, "a"), ("a", 1), ("b", 2)]
-
-
-def test_best_of_is_what_the_table_selects_first():
-    triples = [("c", "b", 4), ("a", "d", 2), ("b", "a", 2)]
-    for info, batch in ((LEAST, triples), (MOST, triples), (PAIR, [t[:2] for t in triples])):
-        for ties in ("lex", "fifo"):
-            pick = ThetaTable(info, tie_policy=ties).best_of(batch)
-            th = ThetaTable(info, tie_policy=ties)
-            for t in batch:
-                th.insert(t)
-            assert pick == th.select_extreme()
-    # a least/most table counts one work per comparison
-    th = ThetaTable(LEAST)
-    th.best_of(triples)
-    assert th.counters.work == 2
 
 
 def test_random_policy_is_seeded():
