@@ -18,8 +18,6 @@ from .engine import (
     Counters,
     EngineError,
     Interpretation,
-    closure_nonchoice,
-    immediate_consequence,
     run_with_counters,
 )
 from .lang import (
@@ -46,7 +44,6 @@ from .oracle import (
     check_stable_model,
     enumerate_choice_models,
     ground,
-    reference_graph_algos,
     run_lico_reference,
 )
 from .storage import ChosenTable, FDViolation, Relation, ThetaTable

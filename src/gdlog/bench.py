@@ -43,7 +43,7 @@ class BenchSpec:
     family: str = "auto"
     reps: int = 5
     cost_max: int = 1000
-    pq: str = "on"
+    pq: str = "auto"
     factorize: bool = False
     ties: str = "fifo"
     base_seed: int = 0
@@ -227,7 +227,7 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
     if spec.example in ("prim", "dijkstra"):
         if spec.pq == "off" and family == "complete":
             checks.append(_slope_check(f"{spec.example}-pq-off-n2", "work~n^2", work_n, 2.0))
-        if spec.pq in ("on", "auto") and family == "sparse-connected":
+        if spec.pq != "off" and family == "sparse-connected":
             for suffix, counter in (("elogn", "pq_ops"), ("work-elogn", "work")):
                 ratios = [
                     medians[n][counter] / (medians[n]["e"] * math.log2(n)) for n in sizes if n > 1
@@ -239,7 +239,7 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
                 )
     elif spec.example == "matching":
         checks.append(_slope_check("matching-linear-e", "work~e", work_e, 1.0))
-    elif spec.example == "sort" and spec.factorize and spec.pq in ("on", "auto"):
+    elif spec.example == "sort" and spec.factorize and spec.pq != "off":
         expected = model_slope(lambda x: x * math.log2(x), [float(n) for n in sizes])
         checks.append(_slope_check("sort-factorized-nlogn", "work~n*log2(n)", work_n, expected))
     elif spec.example == "sequence" and spec.factorize:

@@ -12,7 +12,7 @@ import sys
 
 from . import analysis, bench, corpus, tsvio
 from .analysis import foe_transform
-from .engine import Engine, EngineError, run_with_counters
+from .engine import PQ_SETTINGS, Engine, EngineError, run_with_counters
 from .lang import GdlogError, ProgramError, parse_program
 from .oracle import (
     EnumerationError,
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", "-o", help="model file (default stdout)")
     run.add_argument("--seed", type=int, help="seed for random ties")
     run.add_argument("--ties", choices=TIE_POLICIES, help="default lex, or random with --seed")
-    run.add_argument("--pq", choices=["on", "off", "auto"], default="auto")
+    run.add_argument("--pq", choices=PQ_SETTINGS, default="auto")
     run.add_argument("--mode", choices=["auto", "choice", "greedy"], default="auto")
     run.add_argument("--factorize", action="store_true")
     run.add_argument("--trace", help="per-iteration TSV trace file (env GDLOG_TRACE)")
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bn.add_argument("--reps", type=int, default=5)
     bn.add_argument("--cost-max", type=int, default=1000)
-    bn.add_argument("--pq", choices=["on", "off", "auto"], default="on")
+    bn.add_argument("--pq", choices=PQ_SETTINGS, default="auto")
     bn.add_argument("--factorize", action="store_true")
     bn.add_argument("--ties", choices=TIE_POLICIES, default="fifo")
     bn.add_argument("--seed", type=int, default=0)

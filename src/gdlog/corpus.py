@@ -107,7 +107,7 @@ def sparse_connected_graph(
     directed: bool = False,
 ) -> dict[str, list[tuple]]:
     """Random spanning tree from the source plus extra random arcs; connected
-    by construction (every node reachable from `a`)."""
+    by construction (every node can be reached from `a`)."""
     rng = random.Random(seed)
     nodes = node_names(n)
     if arcs is None:
@@ -139,7 +139,7 @@ def sparse_connected_graph(
 
 
 def acyclic_digraph(n: int, arcs: int | None = None, *, cost_max: int = 1000, seed: int = 0) -> dict[str, list[tuple]]:
-    """Random DAG rooted at `a`: every node reachable, all arcs point forward
+    """Random DAG rooted at `a`: every node can be reached, all arcs point forward
     in one fixed topological order.  Cost-accumulating programs stay finitely
     groundable on these (distinct path costs cannot cycle), which is what the
     stable-model oracle needs."""

@@ -24,7 +24,9 @@ then probed through an index on exactly those columns.  A builtin operand
 that is still unbound where the plan reaches it is an EngineError.
 
 run_with_counters is the one entry point: it builds an Engine, runs it and
-returns the model together with its operation counters.
+returns the model together with its operation counters.  Nothing else in the
+package evaluates rules with the compiled plans; the oracle keeps its own
+naive matcher.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class EngineError(GdlogError):
 
 
 EDB = dict[str, Iterable[Tup]]
+PQ_SETTINGS = ("auto", "off")
 
 
 class Interpretation:
@@ -75,10 +78,6 @@ class Interpretation:
             r = Relation(pred, arity)
             self.relations[pred] = r
         return r
-
-    def tuples(self, pred: str) -> list[Tup]:
-        r = self.relations.get(pred)
-        return list(r.rows) if r is not None else []
 
     def as_sets(self, skip: tuple[str, ...] = ()) -> dict[str, frozenset]:
         return {
@@ -481,7 +480,8 @@ class Engine:
     Both modes run the same candidate loop.  Within a stratum the greedy
     computation tries least/most rules before pure ones and the choice
     fixpoint takes its rules in program order.  ties=None means lex, or
-    random under a seed; pq is auto, on or off.
+    random under a seed; pq is auto (heap-ordered selection for every table
+    with a fixed order) or off (linear scans).
 
     A run is strictly sequential and owns its storage exclusively; run
     independent Engine instances for parallelism.  After run() returns, the
@@ -500,7 +500,7 @@ class Engine:
         factorize: bool = False,
         trace=None,
     ):
-        if pq not in ("auto", "on", "off"):
+        if pq not in PQ_SETTINGS:
             raise EngineError(f"unknown pq setting {pq!r}")
         self.program = program
         self.pq = pq
@@ -630,8 +630,6 @@ class Engine:
                 st.theta.insert(t)
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
-        # pq auto heap-orders every table with a fixed order (least/most, or
-        # pure under lex ties), as does pq on
         return ThetaTable(
             info,
             counters=self.counters,
@@ -784,70 +782,3 @@ def run_with_counters(
         )
         interp = eng.run()
     return interp, eng.counters
-
-
-def _evaluator_for(interp: Interpretation, rules: list[Rule], counters: Counters | None) -> _Evaluator:
-    """An evaluator over interp that knows the arity of every predicate the
-    rules mention."""
-    arities: dict[str, int] = {p: r.arity for p, r in interp.relations.items()}
-    for r in rules:
-        arities.setdefault(r.head.pred, r.head.arity)
-        for a in r.body_atoms():
-            arities.setdefault(a.pred, a.arity)
-    return _Evaluator(interp, counters if counters is not None else Counters(), arities)
-
-
-def immediate_consequence(
-    rules: Iterable[Rule],
-    interp: Interpretation,
-    delta: dict[str, list[Tup]] | None = None,
-    counters: Counters | None = None,
-) -> dict[str, set[Tup]]:
-    """Heads of fireable ground instances not already in the interpretation.
-
-    With delta given, recursive occurrences are evaluated differentially:
-    every body occurrence of a delta predicate is fed the delta rows in turn
-    (linear rules see exactly the delta; rules with two recursive goals are
-    split into the standard pair of half-delta evaluations).
-    """
-    rules = list(rules)
-    ev = _evaluator_for(interp, rules, counters)
-    out: dict[str, set[Tup]] = {}
-    for r in rules:
-        if r.choice_goals:
-            raise EngineError("immediate_consequence expects non-choice rules")
-        cr = _compile_rule(r, r.head.args, r.body)
-        ev.prepare(cr)
-        produced: set[Tup] = set()
-        if delta is None:
-            produced.update(ev.eval_plan(cr, cr.full_plan, None, r.rule_id))
-        else:
-            for occ, pred in enumerate(cr.atom_preds):
-                if pred in delta:
-                    produced.update(ev.eval_plan(cr, cr.delta_plans[occ], list(delta[pred]), r.rule_id))
-        rel = interp.relations.get(r.head.pred)
-        fresh = {t for t in produced if rel is None or t not in rel}
-        if fresh:
-            out.setdefault(r.head.pred, set()).update(fresh)
-    return out
-
-
-def closure_nonchoice(
-    program_or_rules: Program | Iterable[Rule],
-    interp: Interpretation,
-    counters: Counters | None = None,
-) -> Interpretation:
-    """Least fixpoint of the non-choice rules over the interpretation, by
-    semi-naive iteration.  Choice rules in the input are ignored."""
-    if isinstance(program_or_rules, Program):
-        rules = [r for r in program_or_rules.rules if not r.choice_goals]
-        for f in program_or_rules.facts:
-            interp.rel(f.pred, f.arity).insert(f.args)
-    else:
-        rules = [r for r in program_or_rules if not r.choice_goals]
-    ev = _evaluator_for(interp, rules, counters)
-    compiled = [_compile_rule(r, r.head.args, r.body) for r in rules]
-    for cr in compiled:
-        ev.prepare(cr)
-    _Closure(compiled, ev).run()
-    return interp

@@ -4,8 +4,11 @@ Everything here is deliberately independent of the optimized engine: a naive
 grounder over the rewritten program, a stable-model checker built on the
 reduct, an exhaustive enumerator of choice models, the unoptimized
 one-tuple-per-step operator (run_lico_reference), and textbook graph
-algorithms used to cross-validate engine output.  All of them evaluate rule
-bodies with the same naive matcher, _all_matches.
+algorithms and output checkers (ref_dijkstra, ref_mst_weight,
+ref_prim_weight, bipartite_matching_valid, chain_is_total_order) used to
+cross-validate engine output.  The grounder, the enumerator and the reference
+operator evaluate rule bodies with one naive matcher, _all_matches, and test
+FD conflicts with one predicate, _fd_conflict.
 """
 
 from __future__ import annotations
@@ -129,6 +132,15 @@ def _subst_atom(a: Atom, env) -> GAtom:
     return (a.pred, tuple(env[t] if isinstance(t, Var) else t for t in a.args))
 
 
+def _fd_conflict(fds, w: Tup, u: Tup) -> bool:
+    """Do w and u agree on the left side and differ on the right side of
+    one of the FDs?"""
+    return any(
+        all(w[i] == u[i] for i in fd.left) and any(w[i] != u[i] for i in fd.right)
+        for fd in fds
+    )
+
+
 # ---------------------------------------------------------------------------
 # Grounding
 
@@ -220,9 +232,7 @@ def ground(
         for fd in info.fds:
             for w in cands:
                 for w2 in cands:
-                    if w is w2 or tuple(w[i] for i in fd.left) != tuple(w2[i] for i in fd.left):
-                        continue
-                    if tuple(w[i] for i in fd.right) == tuple(w2[i] for i in fd.right):
+                    if not _fd_conflict((fd,), w, w2):
                         continue
                     if len(rules) >= max_instances:
                         raise GroundingError(
@@ -292,52 +302,6 @@ def _least_model(positive_rules: list[tuple[GAtom, tuple[GAtom, ...]]]) -> set[G
     return lm
 
 
-def audit_stable_model(g: GroundProgram, m: Iterable[GAtom], *, complete_diffchoice: bool = True) -> bool:
-    """Second, independently structured check: every ground rule must be true
-    in m, and every atom of m must be derivable inside the reduct (queue-based
-    propagation rather than round iteration)."""
-    m_set = set(m)
-    if complete_diffchoice:
-        m_set = complete_with_diffchoice(g, m_set)
-
-    for r in g.rules:
-        body_true = all(p in m_set for p in r.pos) and not any(q in m_set for q in r.neg)
-        if body_true and r.head not in m_set:
-            return False
-
-    # derivability in the reduct, by counting unsatisfied positive goals
-    waiting: dict[GAtom, list[int]] = {}
-    remaining: list[int] = []
-    heads: list[GAtom] = []
-    queue: list[GAtom] = []
-    derived: set[GAtom] = set()
-    idx = 0
-    for r in g.rules:
-        if any(q in m_set for q in r.neg):
-            continue
-        heads.append(r.head)
-        remaining.append(len(r.pos))
-        if not r.pos:
-            queue.append(r.head)
-        for p in r.pos:
-            waiting.setdefault(p, []).append(idx)
-        idx += 1
-    qi = 0
-    seenq: set[GAtom] = set(queue)
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        if a in derived:
-            continue
-        derived.add(a)
-        for ri in waiting.get(a, ()):  # a rule may wait on the same atom twice
-            remaining[ri] -= 1
-            if remaining[ri] <= 0 and heads[ri] not in seenq:
-                queue.append(heads[ri])
-                seenq.add(heads[ri])
-    return m_set <= derived
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of choice models
 
@@ -380,14 +344,9 @@ def enumerate_choice_models(
         return frozenset(_least_model(rules))
 
     def fd_ok(rid: str, w: Tup, chosen_by_rule: dict[str, frozenset[Tup]]) -> bool:
-        info = infos[rid]
-        for fd in info.fds:
-            wl = tuple(w[i] for i in fd.left)
-            wr = tuple(w[i] for i in fd.right)
-            for u in chosen_by_rule.get(rid, ()):  # FDs are per-rule
-                if tuple(u[i] for i in fd.left) == wl and tuple(u[i] for i in fd.right) != wr:
-                    return False
-        return True
+        # FDs are per-rule
+        fds = infos[rid].fds
+        return not any(_fd_conflict(fds, w, u) for u in chosen_by_rule.get(rid, ()))
 
     models: dict[frozenset[GAtom], dict[str, frozenset]] = {}
     visited: set[frozenset[tuple[str, Tup]]] = set()
@@ -493,13 +452,7 @@ def run_lico_reference(
 
     def fd_compatible(info: ChoiceInfo, t: Tup) -> bool:
         chosen = store.get(info.chosen_pred, ())
-        for fd in info.fds:
-            for u in chosen:
-                if tuple(u[i] for i in fd.left) == tuple(t[i] for i in fd.left) and tuple(
-                    u[i] for i in fd.right
-                ) != tuple(t[i] for i in fd.right):
-                    return False
-        return True
+        return not any(_fd_conflict(info.fds, t, u) for u in chosen)
 
     choice_rules = [r for r in program.rules if r.choice_goals]
     if mode != "lazy":
@@ -657,38 +610,3 @@ def chain_is_total_order(succ_pairs: Iterable[tuple], domain: Iterable, root="ro
             return False
         seen.add(cur)
     return len(seen) == len(nxt) and seen == domain
-
-
-def reachable(arcs: Iterable[tuple], src) -> set:
-    adj: dict = {}
-    for u, v, *_ in arcs:
-        adj.setdefault(u, []).append(v)
-    out = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in out:
-                out.add(v)
-                stack.append(v)
-    return out
-
-
-def reference_graph_algos(kind: str, graph: dict):
-    """Dispatcher over the reference algorithms.
-
-    graph keys by kind: dijkstra {arcs, src}; prim_weight/mst_weight {edges};
-    bipartite_matching_valid {pairs, edges?}; topological_sort_check
-    {succ, domain, root?}.
-    """
-    if kind == "dijkstra":
-        return ref_dijkstra(graph["arcs"], graph["src"])
-    if kind == "prim_weight":
-        return ref_prim_weight(graph["edges"], graph.get("start"))
-    if kind == "mst_weight":
-        return ref_mst_weight(graph["edges"])
-    if kind == "bipartite_matching_valid":
-        return bipartite_matching_valid(graph["pairs"], graph.get("edges"))
-    if kind == "topological_sort_check":
-        return chain_is_total_order(graph["succ"], graph["domain"], graph.get("root", "root"))
-    raise GdlogError(f"unknown reference algorithm {kind!r}")

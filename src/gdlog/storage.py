@@ -152,13 +152,12 @@ class ChosenTable:
     """The chosen_r tuples of one choice rule, with one hash index per FD left
     side.  The FDs hold at all times; a violating insert raises.
 
-    The tuples live in rel, the interpretation's chosen_r relation when the
-    engine passes it in (so each chosen tuple is stored once), otherwise a
-    relation of the table's own."""
+    The tuples live in rel, the interpretation's chosen_r relation, so each
+    chosen tuple is stored once."""
 
-    def __init__(self, info: ChoiceInfo, rel: Relation | None = None):
+    def __init__(self, info: ChoiceInfo, rel: Relation):
         self.info = info
-        self.rel = rel if rel is not None else Relation(info.chosen_pred, len(info.w_vars))
+        self.rel = rel
         # one index per FD left side; FD invariant means key -> single tuple
         self._fd_index: list[dict[Tup, Tup]] = [dict() for _ in info.fds]
 
@@ -303,17 +302,17 @@ class ThetaTable:
     Hash-keyed on every FD left side; for choice-least/most rules the union
     of the FD left sides is a unique key and only the best-cost tuple per key
     value is retained.  A table with a fixed order (least/most, or pure under
-    lex ties) stores each candidate's order key at insert; with the priority
-    queue enabled it selects in O(log m) through a heap on that key, without
-    it by a linear scan of the stored keys.
+    lex ties) stores each candidate's order key at insert.
 
-    With the heap, fresh candidates are staged outside it, together with
-    their least key.  A selection takes the better of that key and the heap
-    top, and a purge drops staged victims without a heap operation: a
-    candidate purged while still staged never touches the heap.  Once the
-    least staged key is lost (its tuple was selected, purged or replaced),
-    the staged survivors are pushed in insertion order at the next insert or
-    selection.
+    An ordered table stages fresh candidates, together with their least key.
+    A selection takes the better of that key and the least settled key, and
+    a purge drops staged victims at no further cost.  Once the least staged
+    key is lost (its tuple was selected, purged or replaced), the staged
+    survivors settle at the next insert or selection: with the priority queue
+    they are pushed in insertion order onto a heap, found in O(log m) at
+    selection; without it they move to a dict that each selection scans, one
+    tick per settled candidate.  A candidate purged while still staged never
+    settles.
 
     tie_policy governs selection among pure-choice candidates (equal costs
     always break in tuple_key order):
@@ -349,12 +348,14 @@ class ThetaTable:
         # with it heap and random-tie upkeep) does not depend on str hashing
         self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
-        self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self._ordered) else None
-        # heap tables only: tuple -> order key of the candidates not yet
-        # pushed, and their least key (None when staged is empty, or unknown
-        # since that key's tuple was removed)
+        # ordered tables only: tuple -> order key of the candidates not yet
+        # settled, and their least key (None when staged is empty, or unknown
+        # since that key's tuple was removed); settled candidates live in the
+        # heap with the queue, in _settled without it
         self._staged: dict[Tup, tuple] = {}
         self._staged_best: Optional[tuple] = None
+        self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self._ordered) else None
+        self._settled: dict[Tup, tuple] = {}
         # fifo: (sequence number, tuple) per insert, oldest first; a record
         # whose tuple was removed since is skipped when it reaches the front
         self._fifo: Optional[deque] = deque() if tie_policy == "fifo" and not self.greedy else None
@@ -415,7 +416,7 @@ class ThetaTable:
             self._fd_index[i].setdefault(project(t, fd.left), {})[t] = None
         if self._ukey is not None:
             self._ukey_index[project(t, self._ukey)] = t
-        if self._heap is not None:
+        if self._ordered:
             if self._staged_best is None:
                 self._flush()
                 self._staged_best = key
@@ -442,10 +443,13 @@ class ThetaTable:
             key = project(t, self._ukey)
             if self._ukey_index.get(key) == t:
                 del self._ukey_index[key]
-        if self._heap is not None:
+        if self._ordered:
             key = self._staged.pop(t, None)
             if key is None:
-                self._heap.delete(t)
+                if self._heap is not None:
+                    self._heap.delete(t)
+                else:
+                    del self._settled[t]
             elif key is self._staged_best:
                 self._staged_best = None
         if self._random:
@@ -462,33 +466,37 @@ class ThetaTable:
         empty: for a greedy rule the least (choice_least) or most
         (choice_most) cost tuple, equal costs in lexicographic order; for
         pure choice the tie policy's pick.  Greedy and lex tables take the
-        least order key, in O(log m) with the priority queue and by a linear
-        scan without it."""
+        least order key, settled candidates in O(log m) with the priority
+        queue and by a linear scan without it."""
         if not self._entries:
             return None
-        if self._heap is not None:
+        if self._ordered:
             if self._staged_best is None:
                 self._flush()
             best = self._staged_best
-            if best is None or (self._heap and self._heap.items[0] < best):
-                t = self._heap.peek()
-            else:
-                t = best[-1]
+            settled = self._least_settled()
+            if best is None or (settled is not None and settled < best):
+                best = settled
+            t = best[-1]
         elif self._fifo is not None:
             while True:
                 seq, t = self._fifo.popleft()
                 if self._entries.get(t) == seq:
                     break
-        elif self._random:
+        else:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
-        else:  # ordered, without the queue
-            t = best_key = None
-            for cand, k in self._entries.items():
-                self.counters.work += 1
-                if best_key is None or k < best_key:
-                    t, best_key = cand, k
         self._remove(t)
         return t
+
+    def _least_settled(self) -> Optional[tuple]:
+        if self._heap is not None:
+            return self._heap.items[0] if self._heap else None
+        least = None
+        for k in self._settled.values():
+            self.counters.work += 1
+            if least is None or k < least:
+                least = k
+        return least
 
     def purge_conflicting(self, delta: Tup) -> int:
         """Drop every candidate agreeing with delta on the left side of some
@@ -502,20 +510,27 @@ class ThetaTable:
         return removed
 
     def _flush(self) -> None:
-        for key in self._staged.values():
-            self._heap.push(key)
+        if self._heap is not None:
+            for key in self._staged.values():
+                self._heap.push(key)
+        else:
+            self._settled.update(self._staged)
         self._staged.clear()
 
     def audit_heap(self) -> bool:
-        """The heap is well formed, it and the staged candidates hold every
-        entry exactly once under its order key, and the staged best is None
-        or the least staged key."""
-        if self._heap is None:
+        """For an ordered table: the heap, if any, is well formed; the settled
+        and the staged candidates hold every entry exactly once under its
+        order key; and the staged best is None or the least staged key."""
+        if not self._ordered:
             return True
-        heaped = {key[-1]: key for key in self._heap.items}
+        if self._heap is not None:
+            if not self._heap.audit():
+                return False
+            settled = {key[-1]: key for key in self._heap.items}
+        else:
+            settled = self._settled
         return (
-            self._heap.audit()
-            and not heaped.keys() & self._staged.keys()
-            and {**heaped, **self._staged} == self._entries
+            not settled.keys() & self._staged.keys()
+            and {**settled, **self._staged} == self._entries
             and self._staged_best in (None, min(self._staged.values(), default=None))
         )

@@ -128,7 +128,7 @@ def _fd_violations(prog, interp) -> int:
         if not r.choice_goals:
             continue
         info = choice_info(r)
-        rows = interp.tuples(info.chosen_pred)
+        rows = interp.rel(info.chosen_pred).rows
         for fd in info.fds:
             seen = {}
             for t in rows:
@@ -170,7 +170,7 @@ def test_04_dijkstra_equivalence():
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 4 * n, cost_max=1000, seed=1000 + i, directed=True)
         interp = _greedy(get_program("dijkstra"), edb=edb)
-        got = {y: c for y, c in interp.tuples("dj")}
+        got = {y: c for y, c in interp.rel("dj").rows}
         want = ref_dijkstra(edb["g"], "a")
         if got != want:
             mismatches += 1
@@ -184,7 +184,7 @@ def test_05_prim_equivalence():
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 3 * n, cost_max=1000, seed=2000 + i)
         interp = _greedy(get_program("prim"), edb=edb)
-        st = [t for t in interp.tuples("st") if t[0] != "root"]
+        st = [t for t in interp.rel("st").rows if t[0] != "root"]
         weight = sum(c for _, _, c in st)
         undirected = {tuple(sorted((u, v))) + (c,) for u, v, c in edb["g"]}
         if weight != ref_mst_weight(sorted(undirected)):
@@ -201,7 +201,7 @@ def test_06_sorting_chains():
         eng = Engine(get_program("sort"), edb=edb, ties="lex", factorize=True)
         fact = eng.run()
         applied = bool(eng.factorized_strata)
-        succ = [t for t in plain.tuples("succ") if t != ("root", "root")]
+        succ = [t for t in plain.rel("succ").rows if t != ("root", "root")]
         values = sorted((v for (v,) in edb["d"]), reverse=True)
         # strictly decreasing chain covering every element
         nxt = dict(t for t in succ)
@@ -240,16 +240,16 @@ def test_07b_dijkstra_pq_off_quadratic():
 
 def test_07c_prim_pq_on_elogn_budget():
     ok, detail = _ladder(
-        BenchSpec("prim", (64, 128, 256, 512), family="sparse-connected", pq="on", reps=5)
+        BenchSpec("prim", (64, 128, 256, 512), family="sparse-connected", pq="auto", reps=5)
     )
-    report("07c prim pq=on e*log n budget", ok, detail)
+    report("07c prim pq=auto e*log n budget", ok, detail)
 
 
 def test_07d_dijkstra_pq_on_elogn_budget():
     ok, detail = _ladder(
-        BenchSpec("dijkstra", (64, 128, 256, 512), family="sparse-connected", pq="on", reps=5)
+        BenchSpec("dijkstra", (64, 128, 256, 512), family="sparse-connected", pq="auto", reps=5)
     )
-    report("07d dijkstra pq=on e*log n budget", ok, detail)
+    report("07d dijkstra pq=auto e*log n budget", ok, detail)
 
 
 @pytest.mark.parametrize(
@@ -268,7 +268,7 @@ def test_07e_matching_linear_in_e(ties, sizes):
 
 def test_07f_sort_factorized_nlogn():
     ok, detail = _ladder(
-        BenchSpec("sort", (128, 256, 512, 1024), family="domain", pq="on", factorize=True, reps=5)
+        BenchSpec("sort", (128, 256, 512, 1024), family="domain", pq="auto", factorize=True, reps=5)
     )
     report("07f sort factorized n log n", ok, detail)
 
@@ -285,7 +285,7 @@ def test_08_greedy_tsp_sanity():
     for n in (12, 25, 50, 100):
         edb = complete_graph(n, cost_max=1000, seed=800 + n)
         interp = _greedy(get_program("tsp"), edb=edb)
-        spath = interp.tuples("spath")
+        spath = interp.rel("spath").rows
         start = [y for x, y, _ in spath if x == "root"]
         hops = dict((x, y) for x, y, _ in spath if x != "root")
         visited = []

@@ -10,8 +10,9 @@ from gdlog import cli
 from gdlog.cli import main
 from gdlog.engine import Engine
 from gdlog.corpus import PROGRAMS
-from gdlog.oracle import reachable, ref_dijkstra
+from gdlog.oracle import ref_dijkstra
 from gdlog.tsvio import read_facts_dir, read_model, write_facts_dir
+from oracle_helpers import reachable
 
 
 @pytest.fixture
@@ -289,6 +290,16 @@ def test_run_seed_alone_means_random_ties(matching_run, capsys):
     assert rand != lex  # the instance tells the two policies apart
     assert _run_model(capsys, prog, "--facts", facts, "--seed", "7") == rand
     assert _run_model(capsys, prog, "--facts", facts, "--ties", "lex", "--seed", "7") == lex
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_pq_takes_only_auto_or_off(matching_run, capsys, command):
+    prog, facts = matching_run
+    args = [prog, "--facts", facts] if command == "run" else ["--example", "prim", "--sizes", "8,16"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--pq", "on"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'on'" in capsys.readouterr().err
 
 
 def test_run_mode_greedy_needs_least_or_most_rule(matching_run, capsys):

@@ -85,7 +85,7 @@ def _check_fds(prog, interp):
         info = choice_info(r)
         for fd in info.fds:
             seen = {}
-            for t in interp.tuples(info.chosen_pred):
+            for t in interp.rel(info.chosen_pred).rows:
                 key = tuple(t[i] for i in fd.left)
                 val = tuple(t[i] for i in fd.right)
                 assert seen.setdefault(key, val) == val, (info.chosen_pred, fd)

@@ -21,16 +21,13 @@ from gdlog.engine import (
     Counters,
     Engine,
     EngineError,
-    Interpretation,
-    closure_nonchoice,
-    immediate_consequence,
     run_with_counters,
     _AtomStep,
     _CompareStep,
     _PlusStep,
 )
 from gdlog import bench, tsvio
-from gdlog.lang import Atom, Rule, Var, parse_program
+from gdlog.lang import Atom, Program, Rule, Var, parse_program
 from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight, run_lico_reference
 from gdlog.storage import StorageError, tuple_key
 
@@ -50,33 +47,35 @@ def _greedy(program, ties="lex", **kw):
     return run_with_counters(program, mode="greedy", ties=ties, **kw)[0]
 
 
-# immediate consequences ------------------------------------------------------
+# immediate consequences and closure, through run_with_counters -------------
 
 
 def test_immediate_consequence_exit_rule_on_empty():
-    out = immediate_consequence([EXIT_RULE], Interpretation())
-    assert out == {"st": {("root", "a", 0)}}
+    m, c = run_with_counters(Program((EXIT_RULE,), ()))
+    assert m.as_sets() == {"st": frozenset({("root", "a", 0)})}
+    assert (c.firings, c.derived) == (1, 1)
 
 
 def test_immediate_consequence_empty_delta():
-    prog = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). e(a,b).")
-    interp = Interpretation()
-    interp.rel("e", 2).insert(("a", "b"))
-    interp.rel("t", 2)
-    out = immediate_consequence([prog.rules[1]], interp, delta={})
-    assert out == {}
+    # three rule instances fire, each once: e(a,b) and e(b,c) give t(a,b)
+    # and t(b,c), which give t(a,c); the last delta, t(a,c), has no e
+    # successor and fires nothing
+    prog = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). e(a,b). e(b,c).")
+    m, c = run_with_counters(prog)
+    assert m.as_sets()["t"] == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert (c.firings, c.derived) == (3, 3)
 
 
 def test_immediate_consequence_excludes_known_tuples():
-    prog = parse_program("t(X,Y) :- e(X,Y). e(a,b).")
-    interp = Interpretation()
-    interp.rel("e", 2).insert(("a", "b"))
-    interp.rel("t", 2).insert(("a", "b"))
-    assert immediate_consequence([prog.rules[0]], interp) == {}
+    prog = parse_program("t(X,Y) :- e(X,Y). e(a,b). t(a,b).")
+    m, c = run_with_counters(prog)
+    assert m.rel("t").rows == [("a", "b")]
+    assert (c.firings, c.derived) == (1, 0)
 
 
 def test_naive_and_seminaive_transitive_closure_agree():
-    # random DAG, 100 nodes: full closure equals round-by-round naive iteration
+    # random DAG, 100 nodes: the engine's semi-naive closure equals the
+    # reference operator's naive one
     rng = random.Random(5)
     arcs = set()
     for _ in range(250):
@@ -84,48 +83,27 @@ def test_naive_and_seminaive_transitive_closure_agree():
         arcs.add((f"v{u}", f"v{v}"))
     prog = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z).")
     edb = {"e": sorted(arcs)}
-
-    interp = Interpretation()
-    for t in edb["e"]:
-        interp.rel("e", 2).insert(t)
-    closure_nonchoice(prog.rules, interp)
-    seminaive = set(interp.rel("t", 2).rows)
-
-    naive = Interpretation()
-    for t in edb["e"]:
-        naive.rel("e", 2).insert(t)
-    naive.rel("t", 2)
-    while True:
-        out = immediate_consequence(prog.rules, naive)
-        if not out:
-            break
-        for pred, ts in out.items():
-            for t in ts:
-                naive.rel(pred, len(t)).insert(t)
-    assert seminaive == set(naive.rel("t", 2).rows)
+    seminaive, _ = run_with_counters(prog, edb=edb)
+    assert seminaive.as_sets() == run_lico_reference(prog, edb=edb)
 
 
-def test_closure_nonchoice_is_identity_without_rules():
-    interp = Interpretation()
-    interp.rel("p", 1).insert(("a",))
-    closure_nonchoice([], interp)
-    assert interp.tuples("p") == [("a",)]
+def test_closure_is_identity_without_rules():
+    m, c = run_with_counters(parse_program("p(a)."))
+    assert m.rel("p").rows == [("a",)]
+    assert (c.firings, c.derived, c.work) == (0, 0, 0)
 
 
 def test_closure_after_choice_delta_is_trivial_step():
-    # spanning tree: closing around one new chosen tuple adds exactly the
-    # matching st tuple and stops
-    prog = get_program("spantree")
-    interp = Interpretation()
-    for t in TOY_TRIANGLE["g"]:
-        interp.rel("g", 3).insert(t)
-    interp.rel("st", 3).insert(("root", "a", 0))
-    interp.rel("chosen_r1", 3).insert(("a", "b", 1))
-    foe_like = parse_program(
-        "st(X,Y,C) :- st(_,X,_), g(X,Y,C), Y \\= a, Y \\= X, chosen_r1(X,Y,C)."
-    )
-    closure_nonchoice(foe_like.rules, interp)
-    assert set(interp.tuples("st")) == {("root", "a", 0), ("a", "b", 1)}
+    # spanning tree: each iteration adds its chosen tuple, and closing around
+    # it adds exactly the matching st tuple, so the trace's size column grows
+    # by 2 per iteration
+    buf = io.StringIO()
+    m, c = run_with_counters(get_program("spantree"), edb=TOY_TRIANGLE, trace=buf)
+    sizes = [int(line.split("\t")[5]) for line in buf.getvalue().splitlines()]
+    start = len(TOY_TRIANGLE["g"]) + 1  # g and st(root, a, 0)
+    assert c.iterations == 2
+    assert sizes == [start + 1, start + 3]
+    assert m.size() == start + 4
 
 
 # choice fixpoint -------------------------------------------------------------
@@ -133,7 +111,7 @@ def test_closure_after_choice_delta_is_trivial_step():
 
 def test_advisor_picks_exactly_one():
     m = _choice(get_program("advisor"), edb=ADVISOR_TOY)
-    adv = m.tuples("actual_adv")
+    adv = m.rel("actual_adv").rows
     assert len(adv) == 1
     assert adv[0] in [("Jim Black", "ohm"), ("Jim Black", "bell")]
 
@@ -147,7 +125,7 @@ def test_spantree_toy_gives_one_of_three_models():
     seen = set()
     for seed in range(12):
         m = _choice(get_program("spantree"), ties="random", seed=seed, edb=TOY_TRIANGLE)
-        st = set(m.tuples("st")) - {("root", "a", 0)}
+        st = set(m.rel("st").rows) - {("root", "a", 0)}
         assert st in expected
         seen.add(frozenset(st))
     assert len(seen) >= 2  # different seeds do explore different models
@@ -156,7 +134,7 @@ def test_spantree_toy_gives_one_of_three_models():
 def test_sequence_chain_is_permutation():
     edb = {"d": [(f"e{i}",) for i in range(1, 6)]}
     m = _choice(get_program("sequence"), ties="random", seed=3, edb=edb)
-    succ = m.tuples("succ")
+    succ = m.rel("succ").rows
     assert chain_is_total_order(succ, [f"e{i}" for i in range(1, 6)])
 
 
@@ -174,7 +152,7 @@ def test_exit_choice_rule_executes_once():
     # model is a valid matching
     edb = {"g": [("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4)]}
     m = _choice(get_program("matching"), edb=edb)
-    pairs = m.tuples("matching")
+    pairs = m.rel("matching").rows
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     assert len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
@@ -192,18 +170,18 @@ def test_greedy_requires_extreme_rule():
 def test_dijkstra_small_graph():
     edb = {"g": [("a", "b", 1), ("b", "c", 2), ("a", "c", 5)]}
     m = _greedy(get_program("dijkstra"), edb=edb)
-    assert sorted(m.tuples("dj")) == [("a", 0), ("b", 1), ("c", 3)]
+    assert sorted(m.rel("dj").rows) == [("a", 0), ("b", 1), ("c", 3)]
 
 
 def test_dijkstra_matches_reference_on_cyclic_graph():
     edb = sparse_connected_graph(60, 240, cost_max=50, seed=11, directed=True)
     m = _greedy(get_program("dijkstra"), edb=edb)
-    assert {y: c for y, c in m.tuples("dj")} == ref_dijkstra(edb["g"], "a")
+    assert {y: c for y, c in m.rel("dj").rows} == ref_dijkstra(edb["g"], "a")
 
 
 def test_prim_toy_graph_is_min_spanning_tree():
     m = _greedy(get_program("prim"), edb=TOY_TRIANGLE)
-    st = set(m.tuples("st")) - {("root", "a", 0)}
+    st = set(m.rel("st").rows) - {("root", "a", 0)}
     assert st == {("a", "b", 1), ("b", "c", 2)}
     assert sum(c for _, _, c in st) == 3 == ref_mst_weight(
         [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
@@ -212,14 +190,14 @@ def test_prim_toy_graph_is_min_spanning_tree():
 
 def test_sort_decreasing_chain():
     m = _greedy(get_program("sort"), edb={"d": [(3,), (1,), (2,)]})
-    succ = [t for t in m.tuples("succ") if t != ("root", "root")]
+    succ = [t for t in m.rel("succ").rows if t != ("root", "root")]
     assert set(succ) == {("root", 3), (3, 2), (2, 1)}
 
 
 def test_greedy_pq_on_off_same_model():
     for name in ("prim", "dijkstra", "optmatching", "sort", "tsp"):
         edb = example_edb(name, 7, seed=2)
-        a = _greedy(get_program(name), edb=edb, pq="on")
+        a = _greedy(get_program(name), edb=edb, pq="auto")
         b = _greedy(get_program(name), edb=edb, pq="off")
         assert _model(a) == _model(b), name
 
@@ -227,7 +205,7 @@ def test_greedy_pq_on_off_same_model():
 def test_tsp_path_is_hamiltonian():
     edb = complete_graph(8, cost_max=30, seed=13)
     m = _greedy(get_program("tsp"), edb=edb)
-    spath = m.tuples("spath")
+    spath = m.rel("spath").rows
     start = [y for x, y, _ in spath if x == "root"]
     assert len(start) == 1
     hops = [(x, y) for x, y, _ in spath if x != "root"]
@@ -330,7 +308,7 @@ def test_factorized_prim_not_applicable():
     m = eng.run()
     assert not eng.factorized_strata
     assert "product" in "; ".join(eng.factorize_reasons)
-    st = set(m.tuples("st")) - {("root", "a", 0)}
+    st = set(m.rel("st").rows) - {("root", "a", 0)}
     assert sum(c for _, _, c in st) == 3  # fallback still computes the MST
 
 
@@ -391,12 +369,25 @@ def test_heap_pq_ops_on_sparse_graphs(name, pq_ops):
     assert c.pq_ops == pq_ops
 
 
+# a scan table, like a heap table, stages fresh candidates: those a greedy
+# selection purges right away are never scanned
+@pytest.mark.parametrize("name, work", [("sort", 12_866), ("tsp", 17_215)], ids=["sort", "tsp"])
+def test_scan_work_without_the_queue(name, work):
+    spec = bench.BenchSpec(name, (64,))
+    _, c = run_with_counters(get_program(name), edb=bench.build_edb(spec, 64, 1), ties="lex", pq="off")
+    assert c.work == work
+
+
 # run settings and public entry points ----------------------------------------
 
 
 def test_unknown_pq_is_an_engine_error():
-    with pytest.raises(EngineError, match="unknown pq setting 'bogus'"):
-        Engine(get_program("prim"), pq="bogus")
+    # pq takes auto or off only
+    for pq in ("bogus", "on"):
+        with pytest.raises(EngineError, match=f"unknown pq setting '{pq}'"):
+            Engine(get_program("prim"), pq=pq)
+        with pytest.raises(EngineError, match=f"unknown pq setting '{pq}'"):
+            bench.run_bench(bench.BenchSpec("prim", (8, 16), reps=3, pq=pq))
 
 
 def test_unknown_mode_is_an_engine_error():
@@ -470,7 +461,7 @@ def test_prim_pq_ops_bounded_by_e_log_n():
 
     n = 128
     edb = sparse_connected_graph(n, 4 * n, cost_max=1000, seed=17)
-    _, counters = run_with_counters(get_program("prim"), edb=edb, pq="on")
+    _, counters = run_with_counters(get_program("prim"), edb=edb, pq="auto")
     e = len(edb["g"])
     assert counters.pq_ops <= 2 * e * math.log2(n)
 
@@ -502,8 +493,8 @@ def test_each_stratum_choice_rule_selects_its_own_extreme():
     )
     edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
     m = _greedy(parse_program(src), edb=edb)
-    assert m.tuples("best") == [("q2", 1)]
-    assert len(m.tuples("pick")) == 1
+    assert m.rel("best").rows == [("q2", 1)]
+    assert len(m.rel("pick").rows) == 1
 
 
 def test_choice_mode_takes_rules_in_program_order():
@@ -569,6 +560,4 @@ def test_delta_plans_probe_an_index_after_the_delta_atom(name):
 def test_unbound_builtin_operand_is_an_engine_error(src):
     prog = parse_program(src + " q(1). q(2).", strict=False)
     with pytest.raises(EngineError, match="r1: variable Y is unbound"):
-        closure_nonchoice(prog, Interpretation())
-    with pytest.raises(EngineError, match="r1: variable Y is unbound"):
-        immediate_consequence(prog.rules, Interpretation())
+        run_with_counters(prog)

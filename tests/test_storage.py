@@ -89,7 +89,7 @@ def test_relation_insert_amortized_constant():
 def _chosen(against, rel=None):
     # the chosen table the engine would build from `against`: each tuple that
     # conflicts with none before it
-    chosen = ChosenTable(PAIR, rel)
+    chosen = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2) if rel is None else rel)
     for t in against:
         if not chosen.conflicts(t):
             chosen.insert(t)
@@ -140,7 +140,7 @@ def test_conflict_matches_bruteforce(s, against):
 
 
 def test_chosen_table_enforces_fds():
-    c = ChosenTable(PAIR)
+    c = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2))
     c.insert(("a", "b"))
     c.insert(("a", "b"))  # duplicate is fine
     with pytest.raises(FDViolation):
@@ -253,22 +253,23 @@ TRIPLES = st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 30))
     st.lists(st.one_of(TRIPLES, st.just("select"), st.integers(0, 39)), max_size=60),
 )
 def test_heap_property_after_every_mutation(tuples, ops):
-    # inserts between selections and purges flush staged candidates and
-    # replace staged bests under the unique key (X, Y)
-    th = ThetaTable(UNION, use_pq=True)
-    for t in tuples:
-        th.insert(t)
-        assert th.audit_heap()
-    for op in ops:
-        if isinstance(op, tuple):
-            th.insert(op)
-        elif op == "select":
-            th.select_extreme()
-        elif len(th):
-            th.purge_conflicting(sorted(th, key=tuple_key)[op % len(th)])
-        assert th.audit_heap()
-    while th.select_extreme() is not None:
-        assert th.audit_heap()
+    # inserts between selections and purges settle staged candidates and
+    # replace staged bests under the unique key (X, Y), in the heap table
+    # and in the scan table alike
+    for th in (ThetaTable(UNION, use_pq=True), ThetaTable(UNION, use_pq=False)):
+        for t in tuples:
+            th.insert(t)
+            assert th.audit_heap()
+        for op in ops:
+            if isinstance(op, tuple):
+                th.insert(op)
+            elif op == "select":
+                th.select_extreme()
+            elif len(th):
+                th.purge_conflicting(sorted(th, key=tuple_key)[op % len(th)])
+            assert th.audit_heap()
+        while th.select_extreme() is not None:
+            assert th.audit_heap()
 
 
 def test_staged_candidates_reach_the_heap_only_when_their_best_is_lost():
@@ -288,6 +289,21 @@ def test_staged_candidates_reach_the_heap_only_when_their_best_is_lost():
     assert th.select_extreme() == ("d", "b", 4)  # one heap delete
     assert th.select_extreme() is None
     assert th.counters.pq_ops == 2
+
+
+def test_scan_visits_only_settled_candidates():
+    th = ThetaTable(UNION, use_pq=False)
+    for t in [("a", "b", 5), ("a", "c", 3), ("d", "b", 4)]:
+        th.insert(t)
+    assert th.select_extreme() == ("a", "c", 3)  # the staged best, no scan
+    assert th.purge_conflicting(("a", "c", 3)) == 1  # ("a", "b", 5), staged
+    assert th.counters.work == 3 + 1 + 1  # inserts, the selected, the purged
+    th.insert(("e", "f", 1))  # settles ("d", "b", 4)
+    assert th.audit_heap()
+    assert th.select_extreme() == ("e", "f", 1)  # scans the one settled candidate
+    assert th.counters.work == 5 + 1 + 1 + 1
+    assert th.select_extreme() == ("d", "b", 4)
+    assert th.counters.pq_ops == 0
 
 
 def test_heap_handle_deletion_is_logarithmic_shape():
@@ -383,7 +399,7 @@ def test_lex_policy_matches_sorted_reference():
             assert heap.select_extreme() == want
             assert scan.select_extreme() == want
             ref.discard(want)
-        assert heap.audit_heap()
+        assert heap.audit_heap() and scan.audit_heap()
         assert set(heap) == set(scan) == ref
 
 
