@@ -23,6 +23,11 @@ most constant or already-bound arguments (ties in source order), which is
 then probed through an index on exactly those columns.  A builtin operand
 that is still unbound where the plan reaches it is an EngineError.
 
+Every plan compiles once, when its stratum starts, into a generated Python
+function: nested for loops over the atoms' rows, the rule's variables as
+local names, inline checks and builtins, and the head tuple deduplicated
+into the caller's output list.
+
 run_with_counters is the one entry point: it builds an Engine, runs it and
 returns the model together with its operation counters.  Nothing else in the
 package evaluates rules with the compiled plans; the oracle keeps its own
@@ -35,7 +40,7 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import analysis, tsvio
 from .analysis import ChoiceInfo, RuleKind, Stratum
@@ -287,173 +292,206 @@ def _compile_rule(rule: Rule, emit_terms: tuple, goals: tuple) -> _CompiledRule:
 
 
 # ---------------------------------------------------------------------------
-# Plan evaluation
+# Plan evaluation: every plan compiles once into a generated function with
+# one nested for loop per atom step and locals v<slot> for the variables.
+# The source text holds only names made from slot and step numbers, column
+# positions, Python operators and the 64-bit bounds; constants, relations,
+# lookup methods and error constructors are passed to a factory as the values
+# of k<n> names, so no symbol of a program can change the generated code.
+
+# CPython allows 20 statically nested blocks per function; a plan with more
+# atom steps continues in a further function after this many loops
+_MAX_LOOPS = 16
+_NEGATED = {"<": ">=", "=<": ">", ">": "<=", ">=": "<"}  # negated order comparisons
 
 
-class _Evaluator:
-    """Executes compiled plans against an interpretation; per-rule cursors
-    into the append-only relations make evaluation differential."""
+def _order_error(rule_id: str, op: str, a, b) -> EngineError:
+    return EngineError(f"{rule_id}: order comparison over non-integers {a!r} {op} {b!r}")
 
-    def __init__(self, interp: Interpretation, counters: Counters, arities: dict[str, int]):
-        self.interp = interp
-        self.counters = counters
-        self.arities = arities
 
-    def rel(self, pred: str) -> Relation:
-        return self.interp.rel(pred, self.arities[pred])
+def _plus_error(rule_id: str, a, b) -> EngineError:
+    return EngineError(f"{rule_id}: arithmetic over non-integers {a!r} + {b!r}")
 
-    def prepare(self, cr: _CompiledRule) -> None:
-        for plan in [cr.full_plan, *cr.delta_plans.values()]:
-            for step in plan.steps:
-                if isinstance(step, _AtomStep) and step.index_cols:
-                    self.rel(step.pred).ensure_index(step.index_cols)
 
-    def eval_plan(self, cr: _CompiledRule, plan: _Plan, delta_rows, rule_id: str):
-        """Yield emitted tuples for every binding of the plan."""
-        counters = self.counters
-        env: list = [None] * 64
+def _overflow_error(rule_id: str, a, b) -> EngineError:
+    return EngineError(f"{rule_id}: arithmetic overflow computing {a} + {b}")
 
-        def value(op):
-            tag, v = op
-            return env[v] if tag == "slot" else v
 
-        def run(i: int):
-            if i == len(plan.steps):
-                counters.firings += 1
-                yield tuple(value(op) for op in cr.emit)
-                return
-            step = plan.steps[i]
-            if isinstance(step, _AtomStep):
-                if plan.delta_occ is not None and step.occ == plan.delta_occ:
-                    rows = delta_rows
-                elif step.index_cols:
-                    key = tuple(value(op) for op in step.index_key)
-                    rows = self.rel(step.pred).lookup(step.index_cols, key)
-                else:
-                    rows = self.rel(step.pred).rows
-                for t in rows:
-                    counters.join_probes += 1
-                    counters.work += 1
-                    ok = True
-                    for pos, c in step.const_checks:
-                        if t[pos] != c:
-                            ok = False
-                            break
-                    if ok:
-                        for pos, first in step.self_checks:
-                            if t[pos] != t[first]:
-                                ok = False
-                                break
-                    if ok:
-                        for pos, slot in step.eq_checks:
-                            if t[pos] != env[slot]:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    for pos, slot in step.binds:
-                        env[slot] = t[pos]
-                    yield from run(i + 1)
-            elif isinstance(step, _CompareStep):
-                if _compare(step.op, value(step.left), value(step.right), rule_id):
-                    yield from run(i + 1)
+def _tuple(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _plan_function(
+    cr: _CompiledRule, plan: _Plan, rel: Callable[[str], Relation]
+) -> Callable[[Optional[list], set, list], tuple[int, int]]:
+    """Compile a plan into f(delta, seen, out) -> (probes, firings).  Each
+    head tuple the plan derives is appended to out unless it is in seen;
+    delta holds the rows of the plan's delta atom.  probes counts the rows
+    the loops iterate, firings the head tuples built, duplicates included.
+    Creates the indexes the plan probes."""
+    values: dict[str, object] = {}
+
+    def bind(value) -> str:
+        name = f"k{len(values)}"
+        values[name] = value
+        return name
+
+    def term(op: tuple[str, object]) -> str:
+        tag, v = op
+        return f"v{v}" if tag == "slot" else bind(v)
+
+    rule = bind(cr.rule_id)
+    funcs: list[list[str]] = []
+    live: list[int] = []  # slots bound so far
+
+    def open_function(params: str) -> list[str]:
+        funcs.append([f"    def f{len(funcs)}(delta, seen, out{params}):", "        probes = fired = 0"])
+        return funcs[-1]
+
+    body = open_function("")
+    depth, loops = 2, 0
+    for i, step in enumerate(plan.steps):
+        if isinstance(step, _AtomStep) and loops == _MAX_LOOPS:
+            args = "".join(f", v{s}" for s in live)
+            pad = "    " * depth
+            body += [
+                f"{pad}p, f = f{len(funcs)}(delta, seen, out{args})",
+                f"{pad}probes += p",
+                f"{pad}fired += f",
+            ]
+            body = open_function(args)
+            depth, loops = 2, 0
+        pad = "    " * depth
+        skip = "continue" if loops else "return 0, 0"
+        if isinstance(step, _AtomStep):
+            r = rel(step.pred)
+            looked_up = step.occ != plan.delta_occ and bool(step.index_cols)
+            if step.occ == plan.delta_occ:
+                rows = "delta"
+            elif looked_up:
+                r.ensure_index(step.index_cols)
+                key = _tuple([term(op) for op in step.index_key])
+                rows = f"{bind(r.lookup)}({step.index_cols!r}, {key})"
             else:
-                a, b = value(step.left), value(step.right)
-                if not (isinstance(a, int) and isinstance(b, int)):
-                    raise EngineError(f"{rule_id}: arithmetic over non-integers {a!r} + {b!r}")
-                c = a + b
-                if not (MIN_INT <= c <= MAX_INT):
-                    raise EngineError(f"{rule_id}: arithmetic overflow computing {a} + {b}")
-                if step.out_bound:
-                    if env[step.out_slot] == c:
-                        yield from run(i + 1)
-                else:
-                    env[step.out_slot] = c
-                    yield from run(i + 1)
-
-        yield from run(0)
-
-
-def _compare(op: str, a, b, rule_id: str) -> bool:
-    if op == "\\=":
-        return a != b
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise EngineError(f"{rule_id}: order comparison over non-integers {a!r} {op} {b!r}")
-    if op == "<":
-        return a < b
-    if op == "=<":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+                rows = bind(r.rows)
+            arity = len(step.const_checks) + len(step.self_checks) + len(step.eq_checks) + len(step.binds)
+            cols = [f"a{i}_{pos}" for pos in range(arity)]
+            for pos, slot in step.binds:
+                cols[pos] = f"v{slot}"
+                live.append(slot)
+            checks = [f"{cols[pos]} != {cols[first]}" for pos, first in step.self_checks]
+            if not looked_up:  # an index lookup has matched these already
+                checks += [f"{cols[pos]} != {bind(c)}" for pos, c in step.const_checks]
+                checks += [f"{cols[pos]} != v{slot}" for pos, slot in step.eq_checks]
+            body += [
+                f"{pad}rows{i} = {rows}",
+                f"{pad}probes += len(rows{i})",
+                f"{pad}for {_tuple(cols)} in rows{i}:",
+            ]
+            if checks:
+                body.append(f"{pad}    if {' or '.join(checks)}: continue")
+            depth += 1
+            loops += 1
+        elif isinstance(step, _CompareStep):
+            a, b = term(step.left), term(step.right)
+            if step.op == "\\=":
+                body.append(f"{pad}if {a} == {b}: {skip}")
+                continue
+            err = f"{bind(_order_error)}({rule}, {bind(step.op)}, {a}, {b})"
+            body += [
+                f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)): raise {err}",
+                f"{pad}if {a} {_NEGATED[step.op]} {b}: {skip}",
+            ]
+        else:
+            a, b = term(step.left), term(step.right)
+            target = f"s{i}" if step.out_bound else f"v{step.out_slot}"
+            body += [
+                f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)):"
+                f" raise {bind(_plus_error)}({rule}, {a}, {b})",
+                f"{pad}{target} = {a} + {b}",
+                f"{pad}if not ({MIN_INT} <= {target} <= {MAX_INT}):"
+                f" raise {bind(_overflow_error)}({rule}, {a}, {b})",
+            ]
+            if step.out_bound:
+                body.append(f"{pad}if {target} != v{step.out_slot}: {skip}")
+            else:
+                live.append(step.out_slot)
+    pad = "    " * depth
+    body += [
+        f"{pad}fired += 1",
+        f"{pad}h = {_tuple([term(op) for op in cr.emit])}",
+        f"{pad}if h not in seen:",
+        f"{pad}    seen.add(h)",
+        f"{pad}    out.append(h)",
+    ]
+    lines = [f"def make({', '.join(values)}):"]
+    for f in funcs:
+        lines += f + ["        return probes, fired"]
+    lines.append("    return f0")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<gdlog plan>", "exec"), namespace)
+    return namespace["make"](**values)
 
 
 class _DifferentialRule:
     """Tracks how much of each body relation a rule has already consumed and
-    evaluates only the new suffixes."""
+    evaluates only the new suffixes, through the rule's compiled plans."""
 
-    def __init__(self, cr: _CompiledRule, ev: _Evaluator):
+    def __init__(self, cr: _CompiledRule, rel: Callable[[str], Relation], counters: Counters):
         self.cr = cr
-        self.ev = ev
+        self.counters = counters
+        self.rels = [rel(p) for p in cr.atom_preds]  # per body-atom occurrence
         self.cursors = [0] * len(cr.atom_preds)
         self.virgin = True
+        self.full = _plan_function(cr, cr.full_plan, rel)
+        self.deltas = [_plan_function(cr, cr.delta_plans[occ], rel) for occ in range(len(self.rels))]
 
     def evaluate(self) -> list[Tup]:
         """Tuples derivable using at least one not-yet-seen body row (all
         tuples on the first call); duplicates are removed, order is the
         derivation order."""
-        ev, cr = self.ev, self.cr
         out: list[Tup] = []
         seen: set[Tup] = set()
-
-        def take(gen):
-            for t in gen:
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-
+        snapshot = [len(r) for r in self.rels]
+        runs = []
         if self.virgin:
             self.virgin = False
-            snapshot = [len(ev.rel(p)) for p in cr.atom_preds]
-            take(ev.eval_plan(cr, cr.full_plan, None, cr.rule_id))
-            self.cursors = snapshot
-            return out
-        snapshot = [len(ev.rel(p)) for p in cr.atom_preds]
-        for occ, pred in enumerate(cr.atom_preds):
-            if self.cursors[occ] >= snapshot[occ]:
-                continue
-            delta = ev.rel(pred).rows[self.cursors[occ] : snapshot[occ]]
-            take(ev.eval_plan(cr, cr.delta_plans[occ], delta, cr.rule_id))
+            runs.append(self.full(None, seen, out))
+        else:
+            for occ, (lo, hi) in enumerate(zip(self.cursors, snapshot)):
+                if lo < hi:
+                    runs.append(self.deltas[occ](self.rels[occ].rows[lo:hi], seen, out))
         self.cursors = snapshot
+        for probes, fired in runs:
+            self.counters.join_probes += probes
+            self.counters.work += probes
+            self.counters.firings += fired
         return out
 
     def pending_delta(self) -> bool:
-        if self.virgin:
-            return True
-        return any(
-            self.cursors[occ] < len(self.ev.rel(p)) for occ, p in enumerate(self.cr.atom_preds)
-        )
+        return self.virgin or any(c < len(r) for c, r in zip(self.cursors, self.rels))
 
 
 class _Closure:
     """Semi-naive least fixpoint of a set of non-choice rules."""
 
-    def __init__(self, compiled: list[_CompiledRule], ev: _Evaluator):
-        self.rules = [_DifferentialRule(cr, ev) for cr in compiled]
-        self.ev = ev
+    def __init__(self, rules: list[_DifferentialRule], rel: Callable[[str], Relation], counters: Counters):
+        self.rules = [(dr, rel(dr.cr.head_pred)) for dr in rules]
+        self.counters = counters
 
     def run(self) -> None:
+        counters = self.counters
         changed = True
         while changed:
             changed = False
-            for dr in self.rules:
+            for dr, head in self.rules:
                 if not dr.pending_delta():
                     continue
-                rel = self.ev.rel(dr.cr.head_pred)
-                for t in dr.evaluate():
-                    self.ev.counters.work += 1
-                    if rel.insert(t):
-                        self.ev.counters.derived += 1
+                ts = dr.evaluate()
+                counters.work += len(ts)
+                for t in ts:
+                    if head.insert(t):
+                        counters.derived += 1
                         changed = True
 
 
@@ -523,7 +561,6 @@ class Engine:
         self.greedy = self._resolve_mode(mode)
         graph = analysis.build_dependency_graph(program)
         self.plan = analysis.plan_subprograms(graph, program)
-        self.ev = _Evaluator(self.interp, self.counters, self.arities)
 
         self._load_facts(edb)
 
@@ -543,6 +580,9 @@ class Engine:
                 for t in rows:
                     arity = self.arities.setdefault(pred, len(t))
                     self.interp.rel(pred, arity).insert(tuple(t))
+
+    def _rel(self, pred: str) -> Relation:
+        return self.interp.rel(pred, self.arities[pred])
 
     # -- compilation --------------------------------------------------------
 
@@ -579,24 +619,20 @@ class Engine:
         return self.interp
 
     def _run_stratum(self, stratum: Stratum) -> None:
-        nonchoice: list[_CompiledRule] = []
+        nonchoice: list[_DifferentialRule] = []
         states: list[_ChoiceState] = []
         for r in stratum.rules:
             if not r.choice_goals:
-                nonchoice.append(self._compile_nonchoice(r))
+                nonchoice.append(self._differential(self._compile_nonchoice(r)))
                 continue
             info = self.infos[r.rule_id]
-            nonchoice.append(self._compile_rewritten(r, info))
-            cand = _DifferentialRule(self._compile_candidates(r, info), self.ev)
+            nonchoice.append(self._differential(self._compile_rewritten(r, info)))
+            cand = self._differential(self._compile_candidates(r, info))
             state = _ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info))
             states.append(state)
             self.choice_tables[r.rule_id] = (state.chosen, state.theta)
-        for cr in nonchoice:
-            self.ev.prepare(cr)
-        for st in states:
-            self.ev.prepare(st.cand.cr)
 
-        closure = _Closure(nonchoice, self.ev)
+        closure = _Closure(nonchoice, self._rel, self.counters)
         closure.run()
         if not states:
             return
@@ -622,10 +658,14 @@ class Engine:
             self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
             closure.run()
 
+    def _differential(self, cr: _CompiledRule) -> _DifferentialRule:
+        return _DifferentialRule(cr, self._rel, self.counters)
+
     def _insert_fresh(self, st: _ChoiceState) -> None:
-        for t in st.cand.evaluate():
-            self.counters.conflict_checks += 1
-            self.counters.work += 1
+        ts = st.cand.evaluate()
+        self.counters.conflict_checks += len(ts)
+        self.counters.work += len(ts)
+        for t in ts:
             if t not in st.theta and not st.chosen.conflicts(t):
                 st.theta.insert(t)
 
@@ -640,7 +680,7 @@ class Engine:
         )
 
     def _chosen_table(self, info: ChoiceInfo) -> ChosenTable:
-        return ChosenTable(info, self.ev.rel(info.chosen_pred))
+        return ChosenTable(info, self._rel(info.chosen_pred))
 
     def _trace_row(self, rule_id: str, theta: ThetaTable, delta: Tup, purged: int) -> None:
         if self.trace is None:

@@ -10,9 +10,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
-from .analysis import ChoiceInfo, RuleKind
+from .analysis import FD, ChoiceInfo, RuleKind
 from .lang import Const, GdlogError
 
 Tup = tuple  # fixed-arity tuple of constants
@@ -41,8 +42,15 @@ def tuple_key(t: Tup):
     return (*chain.from_iterable(map(const_key, t)),)
 
 
-def project(t: Tup, cols: tuple[int, ...]) -> Tup:
-    return tuple(t[i] for i in cols)
+def projector(cols: tuple[int, ...]) -> Callable[[Tup], Tup]:
+    """The function t -> (t[cols[0]], t[cols[1]], ...), made once per column
+    list so that a projection is one C call.  itemgetter returns a bare value
+    for one column and cannot take none, so those get a tuple slice."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    if cols:
+        return itemgetter(slice(cols[0], cols[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 TIE_POLICIES = ("lex", "fifo", "random")
@@ -97,7 +105,7 @@ class Relation:
     just a suffix of the row list, addressed by position.
     """
 
-    __slots__ = ("name", "arity", "rows", "_pos", "_indexes")
+    __slots__ = ("name", "arity", "rows", "_pos", "_indexes", "_keyed")
 
     def __init__(self, name: str, arity: int):
         self.name = name
@@ -105,6 +113,7 @@ class Relation:
         self.rows: list[Tup] = []
         self._pos: set[Tup] = set()
         self._indexes: dict[tuple[int, ...], dict[Tup, list[Tup]]] = {}
+        self._keyed: list[tuple[Callable[[Tup], Tup], dict[Tup, list[Tup]]]] = []
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -124,17 +133,19 @@ class Relation:
             return False
         self._pos.add(t)
         self.rows.append(t)
-        for cols, index in self._indexes.items():
-            index.setdefault(project(t, cols), []).append(t)
+        for key, index in self._keyed:
+            index.setdefault(key(t), []).append(t)
         return True
 
     def ensure_index(self, cols: tuple[int, ...]) -> None:
         if cols in self._indexes or not cols:
             return
+        key = projector(cols)
         index: dict[Tup, list[Tup]] = {}
         for t in self.rows:
-            index.setdefault(project(t, cols), []).append(t)
+            index.setdefault(key(t), []).append(t)
         self._indexes[cols] = index
+        self._keyed.append((key, index))
 
     def lookup(self, cols: tuple[int, ...], key: Tup) -> list[Tup]:
         """Exactly the tuples matching key on the given columns."""
@@ -158,8 +169,11 @@ class ChosenTable:
     def __init__(self, info: ChoiceInfo, rel: Relation):
         self.info = info
         self.rel = rel
-        # one index per FD left side; FD invariant means key -> single tuple
-        self._fd_index: list[dict[Tup, Tup]] = [dict() for _ in info.fds]
+        # per FD: its left and right projections and an index on its left
+        # side; the FD invariant means key -> single tuple
+        self._fds: list[tuple[FD, Callable, Callable, dict[Tup, Tup]]] = [
+            (fd, projector(fd.left), projector(fd.right), {}) for fd in info.fds
+        ]
 
     def __len__(self) -> int:
         return len(self.rel)
@@ -170,28 +184,25 @@ class ChosenTable:
     def __contains__(self, t: Tup) -> bool:
         return t in self.rel
 
-    def fd_key(self, fd_idx: int, t: Tup) -> Tup:
-        return project(t, self.info.fds[fd_idx].left)
-
     def conflicts(self, t: Tup) -> bool:
         """True when t agrees with some stored tuple on the left side of at
         least one FD (an equal tuple conflicts with its own keys)."""
-        for i, index in enumerate(self._fd_index):
-            if self.fd_key(i, t) in index:
+        for _, left, _, index in self._fds:
+            if left(t) in index:
                 return True
         return False
 
     def insert(self, t: Tup) -> None:
         if t in self.rel:
             return
-        keys = [project(t, fd.left) for fd in self.info.fds]
-        for fd, key, index in zip(self.info.fds, keys, self._fd_index):
+        keys = [left(t) for _, left, _, _ in self._fds]
+        for (fd, _, right, index), key in zip(self._fds, keys):
             other = index.get(key)
-            if other is not None and project(other, fd.right) != project(t, fd.right):
+            if other is not None and right(other) != right(t):
                 raise FDViolation(
                     f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t} against {other}"
                 )
-        for key, index in zip(keys, self._fd_index):
+        for (_, _, _, index), key in zip(self._fds, keys):
             index[key] = t
         self.rel.insert(t)
 
@@ -337,7 +348,10 @@ class ThetaTable:
         # choice fixpoint reads least/most goals as ordinary choice goals
         self.greedy = info.cost_pos is not None and not treat_as_pure
         self._most = info.kind is RuleKind.CHOICE_MOST
-        self._ukey = info.unique_key if self.greedy else None
+        # projection onto the unique key, None when no key is kept
+        self._ukey = (
+            projector(info.unique_key) if self.greedy and info.unique_key is not None else None
+        )
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = self.greedy or tie_policy == "lex"
         self._random = tie_policy == "random" and not self.greedy
@@ -346,7 +360,9 @@ class ThetaTable:
         self._seq = 0
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
-        self._fd_index: list[dict[Tup, dict[Tup, None]]] = [dict() for _ in info.fds]
+        self._fd_index: list[tuple[Callable[[Tup], Tup], dict[Tup, dict[Tup, None]]]] = [
+            (projector(fd.left), {}) for fd in info.fds
+        ]
         self._ukey_index: dict[Tup, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
@@ -403,7 +419,7 @@ class ThetaTable:
         if t in self._entries:
             return
         if self._ukey is not None:
-            cur = self._ukey_index.get(project(t, self._ukey))
+            cur = self._ukey_index.get(self._ukey(t))
             if cur is not None:
                 if not key < self._entries[cur]:
                     return
@@ -412,10 +428,10 @@ class ThetaTable:
 
     def _add(self, t: Tup, key) -> None:
         self._entries[t] = key
-        for i, fd in enumerate(self.info.fds):
-            self._fd_index[i].setdefault(project(t, fd.left), {})[t] = None
+        for left, index in self._fd_index:
+            index.setdefault(left(t), {})[t] = None
         if self._ukey is not None:
-            self._ukey_index[project(t, self._ukey)] = t
+            self._ukey_index[self._ukey(t)] = t
         if self._ordered:
             if self._staged_best is None:
                 self._flush()
@@ -433,14 +449,14 @@ class ThetaTable:
         del self._entries[t]
         self.counters.theta_deletes += 1
         self.counters.work += 1
-        for i, fd in enumerate(self.info.fds):
-            key = project(t, fd.left)
-            bucket = self._fd_index[i][key]
+        for left, index in self._fd_index:
+            key = left(t)
+            bucket = index[key]
             del bucket[t]
             if not bucket:
-                del self._fd_index[i][key]
+                del index[key]
         if self._ukey is not None:
-            key = project(t, self._ukey)
+            key = self._ukey(t)
             if self._ukey_index.get(key) == t:
                 del self._ukey_index[key]
         if self._ordered:
@@ -503,8 +519,8 @@ class ThetaTable:
         FD; each removal is constant time through the FD indexes (plus heap
         maintenance for a candidate already pushed)."""
         removed = 0
-        for i, fd in enumerate(self.info.fds):
-            for t in list(self._fd_index[i].get(project(delta, fd.left), ())):
+        for left, index in self._fd_index:
+            for t in list(index.get(left(delta), ())):
                 self._remove(t)
                 removed += 1
         return removed

@@ -59,6 +59,16 @@ def test_run_overflow_exit_2(tmp_path):
     assert main(["run", str(p)]) == 2
 
 
+@pytest.mark.parametrize(
+    "src", ["p(Y) :- q(X), Y = X + 1.\nq(b).\n", "p(X) :- q(X), X < 3.\nq(b).\n"], ids=["plus", "less"]
+)
+def test_run_builtin_over_symbols_exit_2(tmp_path, capsys, src):
+    p = tmp_path / "sym.dl"
+    p.write_text(src)
+    assert main(["run", str(p)]) == 2
+    assert "r1: " in capsys.readouterr().err
+
+
 def test_run_dijkstra_from_generated_facts(tmp_path, capsys):
     facts = tmp_path / "facts"
     assert (

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import io
 import random
@@ -561,3 +562,89 @@ def test_unbound_builtin_operand_is_an_engine_error(src):
     prog = parse_program(src + " q(1). q(2).", strict=False)
     with pytest.raises(EngineError, match="r1: variable Y is unbound"):
         run_with_counters(prog)
+
+
+# Builtin goals over symbols fail at run time, with the rule id; the CLI's
+# exit code for these is tested in test_cli.py.
+BUILTIN_TYPE_ERRORS = [
+    ("p(Y) :- q(X), Y = X + 1.\nq(b).\n", "r1: arithmetic over non-integers 'b' + 1"),
+    ("p(X) :- q(X), X < 3.\nq(b).\n", "r1: order comparison over non-integers 'b' < 3"),
+]
+
+
+@pytest.mark.parametrize("src, message", BUILTIN_TYPE_ERRORS, ids=["plus", "less"])
+def test_builtin_over_symbols_is_an_engine_error_with_rule_id(src, message):
+    with pytest.raises(EngineError) as exc:
+        run_with_counters(parse_program(src))
+    assert str(exc.value) == message
+
+
+def test_plans_compile_hostile_constants_and_predicate_names():
+    # constants and predicate names reach the compiled plans as values only:
+    # quotes, backslashes, format braces, percent signs and Python names or
+    # keywords all evaluate as the reference operator says
+    src = (
+        "for('a\"b', 'x\\y').\n"
+        "for('{0}', '%s').\n"
+        "for('__import__', 'a\"b').\n"
+        "for('%s', '{0}').\n"
+        "lambda(X, '{0}') :- for(X, Y), Y \\= '%s'.\n"
+        "in('__import__', Y) :- lambda(X, Y), for(X, 'x\\y').\n"
+        "in(X, Y) :- for(X, Y), for(Y, '{0}'), choice((), (X)).\n"
+        "in('%s', X) :- lambda(X, '{0}'), X \\= 'a\"b', choice((X), ()).\n"
+    )
+    prog = parse_program(src)
+    model = run_with_counters(prog, mode="choice", ties="lex")[0].as_sets()
+    assert model == run_lico_reference(prog, "lazy")
+    assert ("__import__", "{0}") in model["in"]
+
+
+def test_rule_longer_than_one_generated_function_nests():
+    # 34 body atoms take three generated functions (at most 16 loops each);
+    # the builtins after the last atom run in the innermost one
+    chain = ", ".join(f"e(X{i}, X{i + 1})" for i in range(34))
+    src = f"p(X0, S) :- {chain}, X0 < X34, S = X0 + X34.\n"
+    edb = {"e": [(i, i + 1) for i in range(40)] + [(i, i + 2) for i in range(0, 40, 7)]}
+    prog = parse_program(src)
+    model, c = run_with_counters(prog, edb=edb)
+    assert model.as_sets() == run_lico_reference(prog, edb=edb)
+    assert model.rel("p").rows
+
+
+# Counters and models of every corpus program on the n=16 seed-3 benchmark
+# instance under lex ties, recorded before plans were compiled to generated
+# functions: (work, join_probes, firings, derived, iterations, sha256 of the
+# sorted model lines).  Any change to them is a change to the engine's
+# operation count, not only to its speed.
+GOLDEN = {
+    ("advisor", "auto"): (1564, 344, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
+    ("advisor", "off"): (1796, 344, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
+    ("dijkstra", "auto"): (422, 263, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
+    ("dijkstra", "off"): (425, 263, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
+    ("matching", "auto"): (542, 144, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
+    ("matching", "off"): (484, 144, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
+    ("optmatching", "auto"): (533, 144, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
+    ("optmatching", "off"): (484, 144, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
+    ("prim", "auto"): (611, 333, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
+    ("prim", "off"): (633, 333, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
+    ("reach", "auto"): (565, 274, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
+    ("reach", "off"): (597, 274, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
+    ("sequence", "auto"): (914, 354, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
+    ("sequence", "off"): (914, 354, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
+    ("simplepath", "auto"): (1676, 1147, 495, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
+    ("simplepath", "off"): (1676, 1147, 495, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
+    ("sort", "auto"): (914, 354, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
+    ("sort", "off"): (914, 354, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
+    ("spantree", "auto"): (681, 333, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
+    ("spantree", "off"): (690, 333, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
+    ("tsp", "auto"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
+    ("tsp", "off"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
+}
+
+
+@pytest.mark.parametrize("name, pq", sorted(GOLDEN))
+def test_corpus_counters_and_models_are_pinned(name, pq):
+    edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(16,)), 16, 3)
+    m, c = run_with_counters(get_program(name), edb=edb, ties="lex", pq=pq)
+    sha = hashlib.sha256("".join(line + "\n" for line in m.sorted_lines()).encode()).hexdigest()
+    assert (c.work, c.join_probes, c.firings, c.derived, c.iterations, sha) == GOLDEN[name, pq]

@@ -15,6 +15,7 @@ from gdlog.storage import (
     StorageError,
     ThetaTable,
     _Heap,
+    projector,
     tuple_key,
 )
 
@@ -51,6 +52,13 @@ def test_relation_index_lookup():
     r.insert(("d", "b"))
     assert sorted(r.lookup((0,), ("a",)), key=tuple_key) == [("a", "b"), ("a", "c")]
     assert r.lookup((0,), ("zzz",)) == []
+
+
+@pytest.mark.parametrize("cols", [(), (1,), (2, 0), (0, 1, 2)])
+def test_projector_always_returns_a_tuple(cols):
+    # itemgetter alone would return a bare value for one column
+    t = ("a", 7, "b")
+    assert projector(cols)(t) == tuple(t[i] for i in cols)
 
 
 def test_relation_arity_mismatch():
