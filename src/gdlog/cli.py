@@ -8,6 +8,7 @@ UTF-8 TSV.  Exit codes: 0 success, 1 parse/validation error, 2 runtime error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import analysis, bench, corpus, tsvio
@@ -44,16 +45,17 @@ def _out_stream(path: str | None):
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     edb = _load_edb(args)
-    interp, counters = run_with_counters(
-        program,
-        mode=args.mode,
-        pq=args.pq,
-        ties=args.ties,
-        seed=args.seed,
-        edb=edb,
-        factorize=args.factorize,
-        trace=args.trace,
-    )
+    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as tr:
+        interp, counters = run_with_counters(
+            program,
+            mode=args.mode,
+            pq=args.pq,
+            ties=args.ties,
+            seed=args.seed,
+            edb=edb,
+            factorize=args.factorize,
+            trace=tr,
+        )
     out, close = _out_stream(args.output)
     try:
         lines = interp.sorted_lines()
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pq", choices=PQ_SETTINGS, default="auto")
     run.add_argument("--mode", choices=["auto", "choice", "greedy"], default="auto")
     run.add_argument("--factorize", action="store_true")
-    run.add_argument("--trace", help="per-iteration TSV trace file (env GDLOG_TRACE)")
+    run.add_argument("--trace", help="write one TSV row per selection to this file")
     run.add_argument("--stats", action="store_true", help="print counters to stderr")
     run.set_defaults(func=cmd_run)
 

@@ -70,8 +70,6 @@ PROGRAMS: dict[str, str] = {
     ),
 }
 
-GREEDY_EXAMPLES = ("optmatching", "prim", "dijkstra", "sort", "tsp")
-
 
 @lru_cache(maxsize=None)
 def get_program(name: str) -> Program:

@@ -24,9 +24,10 @@ then probed through an index on exactly those columns.  A builtin operand
 that is still unbound where the plan reaches it is an EngineError.
 
 Every plan compiles once, when its stratum starts, into a generated Python
-function: nested for loops over the atoms' rows, the rule's variables as
-local names, inline checks and builtins, and the head tuple deduplicated
-into the caller's output list.
+function, written in one pass over the goals in that order: nested for
+loops over the atoms' rows, the rule's variables as local names, inline
+checks and builtins, and the head tuple deduplicated into the caller's
+output list.
 
 run_with_counters is the one entry point: it builds an Engine, runs it and
 returns the model together with its operation counters.  Nothing else in the
@@ -37,10 +38,9 @@ naive matcher.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from . import analysis, tsvio
 from .analysis import ChoiceInfo, RuleKind, Stratum
@@ -99,64 +99,11 @@ class Interpretation:
 
 
 # ---------------------------------------------------------------------------
-# Rule compilation: each rule becomes one full plan plus one plan per body
-# atom occurrence that starts from that occurrence, which is where the
-# differential (delta) rows are fed in.  Every plan orders the remaining goals
-# bound-first (_bound_first_order).
-
-
-@dataclass(frozen=True)
-class _AtomStep:
-    pred: str
-    occ: int  # occurrence number among the rule's body atoms
-    const_checks: tuple[tuple[int, Const], ...]
-    self_checks: tuple[tuple[int, int], ...]  # same variable twice in one atom
-    eq_checks: tuple[tuple[int, int], ...]  # (position, slot)
-    binds: tuple[tuple[int, int], ...]  # (position, slot)
-    index_cols: tuple[int, ...]  # constant + already-bound positions
-    index_key: tuple[tuple[str, object], ...]  # ("const", v) / ("slot", i) per index col
-
-
-@dataclass(frozen=True)
-class _CompareStep:
-    op: str
-    left: tuple[str, object]
-    right: tuple[str, object]
-
-
-@dataclass(frozen=True)
-class _PlusStep:
-    out_slot: int
-    left: tuple[str, object]
-    right: tuple[str, object]
-    # the output may be bound already (e.g. by the chosen atom a delta plan
-    # starts from); then the step checks instead of binding
-    out_bound: bool = False
-
-
-_Step = Union[_AtomStep, _CompareStep, _PlusStep]
-
-
-@dataclass
-class _Plan:
-    steps: tuple[_Step, ...]
-    delta_occ: int | None  # occurrence fed from delta rows, None for full plan
-
-
-@dataclass
-class _CompiledRule:
-    rule_id: str
-    head_pred: str
-    emit: tuple[tuple[str, object], ...]  # head or W template
-    full_plan: _Plan
-    delta_plans: dict[int, _Plan]  # per body-atom occurrence
-    atom_preds: tuple[str, ...]  # predicate per occurrence
-
-
-def _operand(term, slots) -> tuple[str, object]:
-    if isinstance(term, Var):
-        return ("slot", slots[term])
-    return ("const", term)
+# Rule compilation: each rule compiles to one full plan plus one delta plan
+# per body atom occurrence, which starts from that occurrence: that is where
+# the differential (delta) rows are fed in.  Every plan orders the goals
+# bound-first (_bound_first_order), and _plan_function writes its generated
+# function straight from the goals in that order.
 
 
 def _bound_first_order(goals, start: int | None) -> list[int]:
@@ -193,114 +140,17 @@ def _bound_first_order(goals, start: int | None) -> list[int]:
     return order
 
 
-def _compile_goals(goals, slots, order: list[int], rule_id: str) -> tuple[_Step, ...]:
-    """Compile body goals in the given goal order (indices into goals); a
-    builtin operand left unbound at its position is an EngineError."""
-    steps: list[_Step] = []
-    bound: set[int] = set()
-    # occurrence numbers follow the original body order, not the plan order
-    occ_of = {}
-    k = 0
-    for gi, g in enumerate(goals):
-        if isinstance(g, Atom):
-            occ_of[gi] = k
-            k += 1
-    for gi in order:
-        g = goals[gi]
-        if isinstance(g, Atom):
-            const_checks = []
-            self_checks = []
-            eq_checks = []
-            binds = []
-            first_pos: dict[int, int] = {}  # slot -> first position in this atom
-            for pos, a in enumerate(g.args):
-                if isinstance(a, Var):
-                    slot = slots[a]
-                    if slot in bound:
-                        eq_checks.append((pos, slot))
-                    elif slot in first_pos:
-                        self_checks.append((pos, first_pos[slot]))
-                    else:
-                        binds.append((pos, slot))
-                        first_pos[slot] = pos
-                else:
-                    const_checks.append((pos, a))
-            index_cols = tuple(sorted([p for p, _ in const_checks] + [p for p, _ in eq_checks]))
-            key = []
-            cc = dict(const_checks)
-            ec = dict(eq_checks)
-            for col in index_cols:
-                if col in cc:
-                    key.append(("const", cc[col]))
-                else:
-                    key.append(("slot", ec[col]))
-            steps.append(
-                _AtomStep(
-                    g.pred,
-                    occ_of[gi],
-                    tuple(const_checks),
-                    tuple(self_checks),
-                    tuple(eq_checks),
-                    tuple(binds),
-                    index_cols,
-                    tuple(key),
-                )
-            )
-            for _, s in binds:
-                bound.add(s)
-            continue
-        for t in (g.left, g.right):
-            if isinstance(t, Var) and slots[t] not in bound:
-                raise EngineError(f"{rule_id}: variable {t.name} is unbound in {format_goal(g)}")
-        if isinstance(g, Comparison):
-            steps.append(_CompareStep(g.op, _operand(g.left, slots), _operand(g.right, slots)))
-        else:
-            out_slot = slots[g.out]
-            steps.append(
-                _PlusStep(out_slot, _operand(g.left, slots), _operand(g.right, slots), out_slot in bound)
-            )
-            bound.add(out_slot)
-    return tuple(steps)
-
-
-def _compile_rule(rule: Rule, emit_terms: tuple, goals: tuple) -> _CompiledRule:
-    slots: dict[Var, int] = {}
-    for g in goals:
-        for v in g.vars():
-            slots.setdefault(v, len(slots))
-    if len(slots) > 64:
-        raise EngineError(f"{rule.rule_id}: too many distinct variables ({len(slots)})")
-    for t in emit_terms:
-        if isinstance(t, Var) and t not in slots:
-            raise EngineError(f"{rule.rule_id}: emitted variable {t.name} is unbound")
-    emit = tuple(_operand(t, slots) for t in emit_terms)
-    atom_idx = [i for i, g in enumerate(goals) if isinstance(g, Atom)]
-
-    def plan(start: int | None) -> tuple[_Step, ...]:
-        return _compile_goals(goals, slots, _bound_first_order(goals, start), rule.rule_id)
-
-    full = _Plan(plan(None), None)
-    delta_plans = {occ: _Plan(plan(gi), occ) for occ, gi in enumerate(atom_idx)}
-    return _CompiledRule(
-        rule_id=rule.rule_id,
-        head_pred=rule.head.pred,
-        emit=emit,
-        full_plan=full,
-        delta_plans=delta_plans,
-        atom_preds=tuple(goals[i].pred for i in atom_idx),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Plan evaluation: every plan compiles once into a generated function with
-# one nested for loop per atom step and locals v<slot> for the variables.
-# The source text holds only names made from slot and step numbers, column
-# positions, Python operators and the 64-bit bounds; constants, relations,
-# lookup methods and error constructors are passed to a factory as the values
-# of k<n> names, so no symbol of a program can change the generated code.
+# one nested for loop per atom and locals v<slot> for the variables.  The
+# source text holds only names made from slot and goal-position numbers,
+# column positions, Python operators and the 64-bit bounds; constants,
+# relations, lookup methods and error constructors are passed to a factory as
+# the values of k<n> names, so no symbol of a program can change the
+# generated code.
 
 # CPython allows 20 statically nested blocks per function; a plan with more
-# atom steps continues in a further function after this many loops
+# atoms continues in a further function after this many loops
 _MAX_LOOPS = 16
 _NEGATED = {"<": ">=", "=<": ">", ">": "<=", ">=": "<"}  # negated order comparisons
 
@@ -322,13 +172,20 @@ def _tuple(items: list[str]) -> str:
 
 
 def _plan_function(
-    cr: _CompiledRule, plan: _Plan, rel: Callable[[str], Relation]
+    rule_id: str,
+    emit: tuple,
+    goals: tuple,
+    slots: dict[Var, int],
+    start: int | None,
+    rel: Callable[[str], Relation],
 ) -> Callable[[Optional[list], set, list], tuple[int, int]]:
-    """Compile a plan into f(delta, seen, out) -> (probes, firings).  Each
-    head tuple the plan derives is appended to out unless it is in seen;
-    delta holds the rows of the plan's delta atom.  probes counts the rows
-    the loops iterate, firings the head tuples built, duplicates included.
-    Creates the indexes the plan probes."""
+    """Compile the plan of goals that starts from the atom at start (None:
+    from nothing bound) into f(delta, seen, out) -> (probes, firings).  Each
+    emit tuple the plan derives is appended to out unless it is in seen;
+    delta holds the rows of the start atom.  probes counts the rows the loops
+    iterate, firings the tuples built, duplicates included.  Creates the
+    indexes the plan probes; a builtin operand still unbound where the plan
+    reaches it is an EngineError."""
     values: dict[str, object] = {}
 
     def bind(value) -> str:
@@ -336,13 +193,12 @@ def _plan_function(
         values[name] = value
         return name
 
-    def term(op: tuple[str, object]) -> str:
-        tag, v = op
-        return f"v{v}" if tag == "slot" else bind(v)
+    def term(t) -> str:
+        return f"v{slots[t]}" if isinstance(t, Var) else bind(t)
 
-    rule = bind(cr.rule_id)
+    rule = bind(rule_id)
     funcs: list[list[str]] = []
-    live: list[int] = []  # slots bound so far
+    bound: list[int] = []  # slots bound so far, in binding order
 
     def open_function(params: str) -> list[str]:
         funcs.append([f"    def f{len(funcs)}(delta, seen, out{params}):", "        probes = fired = 0"])
@@ -350,9 +206,10 @@ def _plan_function(
 
     body = open_function("")
     depth, loops = 2, 0
-    for i, step in enumerate(plan.steps):
-        if isinstance(step, _AtomStep) and loops == _MAX_LOOPS:
-            args = "".join(f", v{s}" for s in live)
+    for i, gi in enumerate(_bound_first_order(goals, start)):
+        g = goals[gi]
+        if isinstance(g, Atom) and loops == _MAX_LOOPS:
+            args = "".join(f", v{s}" for s in bound)
             pad = "    " * depth
             body += [
                 f"{pad}p, f = f{len(funcs)}(delta, seen, out{args})",
@@ -363,26 +220,32 @@ def _plan_function(
             depth, loops = 2, 0
         pad = "    " * depth
         skip = "continue" if loops else "return 0, 0"
-        if isinstance(step, _AtomStep):
-            r = rel(step.pred)
-            looked_up = step.occ != plan.delta_occ and bool(step.index_cols)
-            if step.occ == plan.delta_occ:
+        if isinstance(g, Atom):
+            # constant and already-bound positions: an index lookup matches
+            # them, except on the delta atom, whose rows are checked inline
+            keyed = tuple(p for p, a in enumerate(g.args) if not isinstance(a, Var) or slots[a] in bound)
+            cols = [f"a{i}_{p}" for p in range(len(g.args))]
+            checks = []
+            fresh: list[int] = []  # slots this atom binds
+            for p, a in enumerate(g.args):
+                if p in keyed:
+                    continue
+                if slots[a] in fresh:  # same variable twice in one atom
+                    checks.append(f"{cols[p]} != v{slots[a]}")
+                else:
+                    fresh.append(slots[a])
+                    cols[p] = f"v{slots[a]}"
+            r = rel(g.pred)
+            if gi == start:
                 rows = "delta"
-            elif looked_up:
-                r.ensure_index(step.index_cols)
-                key = _tuple([term(op) for op in step.index_key])
-                rows = f"{bind(r.lookup)}({step.index_cols!r}, {key})"
+                checks += [f"{cols[p]} != {bind(g.args[p])}" for p in keyed]
+            elif keyed:
+                r.ensure_index(keyed)
+                key = _tuple([term(g.args[p]) for p in keyed])
+                rows = f"{bind(r.lookup)}({keyed!r}, {key})"
             else:
                 rows = bind(r.rows)
-            arity = len(step.const_checks) + len(step.self_checks) + len(step.eq_checks) + len(step.binds)
-            cols = [f"a{i}_{pos}" for pos in range(arity)]
-            for pos, slot in step.binds:
-                cols[pos] = f"v{slot}"
-                live.append(slot)
-            checks = [f"{cols[pos]} != {cols[first]}" for pos, first in step.self_checks]
-            if not looked_up:  # an index lookup has matched these already
-                checks += [f"{cols[pos]} != {bind(c)}" for pos, c in step.const_checks]
-                checks += [f"{cols[pos]} != v{slot}" for pos, slot in step.eq_checks]
+            bound += fresh
             body += [
                 f"{pad}rows{i} = {rows}",
                 f"{pad}probes += len(rows{i})",
@@ -392,19 +255,24 @@ def _plan_function(
                 body.append(f"{pad}    if {' or '.join(checks)}: continue")
             depth += 1
             loops += 1
-        elif isinstance(step, _CompareStep):
-            a, b = term(step.left), term(step.right)
-            if step.op == "\\=":
-                body.append(f"{pad}if {a} == {b}: {skip}")
-                continue
-            err = f"{bind(_order_error)}({rule}, {bind(step.op)}, {a}, {b})"
+            continue
+        for t in (g.left, g.right):
+            if isinstance(t, Var) and slots[t] not in bound:
+                raise EngineError(f"{rule_id}: variable {t.name} is unbound in {format_goal(g)}")
+        a, b = term(g.left), term(g.right)
+        if isinstance(g, Comparison) and g.op == "\\=":
+            body.append(f"{pad}if {a} == {b}: {skip}")
+        elif isinstance(g, Comparison):
+            err = f"{bind(_order_error)}({rule}, {bind(g.op)}, {a}, {b})"
             body += [
                 f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)): raise {err}",
-                f"{pad}if {a} {_NEGATED[step.op]} {b}: {skip}",
+                f"{pad}if {a} {_NEGATED[g.op]} {b}: {skip}",
             ]
         else:
-            a, b = term(step.left), term(step.right)
-            target = f"s{i}" if step.out_bound else f"v{step.out_slot}"
+            # the output may be bound already (e.g. by the chosen atom a
+            # delta plan starts from); then the sum is checked against it
+            out = slots[g.out]
+            target = f"s{i}" if out in bound else f"v{out}"
             body += [
                 f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)):"
                 f" raise {bind(_plus_error)}({rule}, {a}, {b})",
@@ -412,14 +280,14 @@ def _plan_function(
                 f"{pad}if not ({MIN_INT} <= {target} <= {MAX_INT}):"
                 f" raise {bind(_overflow_error)}({rule}, {a}, {b})",
             ]
-            if step.out_bound:
-                body.append(f"{pad}if {target} != v{step.out_slot}: {skip}")
+            if out in bound:
+                body.append(f"{pad}if {target} != v{out}: {skip}")
             else:
-                live.append(step.out_slot)
+                bound.append(out)
     pad = "    " * depth
     body += [
         f"{pad}fired += 1",
-        f"{pad}h = {_tuple([term(op) for op in cr.emit])}",
+        f"{pad}h = {_tuple([term(t) for t in emit])}",
         f"{pad}if h not in seen:",
         f"{pad}    seen.add(h)",
         f"{pad}    out.append(h)",
@@ -434,17 +302,34 @@ def _plan_function(
 
 
 class _DifferentialRule:
-    """Tracks how much of each body relation a rule has already consumed and
-    evaluates only the new suffixes, through the rule's compiled plans."""
+    """One rule, emit <- goals, compiled to its full plan and one delta plan
+    per body atom.  Tracks how much of each body relation it has already
+    consumed and evaluates only the new suffixes."""
 
-    def __init__(self, cr: _CompiledRule, rel: Callable[[str], Relation], counters: Counters):
-        self.cr = cr
+    def __init__(
+        self,
+        rule_id: str,
+        emit: tuple,
+        goals: tuple,
+        rel: Callable[[str], Relation],
+        counters: Counters,
+    ):
+        slots: dict[Var, int] = {}
+        for g in goals:
+            for v in g.vars():
+                slots.setdefault(v, len(slots))
+        if len(slots) > 64:
+            raise EngineError(f"{rule_id}: too many distinct variables ({len(slots)})")
+        for t in emit:
+            if isinstance(t, Var) and t not in slots:
+                raise EngineError(f"{rule_id}: emitted variable {t.name} is unbound")
+        atoms = [i for i, g in enumerate(goals) if isinstance(g, Atom)]
         self.counters = counters
-        self.rels = [rel(p) for p in cr.atom_preds]  # per body-atom occurrence
-        self.cursors = [0] * len(cr.atom_preds)
+        self.rels = [rel(goals[i].pred) for i in atoms]  # per body-atom occurrence
+        self.cursors = [0] * len(atoms)
         self.virgin = True
-        self.full = _plan_function(cr, cr.full_plan, rel)
-        self.deltas = [_plan_function(cr, cr.delta_plans[occ], rel) for occ in range(len(self.rels))]
+        self.full = _plan_function(rule_id, emit, goals, slots, None, rel)
+        self.deltas = [_plan_function(rule_id, emit, goals, slots, i, rel) for i in atoms]
 
     def evaluate(self) -> list[Tup]:
         """Tuples derivable using at least one not-yet-seen body row (all
@@ -475,8 +360,8 @@ class _DifferentialRule:
 class _Closure:
     """Semi-naive least fixpoint of a set of non-choice rules."""
 
-    def __init__(self, rules: list[_DifferentialRule], rel: Callable[[str], Relation], counters: Counters):
-        self.rules = [(dr, rel(dr.cr.head_pred)) for dr in rules]
+    def __init__(self, rules: list[tuple[_DifferentialRule, Relation]], counters: Counters):
+        self.rules = rules  # each rule with its head relation
         self.counters = counters
 
     def run(self) -> None:
@@ -548,7 +433,6 @@ class Engine:
         self.tie_policy, self.rng = resolve_ties(ties, seed)
         self.interp = Interpretation()
         self.factorized_strata: list[str] = []
-        self.factorize_reasons: list[str] = []
         self.choice_tables: dict[str, tuple[ChosenTable, ThetaTable]] = {}
 
         self.arities = dict(program.predicates())
@@ -584,33 +468,12 @@ class Engine:
     def _rel(self, pred: str) -> Relation:
         return self.interp.rel(pred, self.arities[pred])
 
-    # -- compilation --------------------------------------------------------
-
-    def _compile_nonchoice(self, rule: Rule) -> _CompiledRule:
-        return _compile_rule(rule, rule.head.args, rule.body)
-
-    def _compile_rewritten(self, rule: Rule, info: ChoiceInfo) -> _CompiledRule:
-        # the rewritten rule head <- B(Z), chosen_r(W)
-        chosen_atom = Atom(info.chosen_pred, info.w_vars)
-        return _compile_rule(rule, rule.head.args, tuple(rule.body) + (chosen_atom,))
-
-    def _compile_candidates(self, rule: Rule, info: ChoiceInfo) -> _CompiledRule:
-        # the chosen rule chosen_r(W) <- B(Z), with conflicts checked against
-        # the chosen table instead of a diffchoice relation
-        return _compile_rule(rule, tuple(info.w_vars), rule.body)
-
     # -- run ----------------------------------------------------------------
 
     def run(self) -> Interpretation:
         t0 = time.perf_counter()
         for stratum in self.plan.strata:
             pattern = self._factorize_pattern(stratum) if self.factorize else None
-            if self.factorize and pattern is None and any(
-                r.choice_goals for r in stratum.rules
-            ):
-                self.factorize_reasons.append(
-                    f"stratum {sorted(stratum.preds)}: candidate set is not a frontier x domain product"
-                )
             if pattern is not None:
                 self._run_stratum_factorized(*pattern)
             else:
@@ -619,20 +482,24 @@ class Engine:
         return self.interp
 
     def _run_stratum(self, stratum: Stratum) -> None:
-        nonchoice: list[_DifferentialRule] = []
+        rules: list[tuple[_DifferentialRule, Relation]] = []
         states: list[_ChoiceState] = []
         for r in stratum.rules:
-            if not r.choice_goals:
-                nonchoice.append(self._differential(self._compile_nonchoice(r)))
+            info = self.infos.get(r.rule_id)
+            # a choice rule runs as the rewritten rule head <- B(Z), chosen_r(W)
+            goals = r.body if info is None else r.body + (Atom(info.chosen_pred, info.w_vars),)
+            dr = _DifferentialRule(r.rule_id, r.head.args, goals, self._rel, self.counters)
+            rules.append((dr, self._rel(r.head.pred)))
+            if info is None:
                 continue
-            info = self.infos[r.rule_id]
-            nonchoice.append(self._differential(self._compile_rewritten(r, info)))
-            cand = self._differential(self._compile_candidates(r, info))
+            # and the chosen rule chosen_r(W) <- B(Z), with conflicts checked
+            # against the chosen table instead of a diffchoice relation
+            cand = _DifferentialRule(r.rule_id, info.w_vars, r.body, self._rel, self.counters)
             state = _ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info))
             states.append(state)
             self.choice_tables[r.rule_id] = (state.chosen, state.theta)
 
-        closure = _Closure(nonchoice, self._rel, self.counters)
+        closure = _Closure(rules, self.counters)
         closure.run()
         if not states:
             return
@@ -657,9 +524,6 @@ class Engine:
             self.counters.iterations += 1
             self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
             closure.run()
-
-    def _differential(self, cr: _CompiledRule) -> _DifferentialRule:
-        return _DifferentialRule(cr, self._rel, self.counters)
 
     def _insert_fresh(self, st: _ChoiceState) -> None:
         ts = st.cand.evaluate()
@@ -775,26 +639,6 @@ class Engine:
 # Public operations
 
 
-class _TraceTarget:
-    """Resolves a trace argument (path, file object or None) and closes the
-    file afterwards only if this helper opened it.  The GDLOG_TRACE variable
-    mirrors the CLI flag."""
-
-    def __init__(self, trace):
-        if trace is None:
-            trace = os.environ.get("GDLOG_TRACE") or None
-        self._own = isinstance(trace, str)
-        self.target = open(trace, "w", encoding="utf-8") if self._own else trace
-
-    def __enter__(self):
-        return self.target
-
-    def __exit__(self, *exc):
-        if self._own:
-            self.target.close()
-        return False
-
-
 def run_with_counters(
     program: Program,
     *,
@@ -807,18 +651,16 @@ def run_with_counters(
     trace=None,
 ) -> tuple[Interpretation, Counters]:
     """Run the program and report operation counters alongside the model.
-    The knobs are Engine's; trace may also be a path, and GDLOG_TRACE
-    stands in when it is None."""
-    with _TraceTarget(trace) as tr:
-        eng = Engine(
-            program,
-            edb=edb,
-            mode=mode,
-            pq=pq,
-            ties=ties,
-            seed=seed,
-            factorize=factorize,
-            trace=tr,
-        )
-        interp = eng.run()
+    The knobs are Engine's; trace is a text stream or None."""
+    eng = Engine(
+        program,
+        edb=edb,
+        mode=mode,
+        pq=pq,
+        ties=ties,
+        seed=seed,
+        factorize=factorize,
+        trace=trace,
+    )
+    interp = eng.run()
     return interp, eng.counters

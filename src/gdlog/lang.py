@@ -189,6 +189,9 @@ class _Tok:
     col: int
 
 
+_DIGITS = "0123456789"  # str.isdigit would also take '²' and other scripts' digits
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     i, line, col = 0, 1, 1
@@ -221,9 +224,9 @@ def _tokenize(text: str) -> list[_Tok]:
             col += j + 1 - i
             i = j + 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             value = int(text[i:j])
             if not (MIN_INT <= value <= MAX_INT):

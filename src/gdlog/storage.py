@@ -236,9 +236,6 @@ class _Heap:
         self.counters.work += 1
         self._sift_up(len(self.items) - 1)
 
-    def peek(self) -> Tup:
-        return self.items[0][-1]
-
     def delete(self, t: Tup) -> None:
         i = self.pos.pop(t)
         self.counters.pq_ops += 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .lang import Const, GdlogError, format_const
+from .lang import MAX_INT, MIN_INT, Const, GdlogError, format_const
 from .storage import tuple_key
 
 
@@ -16,12 +16,17 @@ class FactFileError(GdlogError):
 
 
 def parse_cell(cell: str) -> Const:
+    """A quoted cell is the symbol inside the quotes, an optional '-' followed
+    by ASCII digits is an integer, which must fit in 64 bits, and any other
+    cell is a symbol as written."""
+    if cell.isascii() and (cell.isdigit() or cell[:1] == "-" and cell[1:].isdigit()):
+        value = int(cell)
+        if not MIN_INT <= value <= MAX_INT:
+            raise FactFileError(f"integer {cell} outside the 64-bit range")
+        return value
     if len(cell) >= 2 and cell[0] == "'" and cell[-1] == "'":
         return cell[1:-1]
-    try:
-        return int(cell)
-    except ValueError:
-        return cell
+    return cell
 
 
 def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
@@ -37,7 +42,9 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
 def read_model(path_or_file) -> dict[str, set[tuple]]:
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
+        where = getattr(path_or_file, "name", "model")
     else:
+        where = path_or_file
         with open(path_or_file, encoding="utf-8") as f:
             text = f.read()
     out: dict[str, set[tuple]] = {}
@@ -46,7 +53,11 @@ def read_model(path_or_file) -> dict[str, set[tuple]]:
         if not line or line.startswith("%"):
             continue
         cells = line.split("\t")
-        out.setdefault(cells[0], set()).add(tuple(parse_cell(c) for c in cells[1:]))
+        try:
+            t = tuple(parse_cell(c) for c in cells[1:])
+        except FactFileError as exc:
+            raise FactFileError(f"{where}:{ln}: {exc}") from None
+        out.setdefault(cells[0], set()).add(t)
     return out
 
 
@@ -73,7 +84,10 @@ def read_facts_dir(dirpath: str) -> dict[str, list[tuple]]:
                 line = line.rstrip("\n")
                 if not line or line.startswith("%"):
                     continue
-                t = tuple(parse_cell(c) for c in line.split("\t"))
+                try:
+                    t = tuple(parse_cell(c) for c in line.split("\t"))
+                except FactFileError as exc:
+                    raise FactFileError(f"{name}:{ln}: {exc}") from None
                 if arity is None:
                     arity = len(t)
                 elif len(t) != arity:

@@ -11,7 +11,7 @@ from gdlog.cli import main
 from gdlog.engine import Engine
 from gdlog.corpus import PROGRAMS
 from gdlog.oracle import ref_dijkstra
-from gdlog.tsvio import read_facts_dir, read_model, write_facts_dir
+from gdlog.tsvio import FactFileError, read_facts_dir, read_model, write_facts_dir
 from oracle_helpers import reachable
 
 
@@ -47,6 +47,13 @@ def test_run_parse_error_exit_1(tmp_path, capsys):
     p.write_text("p(X) :- q(Y).\n")
     assert main(["run", str(p)]) == 1
     assert "unbound" in capsys.readouterr().err
+
+
+def test_run_non_ascii_digit_exit_1(tmp_path, capsys):
+    p = tmp_path / "sup.dl"
+    p.write_text("q(1).\np(\u00b2).\n", encoding="utf-8")
+    assert main(["run", str(p)]) == 1
+    assert "2:3: unexpected character '\u00b2'" in capsys.readouterr().err
 
 
 def test_run_overflow_exit_2(tmp_path):
@@ -197,11 +204,12 @@ def test_stats_and_bench_counter_columns(advisor_file, tmp_path, capsys):
     assert header == ["example", "family", "n", "e", "rep", "seed"] + COUNTER_COLUMNS
 
 
-def test_trace_env_var(advisor_file, tmp_path, monkeypatch):
+def test_run_trace_file(advisor_file, tmp_path):
+    # one row per selection: iteration, rule, theta size, chosen tuple,
+    # purged candidates, model size
     trace = tmp_path / "trace.tsv"
-    monkeypatch.setenv("GDLOG_TRACE", str(trace))
-    assert main(["run", advisor_file, "-o", str(tmp_path / "m.tsv")]) == 0
-    assert trace.read_text().strip()
+    assert main(["run", advisor_file, "-o", str(tmp_path / "m.tsv"), "--trace", str(trace)]) == 0
+    assert trace.read_text() == "1\tr1\t0\t'Jim Black',bell\t1\t4\n"
 
 
 def test_bench_report_and_degenerate_ladder(tmp_path, capsys):
@@ -259,6 +267,54 @@ def test_facts_roundtrip(tmp_path):
     assert back == {k: list(v) for k, v in edb.items()}
 
 
+# fact cells that are not dialect integers, though int() takes the first
+# three and str.isdigit holds for the last: only an optional '-' followed by
+# ASCII digits is an integer, and it must fit in 64 bits
+SYMBOL_CELLS = ["1_000", " 7", "+5", "\u00b2"]
+
+
+def test_fact_cells_that_are_not_dialect_integers_are_symbols(tmp_path):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text("".join(f"{c}\t-12\n" for c in SYMBOL_CELLS), encoding="utf-8")
+    assert read_facts_dir(str(tmp_path / "f")) == {"g": [(c, -12) for c in SYMBOL_CELLS]}
+    model = tmp_path / "m.tsv"
+    model.write_text("".join(f"g\t{c}\t-12\n" for c in SYMBOL_CELLS), encoding="utf-8")
+    assert read_model(str(model)) == {"g": {(c, -12) for c in SYMBOL_CELLS}}
+
+
+@pytest.mark.parametrize("cell", [str(2**63), str(-(2**63) - 1), "99999999999999999999"])
+def test_fact_cell_outside_64_bits_is_an_error(tmp_path, cell):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"a\t1\nb\t{cell}\n")
+    with pytest.raises(FactFileError, match=f"g.facts:2: integer {cell} outside the 64-bit range"):
+        read_facts_dir(str(tmp_path / "f"))
+    model = tmp_path / "m.tsv"
+    model.write_text(f"% model\ng\t{cell}\n")
+    with pytest.raises(FactFileError, match=f"m.tsv:2: integer {cell} outside"):
+        read_model(str(model))
+    # the extremes themselves are integers
+    (tmp_path / "f" / "g.facts").write_text(f"a\t{2**63 - 1}\nb\t{-(2**63)}\n")
+    assert read_facts_dir(str(tmp_path / "f")) == {"g": [("a", 2**63 - 1), ("b", -(2**63))]}
+
+
+@pytest.mark.parametrize(
+    "cell, code, text",
+    [
+        ("1_000", 0, "h\tx\t'1_000'\n"),
+        ("99999999999999999999", 1, "g.facts:1: integer 99999999999999999999 outside the 64-bit range"),
+    ],
+    ids=["underscores", "past-64-bits"],
+)
+def test_run_reads_fact_cells_as_the_dialect_does(tmp_path, capsys, cell, code, text):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"x\t{cell}\n")
+    p = tmp_path / "h.dl"
+    p.write_text("h(X,C) :- g(X,C).\n")
+    assert main(["run", str(p), "--facts", str(tmp_path / "f")]) == code
+    out, err = capsys.readouterr()
+    assert text in (err if code else out)
+
+
 @pytest.fixture
 def matching_run(tmp_path):
     """matching.dl over a generated 6x6 bipartite graph: (program, facts dir)."""
@@ -282,7 +338,6 @@ def test_run_seeded_output_independent_of_hash_seed(matching_run):
     outs = []
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        env.pop("GDLOG_TRACE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "gdlog.cli", "run", prog, "--facts", facts, "--seed", "7"],
             env=env,

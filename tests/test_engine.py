@@ -23,12 +23,10 @@ from gdlog.engine import (
     Engine,
     EngineError,
     run_with_counters,
-    _AtomStep,
-    _CompareStep,
-    _PlusStep,
+    _bound_first_order,
 )
 from gdlog import bench, tsvio
-from gdlog.lang import Atom, Program, Rule, Var, parse_program
+from gdlog.lang import Atom, Program, Rule, Var, format_goal, parse_program
 from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight, run_lico_reference
 from gdlog.storage import StorageError, tuple_key
 
@@ -308,7 +306,6 @@ def test_factorized_prim_not_applicable():
     eng = Engine(get_program("prim"), edb=TOY_TRIANGLE, ties="lex", factorize=True)
     m = eng.run()
     assert not eng.factorized_strata
-    assert "product" in "; ".join(eng.factorize_reasons)
     st = set(m.rel("st").rows) - {("root", "a", 0)}
     assert sum(c for _, _, c in st) == 3  # fallback still computes the MST
 
@@ -517,40 +514,161 @@ def test_choice_mode_takes_rules_in_program_order():
 # compiled plans ---------------------------------------------------------------
 
 
-def _compiled_rules(name):
+# The goal order _bound_first_order gives every plan of every corpus rule:
+# per rule, the candidate rule (its body) and, for a choice rule, the
+# rewritten rule (its body plus the chosen atom); per body, the full plan and
+# then one delta plan per body atom, in body order.  Pinned, with the indexes
+# below, so that no change to how plans are compiled changes which plans run.
+PLAN_ORDERS = {
+    "advisor": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 1, 2], [0, 1, 2], [1, 0, 2], [2, 0, 1]]},
+    "dijkstra": {
+        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]],
+        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [4, 2, 1, 0, 3]],
+    },
+    "matching": {"r1/body": [[0], [0]], "r1/rewritten": [[0, 1], [0, 1], [1, 0]]},
+    "optmatching": {"r1/body": [[0], [0]], "r1/rewritten": [[0, 1], [0, 1], [1, 0]]},
+    "prim": {
+        "r1/body": [[0, 1, 2], [0, 1, 2], [1, 2, 0]],
+        "r1/rewritten": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]],
+    },
+    "reach": {
+        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]],
+        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [4, 2, 1, 0, 3]],
+    },
+    "sequence": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]},
+    "simplepath": {
+        "r1/body": [[0], [0]],
+        "r1/rewritten": [[0, 1], [0, 1], [1, 0]],
+        "r2/body": [[2, 0, 1, 3], [0, 2, 1, 3], [1, 2, 3, 0], [2, 0, 1, 3]],
+        "r2/rewritten": [[2, 0, 1, 3, 4], [0, 2, 1, 3, 4], [1, 4, 2, 3, 0], [2, 0, 1, 3, 4], [4, 1, 2, 3, 0]],
+    },
+    "sort": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]},
+    "spantree": {
+        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0]],
+        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [4, 2, 3, 1, 0]],
+    },
+    "tsp": {
+        "r1/body": [[0], [0]],
+        "r1/rewritten": [[0, 1], [0, 1], [1, 0]],
+        "r2/body": [[2, 0, 1, 3], [0, 2, 1, 3], [1, 2, 3, 0], [2, 0, 1, 3]],
+        "r2/rewritten": [[2, 0, 1, 3, 4], [0, 2, 1, 3, 4], [1, 4, 2, 3, 0], [2, 0, 1, 3, 4], [4, 1, 2, 3, 0]],
+    },
+}
+
+# The index column lists each relation holds after the n=16 seed-3 benchmark
+# run under lex ties: the plans create one index per distinct set of
+# constant or already-bound columns they probe.
+INDEX_COLUMNS = {
+    "advisor": {"actual_adv": [], "chosen_r1": [(0, 1)], "professor": [(1,), (0, 1)], "student": [(1,), (0,)]},
+    "dijkstra": {"chosen_r1": [(0, 1)], "dj": [(0,)], "g": [(0,), (1,)], "node": []},
+    "matching": {"chosen_r1": [(0, 1, 2)], "g": [(0, 1, 2)], "matching": []},
+    "optmatching": {"chosen_r1": [(0, 1, 2)], "g": [(0, 1, 2)], "opt_matching": []},
+    "prim": {"chosen_r1": [(0, 1, 2)], "g": [(0,), (0, 1, 2)], "node": [], "st": [(1,)]},
+    "reach": {"chosen_r1": [(0, 1)], "g": [(0,), (1,)], "node": [], "reach": [(0,)]},
+    "sequence": {"chosen_r1": [(0,), (1,)], "d": [(0,)], "succ": [(1,)]},
+    "simplepath": {
+        "chosen_r1": [(0,)],
+        "chosen_r2": [(0, 1, 2)],
+        "g": [(0,), (0, 1, 2)],
+        "node": [],
+        "spath": [(0, 2), (1,)],
+    },
+    "sort": {"chosen_r1": [(0,), (1,)], "d": [(0,)], "succ": [(1,)]},
+    "spantree": {"chosen_r1": [(0, 1, 2)], "g": [(0,), (0, 1, 2)], "node": [], "st": [(1,)]},
+    "tsp": {
+        "chosen_r1": [(0,)],
+        "chosen_r2": [(0, 1, 2)],
+        "g": [(0,), (0, 1, 2)],
+        "node": [(0,)],
+        "spath": [(0, 2), (1,)],
+    },
+}
+
+
+def _plan_bodies(name):
+    """(key, goals) of every body the engine compiles for a corpus program."""
     prog = get_program(name)
     eng = Engine(prog)
     for r in prog.rules:
-        if not r.choice_goals:
-            yield eng._compile_nonchoice(r)
-            continue
-        info = eng.infos[r.rule_id]
-        yield eng._compile_rewritten(r, info)
-        yield eng._compile_candidates(r, info)
+        yield f"{r.rule_id}/body", r.body
+        if r.choice_goals:
+            info = eng.infos[r.rule_id]
+            yield f"{r.rule_id}/rewritten", r.body + (Atom(info.chosen_pred, info.w_vars),)
+
+
+def _plans(goals):
+    """(start, goal order) of the full plan and of each delta plan."""
+    starts = [None] + [i for i, g in enumerate(goals) if isinstance(g, Atom)]
+    return [(start, _bound_first_order(goals, start)) for start in starts]
+
+
+def _plan_shape(goals, order):
+    """Each goal of a plan in order: an atom as its predicate and the columns
+    that are constant or already bound where it runs, a builtin as its text."""
+    bound, shape = set(), []
+    for gi in order:
+        g = goals[gi]
+        if isinstance(g, Atom):
+            shape.append((g.pred, tuple(p for p, a in enumerate(g.args) if not isinstance(a, Var) or a in bound)))
+        else:
+            shape.append(format_goal(g))
+        bound.update(g.vars())
+    return shape
+
+
+def _index_columns(name):
+    """Index column lists per relation after the n=16 seed-3 benchmark run."""
+    edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(16,)), 16, 3)
+    interp, _ = run_with_counters(get_program(name), edb=edb, ties="lex")
+    return {p: list(r._indexes) for p, r in interp.relations.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_ORDERS))
+def test_plan_goal_orders_are_pinned(name):
+    bodies = dict(_plan_bodies(name))
+    assert {key: [order for _, order in _plans(goals)] for key, goals in bodies.items()} == PLAN_ORDERS[name]
+    for goals in bodies.values():
+        for start, order in _plans(goals):
+            assert start is None or order[0] == start  # the delta atom comes first
+            # each builtin runs as soon as its operands are bound: no atom
+            # runs while a builtin after it is ready
+            bound = set()
+            for k, gi in enumerate(order):
+                if isinstance(goals[gi], Atom) and (k or start is None):
+                    later = [goals[j] for j in order[k + 1 :] if not isinstance(goals[j], Atom)]
+                    assert not any({t for t in (b.left, b.right) if isinstance(t, Var)} <= bound for b in later)
+                bound.update(goals[gi].vars())
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_COLUMNS))
+def test_index_columns_are_pinned(name):
+    assert _index_columns(name) == INDEX_COLUMNS[name]
 
 
 def test_dijkstra_chosen_delta_plan_is_bound_first():
-    prog = get_program("dijkstra")
-    eng = Engine(prog)
-    rule = prog.rules[0]
-    info = eng.infos[rule.rule_id]
-    cr = eng._compile_rewritten(rule, info)
-    plan = cr.delta_plans[cr.atom_preds.index(info.chosen_pred)]
-    chosen, neq, g, dj, plus = plan.steps
-    assert isinstance(chosen, _AtomStep) and chosen.pred == info.chosen_pred
-    assert isinstance(neq, _CompareStep) and neq.op == "\\="
-    assert isinstance(g, _AtomStep) and (g.pred, g.index_cols) == ("g", (1,))
-    assert isinstance(dj, _AtomStep) and (dj.pred, dj.index_cols) == ("dj", (0,))
-    assert isinstance(plus, _PlusStep) and plus.out_bound
+    # a new chosen_r1(Y, C) row checks Y, probes g by Y (column 1), then dj by
+    # the X that g bound (column 0), and checks the sum against the bound C
+    goals = dict(_plan_bodies("dijkstra"))["r1/rewritten"]
+    _, order = _plans(goals)[-1]
+    assert _plan_shape(goals, order) == [
+        ("chosen_r1", ()),
+        "Y \\= a",
+        ("g", (1,)),
+        ("dj", (0,)),
+        "C = C1 + C2",
+    ]
+    indexes = _index_columns("dijkstra")
+    assert (1,) in indexes["g"] and (0,) in indexes["dj"]
 
 
 @pytest.mark.parametrize("name", ["prim", "dijkstra", "reach"])
 def test_delta_plans_probe_an_index_after_the_delta_atom(name):
-    for cr in _compiled_rules(name):
-        for plan in cr.delta_plans.values():
-            atoms = [s for s in plan.steps if isinstance(s, _AtomStep)]
-            assert atoms[0].occ == plan.delta_occ
-            assert all(s.index_cols for s in atoms[1:]), (cr.rule_id, plan.steps)
+    indexes = _index_columns(name)
+    for key, goals in _plan_bodies(name):
+        for start, order in _plans(goals)[1:]:
+            assert order[0] == start
+            atoms = [s for s in _plan_shape(goals, order)[1:] if isinstance(s, tuple)]
+            assert all(cols and cols in indexes[pred] for pred, cols in atoms), (key, order)
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,15 @@ def test_integer_range_enforced():
         parse_program(f"p({2**63}).")
 
 
+@pytest.mark.parametrize("src, col", [("p(\u00b2).", 3), ("p(1\u00b2).", 4), ("p(-\u0663).", 3)])
+def test_only_ascii_digits_make_integers(src, col):
+    # str.isdigit holds for superscripts and other scripts' digits
+    with pytest.raises(DialectSyntaxError) as exc:
+        parse_program(src)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert exc.value.message.startswith("unexpected character")
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_roundtrip_corpus(name):
     p1 = parse_program(PROGRAMS[name])

@@ -324,7 +324,7 @@ def test_heap_handle_deletion_is_logarithmic_shape():
         assert h.audit()
     got = []
     while len(h):
-        got.append(h.peek())
+        got.append(h.items[0][-1])
         h.delete(got[-1])
     keys = [((t[0]) * 37) % 101 for t in got]
     assert keys == sorted(keys)
