@@ -14,7 +14,7 @@ import sys
 from . import analysis, bench, corpus, tsvio
 from .analysis import foe_transform
 from .engine import PQ_SETTINGS, Engine, EngineError, run_with_counters
-from .lang import GdlogError, ProgramError, parse_program
+from .lang import Diagnostic, GdlogError, ProgramError, parse_program
 from .oracle import (
     EnumerationError,
     GroundingError,
@@ -27,7 +27,11 @@ from .storage import TIE_POLICIES, StorageError
 
 def _load_program(path: str):
     with open(path, encoding="utf-8") as f:
-        return parse_program(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ProgramError([Diagnostic("", f"{path} is not UTF-8 text ({exc.reason})")]) from None
+    return parse_program(text)
 
 
 def _load_edb(args) -> dict[str, list[tuple]] | None:
@@ -261,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProgramError, tsvio.FactFileError, FileNotFoundError) as exc:
+    except (ProgramError, tsvio.FactFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EngineError, GroundingError, EnumerationError, StorageError) as exc:

@@ -540,7 +540,7 @@ def format_term(t: Term) -> str:
 def format_const(c: Const) -> str:
     if isinstance(c, int):
         return str(c)
-    if c and c[0].isalpha() and c[0].islower() and all(ch.isalnum() or ch == "_" for ch in c):
+    if c and c[0].isalpha() and c[0].islower() and c.replace("_", "").isalnum():
         return c
     return f"'{c}'"
 

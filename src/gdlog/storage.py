@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -208,41 +209,85 @@ class ChosenTable:
 
 
 # ---------------------------------------------------------------------------
-# Binary heap with handle-based interior deletion
+# Binary heaps: with positions for deletion from the middle, or on heapq
 
 
 class _Heap:
     """Min-heap over order keys whose last element is the keyed tuple (two
     keys of distinct tuples differ before it, so the tuple itself is never
-    compared); each stored tuple keeps its heap position so conflicting
-    candidates can be deleted from the middle in O(log m).  A sift moves a
-    hole and writes the sifted key once at the end; each level it moves
-    counts as one priority-queue operation."""
+    compared).  A push or delete counts as one priority-queue operation, and
+    each level a sift moves one more.
+
+    Indexed, the heap keeps each stored tuple's position, so conflicting
+    candidates can be deleted from the middle in O(log m); its sifts move a
+    hole, rewrite the position of every key they pass and write the sifted
+    key once at the end.  A table with neither an FD index nor a unique key
+    only ever deletes its least key, so its heap keeps no positions and runs
+    on heapq: delete accepts only the least key.  The counts stay the same
+    because the arrays do: keys are distinct, heappush sifts up as _sift_up
+    does, and heappop moves the sifted key to the same place as _sift_down,
+    since both take the right child only when it is strictly smaller.  push
+    counts the levels its key rose by finding it on the path up from the
+    last slot; delete counts the levels the last key will sink by walking
+    the min-child path first, with _sift_down's comparisons but no writes."""
 
     __slots__ = ("items", "pos", "counters")
 
-    def __init__(self, counters: Counters):
+    def __init__(self, counters: Counters, indexed: bool):
         self.items: list[tuple] = []
-        self.pos: dict[Tup, int] = {}
+        self.pos: Optional[dict[Tup, int]] = {} if indexed else None
         self.counters = counters
 
     def __len__(self):
         return len(self.items)
 
     def push(self, key: tuple) -> None:
-        self.items.append(key)
-        self.pos[key[-1]] = len(self.items) - 1
+        items = self.items
         self.counters.pq_ops += 1
         self.counters.work += 1
-        self._sift_up(len(self.items) - 1)
+        if self.pos is not None:
+            items.append(key)
+            self.pos[key[-1]] = len(items) - 1
+            self._sift_up(len(items) - 1)
+            return
+        heappush(items, key)
+        i = len(items) - 1
+        moved = 0
+        while items[i] is not key:
+            i = (i - 1) // 2
+            moved += 1
+        self.counters.pq_ops += moved
+        self.counters.work += moved
 
     def delete(self, t: Tup) -> None:
-        i = self.pos.pop(t)
+        items = self.items
+        if self.pos is None and (not items or items[0][-1] != t):
+            raise StorageError(f"heap without positions can only delete its least key, not {t}")
         self.counters.pq_ops += 1
         self.counters.work += 1
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
+        if self.pos is None:
+            n = len(items) - 1
+            key = items[n]
+            i = moved = 0
+            while True:
+                child = 2 * i + 1
+                if child >= n:
+                    break
+                right = child + 1
+                if right < n and items[right] < items[child]:
+                    child = right
+                if not items[child] < key:
+                    break
+                i = child
+                moved += 1
+            heappop(items)
+            self.counters.pq_ops += moved
+            self.counters.work += moved
+            return
+        i = self.pos.pop(t)
+        last = items.pop()
+        if i < len(items):
+            items[i] = last
             self.pos[last[-1]] = i
             i = self._sift_up(i)
             self._sift_down(i)
@@ -297,7 +342,7 @@ class _Heap:
         for i in range(1, len(self.items)):
             if self.items[i] < self.items[(i - 1) // 2]:
                 return False
-        return all(self.items[p][-1] == t for t, p in self.pos.items())
+        return self.pos is None or all(self.items[p][-1] == t for t, p in self.pos.items())
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +412,13 @@ class ThetaTable:
         # heap with the queue, in _settled without it
         self._staged: dict[Tup, tuple] = {}
         self._staged_best: Optional[tuple] = None
-        self._heap: Optional[_Heap] = _Heap(self.counters) if (use_pq and self._ordered) else None
+        # only purge_conflicting (through an FD index) and unique-key
+        # replacement delete a candidate that is not the least
+        self._heap: Optional[_Heap] = (
+            _Heap(self.counters, indexed=bool(self._fd_index) or self._ukey is not None)
+            if use_pq and self._ordered
+            else None
+        )
         self._settled: dict[Tup, tuple] = {}
         # fifo: (sequence number, tuple) per insert, oldest first; a record
         # whose tuple was removed since is skipped when it reaches the front

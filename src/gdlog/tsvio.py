@@ -79,19 +79,22 @@ def read_facts_dir(dirpath: str) -> dict[str, list[tuple]]:
         pred = name[: -len(".facts")]
         rows: list[tuple] = []
         arity = None
-        with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-            for ln, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("%"):
-                    continue
-                try:
-                    t = tuple(parse_cell(c) for c in line.split("\t"))
-                except FactFileError as exc:
-                    raise FactFileError(f"{name}:{ln}: {exc}") from None
-                if arity is None:
-                    arity = len(t)
-                elif len(t) != arity:
-                    raise FactFileError(f"{name}:{ln}: expected {arity} columns, found {len(t)}")
-                rows.append(t)
+        try:
+            with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                for ln, line in enumerate(f, 1):
+                    line = line.rstrip("\n")
+                    if not line or line.startswith("%"):
+                        continue
+                    try:
+                        t = tuple(parse_cell(c) for c in line.split("\t"))
+                    except FactFileError as exc:
+                        raise FactFileError(f"{name}:{ln}: {exc}") from None
+                    if arity is None:
+                        arity = len(t)
+                    elif len(t) != arity:
+                        raise FactFileError(f"{name}:{ln}: expected {arity} columns, found {len(t)}")
+                    rows.append(t)
+        except UnicodeDecodeError as exc:
+            raise FactFileError(f"{name}: not UTF-8 text ({exc.reason})") from None
         out[pred] = rows
     return out

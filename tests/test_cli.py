@@ -56,6 +56,29 @@ def test_run_non_ascii_digit_exit_1(tmp_path, capsys):
     assert "2:3: unexpected character '\u00b2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["-o", "--trace"])
+def test_run_to_a_directory_exit_1(advisor_file, tmp_path, capsys, flag):
+    assert main(["run", advisor_file, flag, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_run_non_utf8_facts_exit_1(tmp_path, capsys):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_bytes(b"a\t1\n\xff\t2\n")
+    p = tmp_path / "h.dl"
+    p.write_text("h(X,C) :- g(X,C).\n")
+    assert main(["run", str(p), "--facts", str(tmp_path / "f")]) == 1
+    assert "error: g.facts: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_run_non_utf8_program_exit_1(tmp_path, capsys):
+    p = tmp_path / "latin1.dl"
+    p.write_bytes("p('caf\u00e9').\n".encode("latin-1"))
+    assert main(["run", str(p)]) == 1
+    assert f"{p} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_run_overflow_exit_2(tmp_path):
     p = tmp_path / "over.dl"
     p.write_text(

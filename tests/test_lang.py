@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gdlog.lang import (
     Atom,
@@ -9,6 +9,7 @@ from gdlog.lang import (
     Program,
     Rule,
     Var,
+    format_const,
     format_program,
     parse_program,
     validate,
@@ -126,6 +127,30 @@ def test_only_ascii_digits_make_integers(src, col):
         parse_program(src)
     assert (exc.value.line, exc.value.col) == (1, col)
     assert exc.value.message.startswith("unexpected character")
+
+
+def _format_const_by_characters(c):
+    # format_const's symbol rule as a test over each character
+    if c and c[0].isalpha() and c[0].islower() and all(ch.isalnum() or ch == "_" for ch in c):
+        return c
+    return f"'{c}'"
+
+
+@given(st.text(max_size=8))
+@example("abc")
+@example("\u00e9dith")  # unicode letters
+@example("\u03c9_\u00df")
+@example("\u65e5\u672c")  # letters with no case
+@example("_a")
+@example("Abc")
+@example("a\u00b2")  # digits, ASCII or not
+@example("a1")
+@example("1a")
+@example("a-b")
+@example("a__")
+@example("")
+def test_format_const_symbol_rule(c):
+    assert format_const(c) == _format_const_by_characters(c)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

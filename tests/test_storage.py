@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdlog.analysis import choice_info
-from gdlog.corpus import get_program
+from gdlog.corpus import domain_facts, get_program
+from gdlog.engine import Engine
 from gdlog.lang import parse_program
 from gdlog.storage import (
     ChosenTable,
@@ -315,7 +316,7 @@ def test_scan_visits_only_settled_candidates():
 
 
 def test_heap_handle_deletion_is_logarithmic_shape():
-    h = _Heap(Counters())
+    h = _Heap(Counters(), indexed=True)
     items = [((i * 37) % 101, (i,)) for i in range(101)]
     for key, t in items:
         h.push((key, t))
@@ -330,6 +331,50 @@ def test_heap_handle_deletion_is_logarithmic_shape():
     assert keys == sorted(keys)
     # one pq_op per push and delete plus one per level a sift moves
     assert h.counters.pq_ops == h.counters.work == 578
+
+
+@settings(max_examples=200)
+# an integer pushes a key with that cost, None deletes the least key
+@given(st.lists(st.one_of(st.integers(0, 20), st.none()), max_size=120))
+def test_heap_without_positions_matches_the_indexed_heap(ops):
+    # heapq leaves the array the indexed sifts leave, and the counted sift
+    # levels are the levels those sifts move
+    a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
+    for seq, op in enumerate(ops):
+        if op is not None:
+            for h in (a, b):
+                h.push((op, (seq,)))
+        elif len(a):
+            t = a.items[0][-1]
+            for h in (a, b):
+                h.delete(t)
+        assert a.items == b.items
+        assert (a.counters.pq_ops, a.counters.work) == (b.counters.pq_ops, b.counters.work)
+        assert b.audit()
+
+
+def test_heap_without_positions_deletes_only_its_least_key():
+    h = _Heap(Counters(), indexed=False)
+    with pytest.raises(StorageError):
+        h.delete(("a",))
+    for i in (3, 1, 2):
+        h.push((i, (i,)))
+    with pytest.raises(StorageError):
+        h.delete((2,))
+    assert [k for k, _ in h.items] == [1, 3, 2]
+    h.delete((1,))
+    assert h.items[0] == (2, (2,))
+
+
+def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key():
+    for info in (UNION, PAIR, LEAST):
+        assert ThetaTable(info, use_pq=True)._heap.pos is not None
+    eng = Engine(get_program("sort"), edb=domain_facts(8, seed=1), ties="lex", factorize=True)
+    eng.run()
+    (rid,) = eng.factorized_strata
+    _, theta = eng.choice_tables[rid]
+    assert not theta.info.fds and theta.info.unique_key is None
+    assert theta._heap.pos is None
 
 
 def test_fifo_policy_returns_oldest():
