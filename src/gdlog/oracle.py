@@ -3,23 +3,25 @@
 Everything here is deliberately independent of the optimized engine: a naive
 grounder over the rewritten program, a stable-model checker built on the
 reduct, an exhaustive enumerator of choice models, the unoptimized
-one-tuple-per-step operator (run_lico_reference), and textbook graph
-algorithms and output checkers (ref_dijkstra, ref_mst_weight,
-ref_prim_weight, bipartite_matching_valid, chain_is_total_order) used to
-cross-validate engine output.  The grounder, the enumerator and the reference
-operator evaluate rule bodies with one naive matcher, _all_matches, and test
-FD conflicts with one predicate, _fd_conflict.
+one-tuple-per-step operator (run_lico_reference), and a textbook graph
+algorithm and output checkers (ref_dijkstra, bipartite_matching_valid,
+chain_is_total_order) used to cross-validate engine output.  The grounder,
+the enumerator and the reference operator evaluate rule bodies with one
+naive matcher, _all_matches, and test FD conflicts with one predicate,
+_fd_conflict; the reference operator breaks ties in its own constant order,
+tuple_key.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .analysis import ChoiceInfo, FoeProgram, RuleKind, VectorNeq, choice_info, foe_transform
-from .lang import MAX_INT, MIN_INT, Atom, Comparison, GdlogError, PlusBinding, Program, Var
-from .storage import resolve_ties, tuple_key
+from .lang import MAX_INT, MIN_INT, Atom, Comparison, Const, GdlogError, PlusBinding, Program, Var
+from .storage import resolve_ties
 
 Tup = tuple
 GAtom = tuple[str, Tup]  # (predicate, argument tuple)
@@ -27,6 +29,22 @@ GAtom = tuple[str, Tup]  # (predicate, argument tuple)
 
 class GroundingError(GdlogError):
     pass
+
+
+def const_key(c: Const):
+    """Total order over mixed int/symbol constants: integers first, then
+    symbols lexicographically.  The reference operator's own lex order,
+    written apart from the engine's generated storage.order_key."""
+    if isinstance(c, int):
+        return (0, c)
+    return (1, c)
+
+
+def tuple_key(t: Tup):
+    """Sort key of a tuple in constant order, column by column: one flat
+    (kind0, v0, kind1, v1, ...) tuple.  Keys of same-arity tuples compare as
+    the tuples do under const_key."""
+    return (*chain.from_iterable(map(const_key, t)),)
 
 
 class EnumerationError(GdlogError):
@@ -522,59 +540,6 @@ def ref_dijkstra(arcs: Iterable[tuple], src) -> dict:
                 tiebreak += 1
                 heapq.heappush(heap, (nd, tiebreak, v))
     return dist
-
-
-def ref_mst_weight(edges: Iterable[tuple]) -> Optional[int]:
-    """Kruskal; None when the edge set does not span a single component."""
-    edges = list(edges)
-    nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    total = 0
-    used = 0
-    for u, v, c in sorted(edges, key=lambda e: e[2]):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            total += c
-            used += 1
-    if nodes and used != len(nodes) - 1:
-        return None
-    return total
-
-
-def ref_prim_weight(edges: Iterable[tuple], start=None) -> Optional[int]:
-    """Heap-based Prim over an undirected edge list; independent of Kruskal."""
-    adj: dict = {}
-    for u, v, c in edges:
-        adj.setdefault(u, []).append((c, v))
-        adj.setdefault(v, []).append((c, u))
-    if not adj:
-        return 0
-    if start is None:
-        start = next(iter(sorted(adj)))
-    seen = {start}
-    heap = list(adj[start])
-    heapq.heapify(heap)
-    total = 0
-    while heap and len(seen) < len(adj):
-        c, v = heapq.heappop(heap)
-        if v in seen:
-            continue
-        seen.add(v)
-        total += c
-        for e in adj[v]:
-            if e[1] not in seen:
-                heapq.heappush(heap, e)
-    if len(seen) != len(adj):
-        return None
-    return total
 
 
 def bipartite_matching_valid(pairs: Iterable[tuple], edges: Iterable[tuple] | None = None) -> bool:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cache
 from heapq import heappop, heappush
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .analysis import FD, ChoiceInfo, RuleKind
-from .lang import Const, GdlogError
+from .lang import GdlogError
 
 Tup = tuple  # fixed-arity tuple of constants
 
@@ -28,19 +28,15 @@ class FDViolation(GdlogError):
     pass
 
 
-def const_key(c: Const):
-    """Total order over mixed int/symbol constants: integers first, then
-    symbols lexicographically."""
-    if isinstance(c, int):
-        return (0, c)
-    return (1, c)
-
-
-def tuple_key(t: Tup):
-    """Sort key of a tuple in constant order, column by column: one flat
-    (kind0, v0, kind1, v1, ...) tuple.  Keys of same-arity tuples compare as
-    the tuples do under const_key."""
-    return (*chain.from_iterable(map(const_key, t)),)
+@cache
+def order_key(arity: int) -> Callable[[Tup], tuple]:
+    """The sort key of same-arity tuples in constant order, integers before
+    symbols in each column: t -> (t[0] is a symbol, t[0], t[1] is a symbol,
+    t[1], ..., t), with the tuple itself last, where _Heap reads it.  One
+    generated function per arity, made once; its source holds only column
+    indices."""
+    cols = "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
+    return eval(f"lambda t: ({cols}t,)")
 
 
 def projector(cols: tuple[int, ...]) -> Callable[[Tup], Tup]:
@@ -196,15 +192,14 @@ class ChosenTable:
     def insert(self, t: Tup) -> None:
         if t in self.rel:
             return
-        keys = [left(t) for _, left, _, _ in self._fds]
-        for (fd, _, right, index), key in zip(self._fds, keys):
-            other = index.get(key)
+        for fd, left, right, index in self._fds:
+            other = index.get(left(t))
             if other is not None and right(other) != right(t):
                 raise FDViolation(
                     f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t} against {other}"
                 )
-        for (_, _, _, index), key in zip(self._fds, keys):
-            index[key] = t
+        for _, left, _, index in self._fds:
+            index[left(t)] = t
         self.rel.insert(t)
 
 
@@ -337,13 +332,6 @@ class _Heap:
         if moved:
             self._place(key, i, moved)
 
-    def audit(self) -> bool:
-        """Structural check: every element's key is >= its parent's."""
-        for i in range(1, len(self.items)):
-            if self.items[i] < self.items[(i - 1) // 2]:
-                return False
-        return self.pos is None or all(self.items[p][-1] == t for t, p in self.pos.items())
-
 
 # ---------------------------------------------------------------------------
 # Theta tables
@@ -367,8 +355,10 @@ class ThetaTable:
     tick per settled candidate.  A candidate purged while still staged never
     settles.
 
-    tie_policy governs selection among pure-choice candidates (equal costs
-    always break in tuple_key order):
+    The order key is order_key's generated function for the table's arity:
+    integers before symbols in each column, column by column, behind the
+    extreme cost for a greedy table.  tie_policy governs selection among
+    pure-choice candidates (equal costs always break in that order):
       lex    deterministic, lexicographically least tuple
       fifo   oldest surviving candidate, amortised constant time
       random seeded uniform choice, constant time
@@ -396,6 +386,7 @@ class ThetaTable:
         )
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = self.greedy or tie_policy == "lex"
+        self._key = order_key(len(info.w_vars))
         self._random = tie_policy == "random" and not self.greedy
         # tuple -> its order key (ordered) or its insertion sequence number
         self._entries: dict[Tup, object] = {}
@@ -439,16 +430,16 @@ class ThetaTable:
 
     def _order_key(self, t: Tup):
         # heap/selection key: for a greedy table the extreme cost first, then
-        # tuple_key order so equal-cost ties break deterministically; the
+        # the generated key, so equal-cost ties break in constant order; the
         # tuple itself last, where _Heap reads it
         if not self.greedy:
-            return (*tuple_key(t), t)
+            return self._key(t)
         c = t[self.info.cost_pos]
         if not isinstance(c, int):
             raise StorageError(
                 f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
             )
-        return (-c if self._most else c, *tuple_key(t), t)
+        return (-c if self._most else c, *self._key(t))
 
     # -- mutation -----------------------------------------------------------
 
@@ -535,7 +526,7 @@ class ThetaTable:
         if not self._entries:
             return None
         if self._ordered:
-            if self._staged_best is None:
+            if self._staged_best is None and self._staged:
                 self._flush()
             best = self._staged_best
             settled = self._least_settled()
@@ -580,21 +571,3 @@ class ThetaTable:
         else:
             self._settled.update(self._staged)
         self._staged.clear()
-
-    def audit_heap(self) -> bool:
-        """For an ordered table: the heap, if any, is well formed; the settled
-        and the staged candidates hold every entry exactly once under its
-        order key; and the staged best is None or the least staged key."""
-        if not self._ordered:
-            return True
-        if self._heap is not None:
-            if not self._heap.audit():
-                return False
-            settled = {key[-1]: key for key in self._heap.items}
-        else:
-            settled = self._settled
-        return (
-            not settled.keys() & self._staged.keys()
-            and {**settled, **self._staged} == self._entries
-            and self._staged_best in (None, min(self._staged.values(), default=None))
-        )

@@ -8,7 +8,7 @@ import os
 from typing import Iterable
 
 from .lang import MAX_INT, MIN_INT, Const, GdlogError, format_const
-from .storage import tuple_key
+from .storage import order_key
 
 
 class FactFileError(GdlogError):
@@ -31,12 +31,35 @@ def parse_cell(cell: str) -> Const:
 
 def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
     """One `predicate<TAB>args...` line per tuple, predicates in name order
-    and tuples in storage.tuple_key order."""
+    and tuples in storage.order_key order: integers before symbols in each
+    column, column by column.  Integer cells are written by str, and each
+    distinct symbol is formatted by format_const once per call."""
     out = []
+    append = out.append
+    cells: dict[str, str] = {}
     for pred in sorted(relations):
-        for t in sorted(relations[pred], key=tuple_key):
-            out.append("\t".join([pred] + [format_const(c) for c in t]))
+        rows = relations[pred]
+        arities = set(map(len, rows))
+        key = order_key(arities.pop()) if len(arities) == 1 else _mixed_arity_key
+        for t in sorted(rows, key=key):
+            line = [pred]
+            for c in t:
+                if c.__class__ is int:
+                    line.append(str(c))
+                else:
+                    cell = cells.get(c)
+                    if cell is None:
+                        cell = cells[c] = format_const(c)
+                    line.append(cell)
+            append("\t".join(line))
     return out
+
+
+def _mixed_arity_key(t: tuple) -> tuple:
+    # the same order for a predicate whose tuples differ in arity (a fact
+    # file and the program can disagree under enumerate): the column part of
+    # the key, without the trailing tuple, so tuples of two arities compare
+    return order_key(len(t))(t)[:-1]
 
 
 def read_model(path_or_file) -> dict[str, set[tuple]]:
@@ -45,8 +68,11 @@ def read_model(path_or_file) -> dict[str, set[tuple]]:
         where = getattr(path_or_file, "name", "model")
     else:
         where = path_or_file
-        with open(path_or_file, encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(path_or_file, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise FactFileError(f"{where}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, set[tuple]] = {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.rstrip("\n")

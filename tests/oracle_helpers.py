@@ -1,10 +1,12 @@
 """Checkers that only the tests use: a second stable-model checker, built
 differently from gdlog.oracle.check_stable_model so the two can be
-cross-checked, and a plain graph search over arc lists."""
+cross-checked, a plain graph search over arc lists, and two independent
+minimum-spanning-tree weights (Kruskal and Prim)."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import heapq
+from typing import Iterable, Optional
 
 from gdlog.oracle import GAtom, GroundProgram, complete_with_diffchoice
 
@@ -69,3 +71,56 @@ def reachable(arcs: Iterable[tuple], src) -> set:
                 out.add(v)
                 stack.append(v)
     return out
+
+
+def ref_mst_weight(edges: Iterable[tuple]) -> Optional[int]:
+    """Kruskal; None when the edge set does not span a single component."""
+    edges = list(edges)
+    nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    total = 0
+    used = 0
+    for u, v, c in sorted(edges, key=lambda e: e[2]):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            total += c
+            used += 1
+    if nodes and used != len(nodes) - 1:
+        return None
+    return total
+
+
+def ref_prim_weight(edges: Iterable[tuple], start=None) -> Optional[int]:
+    """Heap-based Prim over an undirected edge list; independent of Kruskal."""
+    adj: dict = {}
+    for u, v, c in edges:
+        adj.setdefault(u, []).append((c, v))
+        adj.setdefault(v, []).append((c, u))
+    if not adj:
+        return 0
+    if start is None:
+        start = next(iter(sorted(adj)))
+    seen = {start}
+    heap = list(adj[start])
+    heapq.heapify(heap)
+    total = 0
+    while heap and len(seen) < len(adj):
+        c, v = heapq.heappop(heap)
+        if v in seen:
+            continue
+        seen.add(v)
+        total += c
+        for e in adj[v]:
+            if e[1] not in seen:
+                heapq.heappush(heap, e)
+    if len(seen) != len(adj):
+        return None
+    return total

@@ -13,7 +13,6 @@ from gdlog.corpus import (
     TOY_TRIANGLE,
     complete_graph,
     domain_facts,
-    example_edb,
     get_program,
     sparse_connected_graph,
 )
@@ -23,9 +22,10 @@ from gdlog.oracle import (
     enumerate_choice_models,
     ground,
     ref_dijkstra,
-    ref_mst_weight,
     run_lico_reference,
 )
+from corpus_helpers import example_edb
+from oracle_helpers import ref_mst_weight
 
 CORPUS = [
     "advisor",

@@ -177,6 +177,13 @@ def test_check_rejects_junk_model(advisor_file, tmp_path, capsys):
     assert main(["check", advisor_file, "--model", str(bad)]) == 3
 
 
+def test_check_non_utf8_model_exit_1(advisor_file, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"actual_adv\t'Jim Black'\t\xff\n")
+    assert main(["check", advisor_file, "--model", str(bad)]) == 1
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_explain_outputs(advisor_file, capsys):
     assert main(["explain", advisor_file]) == 0
     out = capsys.readouterr().out

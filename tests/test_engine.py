@@ -11,10 +11,8 @@ from gdlog.corpus import (
     ADVISOR_TOY,
     PROGRAMS,
     TOY_TRIANGLE,
-    acyclic_digraph,
     complete_graph,
     domain_facts,
-    example_edb,
     get_program,
     sparse_connected_graph,
 )
@@ -27,8 +25,10 @@ from gdlog.engine import (
 )
 from gdlog import bench, tsvio
 from gdlog.lang import Atom, Program, Rule, Var, format_goal, parse_program
-from gdlog.oracle import chain_is_total_order, ref_dijkstra, ref_mst_weight, run_lico_reference
-from gdlog.storage import StorageError, tuple_key
+from gdlog.oracle import chain_is_total_order, ref_dijkstra, run_lico_reference
+from gdlog.storage import StorageError
+from corpus_helpers import acyclic_digraph, example_edb
+from oracle_helpers import ref_mst_weight
 
 EXIT_RULE = Rule(Atom("st", ("root", "a", 0)), (), ())
 

@@ -8,7 +8,6 @@ from gdlog.analysis import foe_transform
 from gdlog.corpus import (
     ADVISOR_TOY,
     TOY_TRIANGLE,
-    example_edb,
     get_program,
     sparse_connected_graph,
 )
@@ -26,10 +25,9 @@ from gdlog.oracle import (
     enumerate_choice_models,
     ground,
     ref_dijkstra,
-    ref_mst_weight,
-    ref_prim_weight,
 )
-from oracle_helpers import audit_stable_model, reachable
+from corpus_helpers import example_edb
+from oracle_helpers import audit_stable_model, reachable, ref_mst_weight, ref_prim_weight
 
 
 def _ground(name, edb):
