@@ -34,6 +34,7 @@ DEFAULT_FAMILY = {
 }
 
 DIRECTED_EXAMPLES = ("reach", "dijkstra")
+ARCS_PER_NODE = 4  # sparse family: e = ARCS_PER_NODE * n
 
 
 @dataclass
@@ -47,7 +48,6 @@ class BenchSpec:
     factorize: bool = False
     ties: str = "fifo"
     base_seed: int = 0
-    arcs_per_node: int = 4  # sparse family: e = arcs_per_node * n
 
     def resolved_family(self) -> str:
         return DEFAULT_FAMILY[self.example] if self.family == "auto" else self.family
@@ -129,7 +129,7 @@ def build_edb(spec: BenchSpec, n: int, seed: int) -> dict[str, list[tuple]]:
         return corpus.complete_graph(n, cost_max=spec.cost_max, seed=seed)
     if family == "sparse-connected":
         return corpus.sparse_connected_graph(
-            n, spec.arcs_per_node * n, cost_max=spec.cost_max, seed=seed, directed=directed
+            n, ARCS_PER_NODE * n, cost_max=spec.cost_max, seed=seed, directed=directed
         )
     if family == "bipartite":
         half = max(1, n // 2)

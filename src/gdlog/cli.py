@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, bench, corpus, tsvio
 from .analysis import foe_transform
-from .engine import PQ_SETTINGS, Engine, EngineError, run_with_counters
+from .engine import PQ_SETTINGS, EngineError, run_with_counters
 from .lang import Diagnostic, GdlogError, ProgramError, parse_program
 from .oracle import (
     EnumerationError,
@@ -35,7 +35,7 @@ def _load_program(path: str):
 
 
 def _load_edb(args) -> dict[str, list[tuple]] | None:
-    if getattr(args, "facts", None):
+    if args.facts:
         return tsvio.read_facts_dir(args.facts)
     return None
 
@@ -129,20 +129,6 @@ def cmd_explain(args) -> int:
     if args.classify:
         for rid, kind in analysis.classify_rules(program).items():
             print(f"{rid}\t{kind.value}")
-    if args.trace:
-        edb = _load_edb(args)
-        with open(args.trace, "w", encoding="utf-8") as tr:
-            eng = Engine(program, edb=edb, trace=tr)
-            eng.run()
-            tr.write("% final chosen tables\n")
-            for rid in sorted(eng.choice_tables):
-                chosen, theta = eng.choice_tables[rid]
-                for line in tsvio.model_lines({chosen.info.chosen_pred: list(chosen)}):
-                    tr.write(line + "\n")
-                tr.write(f"% theta_{rid}: {len(theta)} candidates left\n")
-                for line in tsvio.model_lines({f"theta_{rid}": list(theta)}):
-                    tr.write(line + "\n")
-        print(f"trace written to {args.trace}")
     return 0
 
 
@@ -226,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--foe", action="store_true")
     exp.add_argument("--plan", action="store_true")
     exp.add_argument("--classify", action="store_true")
-    exp.add_argument("--facts")
-    exp.add_argument("--trace", help="run and dump the iteration trace plus final chosen tables")
     exp.set_defaults(func=cmd_explain)
 
     bn = sub.add_parser("bench", help="counter-based complexity ladders")

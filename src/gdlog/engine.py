@@ -84,15 +84,8 @@ class Interpretation:
             self.relations[pred] = r
         return r
 
-    def as_sets(self, skip: tuple[str, ...] = ()) -> dict[str, frozenset]:
-        return {
-            pred: frozenset(rel.rows)
-            for pred, rel in self.relations.items()
-            if rel.rows and not pred.startswith(skip)
-        }
-
-    def size(self) -> int:
-        return sum(len(r) for r in self.relations.values())
+    def as_sets(self) -> dict[str, frozenset]:
+        return {pred: frozenset(rel.rows) for pred, rel in self.relations.items() if rel.rows}
 
     def sorted_lines(self) -> list[str]:
         return tsvio.model_lines({p: r.rows for p, r in self.relations.items()})
@@ -407,8 +400,8 @@ class Engine:
     with a fixed order) or off (linear scans).
 
     A run is strictly sequential and owns its storage exclusively; run
-    independent Engine instances for parallelism.  After run() returns, the
-    per-rule chosen/theta tables stay readable on choice_tables.
+    independent Engine instances for parallelism.  trace is a text stream
+    that gets one TSV row per selection, or None.
     """
 
     def __init__(
@@ -433,7 +426,6 @@ class Engine:
         self.tie_policy, self.rng = resolve_ties(ties, seed)
         self.interp = Interpretation()
         self.factorized_strata: list[str] = []
-        self.choice_tables: dict[str, tuple[ChosenTable, ThetaTable]] = {}
 
         self.arities = dict(program.predicates())
         self.infos: dict[str, ChoiceInfo] = {}
@@ -447,6 +439,9 @@ class Engine:
         self.plan = analysis.plan_subprograms(graph, program)
 
         self._load_facts(edb)
+        # atoms after loading: the model then grows by one atom per derived
+        # and per chosen tuple, which is how the trace counts model size
+        self._loaded = sum(map(len, self.interp.relations.values()))
 
     def _resolve_mode(self, mode: str) -> bool:
         if mode not in ("auto", "choice", "greedy"):
@@ -495,9 +490,7 @@ class Engine:
             # and the chosen rule chosen_r(W) <- B(Z), with conflicts checked
             # against the chosen table instead of a diffchoice relation
             cand = _DifferentialRule(r.rule_id, info.w_vars, r.body, self._rel, self.counters)
-            state = _ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info))
-            states.append(state)
-            self.choice_tables[r.rule_id] = (state.chosen, state.theta)
+            states.append(_ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info)))
 
         closure = _Closure(rules, self.counters)
         closure.run()
@@ -557,7 +550,7 @@ class Engine:
                     str(len(theta)),
                     ",".join(format_const(c) for c in delta),
                     str(purged),
-                    str(self.interp.size()),
+                    str(self._loaded + self.counters.derived + self.counters.iterations),
                 ]
             )
             + "\n"
@@ -597,10 +590,14 @@ class Engine:
             goal = next(c for c in r.choice_goals if c.kind != "choice")
             if goal.left != (x_var,) or goal.right != (y,):
                 return None
-        starts = [f.args for f in self.program.facts if f.pred == r.head.pred]
-        if len(starts) != 1 or len(starts[0]) != 2:
-            return None
         if info.w_vars != (x_var, y):
+            return None
+        # the chain starts from the head relation's one loaded tuple; with a
+        # second one, or a start value that is also a domain value, the
+        # generic loop can choose other tuples (a second frontier, or the
+        # chain back at its start), so it runs instead
+        starts = self._rel(r.head.pred).rows
+        if len(starts) != 1 or starts[0][1:] in self._rel(dom.pred):
             return None
         return (r, info, dom.pred, starts[0][1])
 
@@ -618,7 +615,6 @@ class Engine:
         )
         theta = self._theta_table(dom_info)
         chosen = self._chosen_table(info)
-        self.choice_tables[rule.rule_id] = (chosen, theta)
         head_rel = self.interp.rel(rule.head.pred, 2)
         for t in self.interp.rel(dom_pred, 1).rows:
             theta.insert(t)

@@ -217,6 +217,9 @@ def _tokenize(text: str) -> list[_Tok]:
             while j < n and text[j] != "'":
                 if text[j] == "\n":
                     raise DialectSyntaxError("unterminated quoted symbol", start_line, start_col)
+                if text[j] in "\t\r":
+                    # no fact or model cell can hold one
+                    raise DialectSyntaxError(f"quoted symbol holds {text[j]!r}", start_line, start_col)
                 j += 1
             if j >= n:
                 raise DialectSyntaxError("unterminated quoted symbol", start_line, start_col)

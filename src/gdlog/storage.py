@@ -172,15 +172,6 @@ class ChosenTable:
             (fd, projector(fd.left), projector(fd.right), {}) for fd in info.fds
         ]
 
-    def __len__(self) -> int:
-        return len(self.rel)
-
-    def __iter__(self) -> Iterator[Tup]:
-        return iter(self.rel)
-
-    def __contains__(self, t: Tup) -> bool:
-        return t in self.rel
-
     def conflicts(self, t: Tup) -> bool:
         """True when t agrees with some stored tuple on the left side of at
         least one FD (an equal tuple conflicts with its own keys)."""

@@ -62,27 +62,23 @@ def _mixed_arity_key(t: tuple) -> tuple:
     return order_key(len(t))(t)[:-1]
 
 
-def read_model(path_or_file) -> dict[str, set[tuple]]:
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-        where = getattr(path_or_file, "name", "model")
-    else:
-        where = path_or_file
-        try:
-            with open(path_or_file, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as exc:
-            raise FactFileError(f"{where}: not UTF-8 text ({exc.reason})") from None
+def read_model(path: str) -> dict[str, set[tuple]]:
+    """The atoms of a model file.  Lines end only at '\\n', as in fact files,
+    so a symbol may hold any other line-separator character."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise FactFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, set[tuple]] = {}
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
+    for ln, line in enumerate(text.split("\n"), 1):
         if not line or line.startswith("%"):
             continue
         cells = line.split("\t")
         try:
             t = tuple(parse_cell(c) for c in cells[1:])
         except FactFileError as exc:
-            raise FactFileError(f"{where}:{ln}: {exc}") from None
+            raise FactFileError(f"{path}:{ln}: {exc}") from None
         out.setdefault(cells[0], set()).add(t)
     return out
 

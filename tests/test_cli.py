@@ -1,4 +1,3 @@
-import functools
 import os
 import subprocess
 import sys
@@ -6,9 +5,7 @@ import sys
 import pytest
 
 import gdlog
-from gdlog import cli
 from gdlog.cli import main
-from gdlog.engine import Engine
 from gdlog.corpus import PROGRAMS
 from gdlog.oracle import ref_dijkstra
 from gdlog.tsvio import FactFileError, read_facts_dir, read_model, write_facts_dir
@@ -61,6 +58,13 @@ def test_run_to_a_directory_exit_1(advisor_file, tmp_path, capsys, flag):
     assert main(["run", advisor_file, flag, str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_run_tab_in_quoted_symbol_exit_1(tmp_path, capsys):
+    p = tmp_path / "tab.dl"
+    p.write_text("p('a\tb').\n", encoding="utf-8")
+    assert main(["run", str(p)]) == 1
+    assert capsys.readouterr().err == "error: 1:3: quoted symbol holds '\\t'\n"
 
 
 def test_run_non_utf8_facts_exit_1(tmp_path, capsys):
@@ -171,6 +175,20 @@ def test_enumerate_and_check_roundtrip(advisor_file, tmp_path, capsys):
     assert "stable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sym", ["a\x0cb", "a\u2028b"])
+def test_check_accepts_the_model_of_a_symbol_with_a_line_separator(tmp_path, capsys, sym):
+    # once as a program symbol, once as a fact cell
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"{sym}\n", encoding="utf-8")
+    prog = tmp_path / "p.dl"
+    prog.write_text(f"p('{sym}').\nq(X) :- p(X).\nh(X) :- g(X).\n", encoding="utf-8")
+    out = tmp_path / "m.tsv"
+    assert main(["run", str(prog), "--facts", str(tmp_path / "f"), "-o", str(out)]) == 0
+    assert main(["check", str(prog), "--facts", str(tmp_path / "f"), "--model", str(out)]) == 0
+    assert capsys.readouterr().out == "stable\n"
+    assert read_model(str(out)) == {k: {(sym,)} for k in "ghpq"}
+
+
 def test_check_rejects_junk_model(advisor_file, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("actual_adv\t'Jim Black'\tohm\n")
@@ -190,31 +208,27 @@ def test_explain_outputs(advisor_file, capsys):
     assert "chosen_r1" in out and "diffchoice_r1" in out and "stratum" in out
 
 
-def test_explain_trace_dumps_tables(advisor_file, tmp_path, capsys):
-    trace = tmp_path / "trace.tsv"
-    assert main(["explain", advisor_file, "--trace", str(trace)]) == 0
-    text = trace.read_text()
-    assert "% final chosen tables" in text
-    assert "chosen_r1" in text
-    assert "% theta_r1: 0 candidates left" in text
+@pytest.mark.parametrize("flag", ["--trace", "--facts"])
+def test_explain_has_no_run_options(advisor_file, tmp_path, capsys, flag):
+    # explain never runs the program; gdlog run --trace writes the trace
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", advisor_file, flag, str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_explain_trace_factorized_sort(tmp_path, monkeypatch):
-    # explain builds a plain Engine; with factorize on, the stratum's domain
-    # theta table is what it reports
-    monkeypatch.setattr(cli, "Engine", functools.partial(Engine, factorize=True))
+def test_run_trace_factorized_sort(tmp_path):
+    # a factorized stratum's theta holds only the remaining domain values
     prog = tmp_path / "sort.dl"
     prog.write_text("d(3).\nd(1).\nd(2).\n" + PROGRAMS["sort"])
-    trace = tmp_path / "trace.tsv"
-    assert main(["explain", str(prog), "--trace", str(trace)]) == 0
-    lines = trace.read_text().splitlines()
-    assert lines[:3] == [
+    trace, model = tmp_path / "trace.tsv", tmp_path / "m.tsv"
+    assert main(["run", str(prog), "--factorize", "--trace", str(trace), "-o", str(model)]) == 0
+    assert trace.read_text().splitlines() == [
         "1\tr1\t2\troot,3\t0\t6",
         "2\tr1\t1\t3,2\t0\t8",
         "3\tr1\t0\t2,1\t0\t10",
     ]
-    assert "chosen_r1\t3\t2" in lines
-    assert "% theta_r1: 0 candidates left" in lines
+    assert "chosen_r1\t3\t2" in model.read_text().splitlines()
 
 
 COUNTER_COLUMNS = [
@@ -298,9 +312,10 @@ def test_facts_roundtrip(tmp_path):
 
 
 # fact cells that are not dialect integers, though int() takes the first
-# three and str.isdigit holds for the last: only an optional '-' followed by
-# ASCII digits is an integer, and it must fit in 64 bits
-SYMBOL_CELLS = ["1_000", " 7", "+5", "\u00b2"]
+# three and str.isdigit holds for the fourth: only an optional '-' followed by
+# ASCII digits is an integer, and it must fit in 64 bits.  The last two hold
+# characters that str.splitlines splits at; a line ends only at '\n'.
+SYMBOL_CELLS = ["1_000", " 7", "+5", "\u00b2", "a\x0cb", "a\u2028b"]
 
 
 def test_fact_cells_that_are_not_dialect_integers_are_symbols(tmp_path):

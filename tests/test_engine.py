@@ -102,7 +102,7 @@ def test_closure_after_choice_delta_is_trivial_step():
     start = len(TOY_TRIANGLE["g"]) + 1  # g and st(root, a, 0)
     assert c.iterations == 2
     assert sizes == [start + 1, start + 3]
-    assert m.size() == start + 4
+    assert sum(len(r) for r in m.relations.values()) == start + 4
 
 
 # choice fixpoint -------------------------------------------------------------
@@ -318,6 +318,21 @@ def test_factorized_sequence_agrees_with_plain_engine(ties):
     b = eng.run()
     assert eng.factorized_strata
     assert _model(a) == _model(b)
+
+
+@pytest.mark.parametrize(
+    "facts, edb",
+    [
+        ("d(root). d(zz).", None),  # the chain could return to its start
+        ("d(root).", None),
+        ("d(1). d(2).", {"succ": [("b", 1)]}),  # a second head fact
+    ],
+)
+def test_factorize_keeps_the_generic_loop_unless_the_chain_is_fresh(facts, edb):
+    prog = parse_program(facts + "\n" + PROGRAMS["sequence"])
+    eng = Engine(prog, edb=edb, ties="lex", factorize=True)
+    assert _model(eng.run()) == _model(_choice(prog, edb=edb))
+    assert not eng.factorized_strata
 
 
 def test_factorized_sort_counters():
@@ -758,6 +773,34 @@ GOLDEN = {
     ("tsp", "auto"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
     ("tsp", "off"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
 }
+
+
+class _SizeAtRow:
+    """A trace stream that also records the engine's model size, counted
+    relation by relation, when each row is written."""
+
+    def __init__(self):
+        self.engine = None
+        self.rows: list[tuple[int, int]] = []
+
+    def write(self, line):
+        actual = sum(len(r) for r in self.engine.interp.relations.values())
+        self.rows.append((int(line.split("\t")[5]), actual))
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_trace_model_size_is_the_model_size(name):
+    # the column is loaded atoms + derived + chosen, kept by counters
+    edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(16,)), 16, 3)
+    runs = [dict(ties=t, mode=m) for t in ("lex", "fifo") for m in ("auto", "choice")]
+    if name in ("sort", "sequence"):
+        runs.append(dict(ties="lex", factorize=True))
+    for kw in runs:
+        tr = _SizeAtRow()
+        tr.engine = Engine(get_program(name), edb=edb, trace=tr, **kw)
+        tr.engine.run()
+        assert len(tr.rows) == tr.engine.counters.iterations > 0
+        assert all(col == actual for col, actual in tr.rows), (kw, tr.rows)
 
 
 @pytest.mark.parametrize("name, pq", sorted(GOLDEN))

@@ -129,6 +129,15 @@ def test_only_ascii_digits_make_integers(src, col):
     assert exc.value.message.startswith("unexpected character")
 
 
+@pytest.mark.parametrize("ch", ["\t", "\r"])
+def test_quoted_symbol_cannot_hold_a_tab_or_carriage_return(ch):
+    # no fact or model cell can hold one, so the model could not be read back
+    with pytest.raises(DialectSyntaxError) as exc:
+        parse_program(f"q(a).\np(b, 'a{ch}b').")
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert exc.value.message == f"quoted symbol holds {ch!r}"
+
+
 def _format_const_by_characters(c):
     # format_const's symbol rule as a test over each character
     if c and c[0].isalpha() and c[0].islower() and all(ch.isalnum() or ch == "_" for ch in c):

@@ -171,7 +171,7 @@ def test_conflict_matches_bruteforce(s, against):
         if not any(u[0] == v[0] or u[1] == v[1] for v in kept):
             kept.append(u)
     chosen = _chosen(against)
-    assert list(chosen) == kept
+    assert chosen.rel.rows == kept
     brute = [t for t in s if any(t[0] == u[0] or t[1] == u[1] for u in kept)]
     assert _conflicting(s, chosen) == brute
 
@@ -187,7 +187,7 @@ def test_chosen_table_enforces_fds():
         c.insert(("a", "c"))
     with pytest.raises(FDViolation):
         c.insert(("z", "b"))
-    assert list(c) == [("a", "b")]
+    assert c.rel.rows == [("a", "b")]
 
 
 # ThetaTable ------------------------------------------------------------------
@@ -397,13 +397,22 @@ def test_heap_without_positions_deletes_only_its_least_key():
     assert h.items[0] == (2, (2,))
 
 
-def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key():
+def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypatch):
     for info in (UNION, PAIR, LEAST):
         assert ThetaTable(info, use_pq=True)._heap.pos is not None
+    # the factorized stratum's own domain table, as the engine builds it
+    tables = []
+    theta_table = Engine._theta_table
+
+    def capture(self, info):
+        tables.append(theta_table(self, info))
+        return tables[-1]
+
+    monkeypatch.setattr(Engine, "_theta_table", capture)
     eng = Engine(get_program("sort"), edb=domain_facts(8, seed=1), ties="lex", factorize=True)
     eng.run()
-    (rid,) = eng.factorized_strata
-    _, theta = eng.choice_tables[rid]
+    assert eng.factorized_strata
+    (theta,) = tables
     assert not theta.info.fds and theta.info.unique_key is None
     assert theta._heap.pos is None
 
