@@ -7,7 +7,10 @@ loop: derive new candidate tuples differentially, buffer them in per-rule
 theta tables, move one tuple per iteration into the chosen table, purge the
 candidates it conflicts with, and re-close the non-choice rules.  Both
 modes run this one loop and insert every fresh candidate; when a candidate
-enters the priority queue is the theta table's decision alone.
+enters the priority queue is the theta table's decision alone.  The chosen
+tuple reaches the head through the rewritten rule head <- B(Z), chosen_r(W),
+which the closure evaluates as the projection head <- chosen_r(W) when W
+binds every head variable, so a selection does not re-join the body.
 
 With factorize, a stratum whose one choice rule chains a frontier value X to
 a fresh database domain value Y (sort, sequence) keeps only the domain
@@ -47,6 +50,7 @@ from .analysis import ChoiceInfo, RuleKind, Stratum
 from .lang import (
     MAX_INT,
     MIN_INT,
+    RESERVED_PREFIXES,
     Atom,
     Comparison,
     Const,
@@ -377,6 +381,19 @@ class _Closure:
 # The engine
 
 
+def _rewritten_goals(rule: Rule, info: ChoiceInfo) -> tuple:
+    """The goals the engine evaluates for the rewritten rule of a choice
+    rule, head <- B(Z), chosen_r(W).  When W binds every head variable this
+    is the projection head <- chosen_r(W): each chosen_r row is a candidate
+    B(Z) derived, and relations only grow within a run, so both rules derive
+    the same head tuples in the same closure pass, without re-joining B(Z)
+    after each selection.  A head variable outside W keeps the full body."""
+    chosen = Atom(info.chosen_pred, info.w_vars)
+    if set(rule.head.vars()) <= set(info.w_vars):
+        return (chosen,)
+    return rule.body + (chosen,)
+
+
 @dataclass
 class _ChoiceState:
     rule: Rule
@@ -456,6 +473,10 @@ class Engine:
             self.interp.rel(f.pred, f.arity).insert(f.args)
         if edb:
             for pred, rows in edb.items():
+                # chosen_r rows come only from selection: _rewritten_goals
+                # relies on each being a candidate its rule derived
+                if pred.startswith(RESERVED_PREFIXES):
+                    raise EngineError(f"database predicate {pred} uses a reserved prefix")
                 for t in rows:
                     arity = self.arities.setdefault(pred, len(t))
                     self.interp.rel(pred, arity).insert(tuple(t))
@@ -481,8 +502,8 @@ class Engine:
         states: list[_ChoiceState] = []
         for r in stratum.rules:
             info = self.infos.get(r.rule_id)
-            # a choice rule runs as the rewritten rule head <- B(Z), chosen_r(W)
-            goals = r.body if info is None else r.body + (Atom(info.chosen_pred, info.w_vars),)
+            # a choice rule runs as its rewritten rule (see _rewritten_goals)
+            goals = r.body if info is None else _rewritten_goals(r, info)
             dr = _DifferentialRule(r.rule_id, r.head.args, goals, self._rel, self.counters)
             rules.append((dr, self._rel(r.head.pred)))
             if info is None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .lang import MAX_INT, MIN_INT, Const, GdlogError, format_const
+from .lang import MAX_INT, MIN_INT, RESERVED_PREFIXES, Const, GdlogError, format_const
 from .storage import order_key
 
 
@@ -99,6 +99,9 @@ def read_facts_dir(dirpath: str) -> dict[str, list[tuple]]:
         if not name.endswith(".facts"):
             continue
         pred = name[: -len(".facts")]
+        if pred.startswith(RESERVED_PREFIXES):
+            # chosen_r and diffchoice_r hold only what the run itself chooses
+            raise FactFileError(f"{name}: predicate name {pred} uses a reserved prefix")
         rows: list[tuple] = []
         arity = None
         try:

@@ -76,6 +76,23 @@ def test_run_non_utf8_facts_exit_1(tmp_path, capsys):
     assert "error: g.facts: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pred", ["chosen_r1", "diffchoice_r1"])
+def test_run_reserved_fact_file_exit_1(tmp_path, capsys, pred):
+    # a chosen_r1 file would hand the run chosen tuples no selection made:
+    # (b, 99) next to the chosen (b, 5) breaks the rule's FD Y -> C
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text("a\tb\t5\nb\tc\t1\n")
+    (tmp_path / "f" / f"{pred}.facts").write_text("c\t1\nb\t99\n")
+    p = tmp_path / "dijkstra.dl"
+    p.write_text(PROGRAMS["dijkstra"])
+    assert main(["run", str(p), "--facts", str(tmp_path / "f")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {pred}.facts: predicate name {pred} uses a reserved prefix" in out.err
+    with pytest.raises(FactFileError, match=f"{pred}.facts: predicate name {pred} uses a reserved prefix"):
+        read_facts_dir(str(tmp_path / "f"))
+
+
 def test_run_non_utf8_program_exit_1(tmp_path, capsys):
     p = tmp_path / "latin1.dl"
     p.write_bytes("p('caf\u00e9').\n".encode("latin-1"))

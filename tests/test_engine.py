@@ -22,10 +22,12 @@ from gdlog.engine import (
     EngineError,
     run_with_counters,
     _bound_first_order,
+    _rewritten_goals,
 )
 from gdlog import bench, tsvio
 from gdlog.lang import Atom, Program, Rule, Var, format_goal, parse_program
-from gdlog.oracle import chain_is_total_order, ref_dijkstra, run_lico_reference
+from gdlog.analysis import foe_transform
+from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
 from gdlog.storage import StorageError
 from corpus_helpers import acyclic_digraph, example_edb
 from oracle_helpers import ref_mst_weight
@@ -384,7 +386,7 @@ def test_heap_pq_ops_on_sparse_graphs(name, pq_ops):
 
 # a scan table, like a heap table, stages fresh candidates: those a greedy
 # selection purges right away are never scanned
-@pytest.mark.parametrize("name, work", [("sort", 12_866), ("tsp", 17_215)], ids=["sort", "tsp"])
+@pytest.mark.parametrize("name, work", [("sort", 12_673), ("tsp", 12_673)], ids=["sort", "tsp"])
 def test_scan_work_without_the_queue(name, work):
     spec = bench.BenchSpec(name, (64,))
     _, c = run_with_counters(get_program(name), edb=bench.build_edb(spec, 64, 1), ties="lex", pq="off")
@@ -531,42 +533,32 @@ def test_choice_mode_takes_rules_in_program_order():
 
 # The goal order _bound_first_order gives every plan of every corpus rule:
 # per rule, the candidate rule (its body) and, for a choice rule, the
-# rewritten rule (its body plus the chosen atom); per body, the full plan and
-# then one delta plan per body atom, in body order.  Pinned, with the indexes
-# below, so that no change to how plans are compiled changes which plans run.
+# rewritten rule as _rewritten_goals gives it (for every corpus rule the
+# chosen atom alone, since W binds each head variable); per body, the full
+# plan and then one delta plan per body atom, in body order.  Pinned, with
+# the indexes below, so that no change to how plans are compiled changes
+# which plans run.
 PLAN_ORDERS = {
-    "advisor": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 1, 2], [0, 1, 2], [1, 0, 2], [2, 0, 1]]},
-    "dijkstra": {
-        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]],
-        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [4, 2, 1, 0, 3]],
-    },
-    "matching": {"r1/body": [[0], [0]], "r1/rewritten": [[0, 1], [0, 1], [1, 0]]},
-    "optmatching": {"r1/body": [[0], [0]], "r1/rewritten": [[0, 1], [0, 1], [1, 0]]},
-    "prim": {
-        "r1/body": [[0, 1, 2], [0, 1, 2], [1, 2, 0]],
-        "r1/rewritten": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0]],
-    },
-    "reach": {
-        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]],
-        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [4, 2, 1, 0, 3]],
-    },
-    "sequence": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]},
+    "advisor": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0], [0]]},
+    "dijkstra": {"r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]], "r1/rewritten": [[0], [0]]},
+    "matching": {"r1/body": [[0], [0]], "r1/rewritten": [[0], [0]]},
+    "optmatching": {"r1/body": [[0], [0]], "r1/rewritten": [[0], [0]]},
+    "prim": {"r1/body": [[0, 1, 2], [0, 1, 2], [1, 2, 0]], "r1/rewritten": [[0], [0]]},
+    "reach": {"r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 0, 3]], "r1/rewritten": [[0], [0]]},
+    "sequence": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0], [0]]},
     "simplepath": {
         "r1/body": [[0], [0]],
-        "r1/rewritten": [[0, 1], [0, 1], [1, 0]],
+        "r1/rewritten": [[0], [0]],
         "r2/body": [[2, 0, 1, 3], [0, 2, 1, 3], [1, 2, 3, 0], [2, 0, 1, 3]],
-        "r2/rewritten": [[2, 0, 1, 3, 4], [0, 2, 1, 3, 4], [1, 4, 2, 3, 0], [2, 0, 1, 3, 4], [4, 1, 2, 3, 0]],
+        "r2/rewritten": [[0], [0]],
     },
-    "sort": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]},
-    "spantree": {
-        "r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0]],
-        "r1/rewritten": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [4, 2, 3, 1, 0]],
-    },
+    "sort": {"r1/body": [[0, 1], [0, 1], [1, 0]], "r1/rewritten": [[0], [0]]},
+    "spantree": {"r1/body": [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0]], "r1/rewritten": [[0], [0]]},
     "tsp": {
         "r1/body": [[0], [0]],
-        "r1/rewritten": [[0, 1], [0, 1], [1, 0]],
+        "r1/rewritten": [[0], [0]],
         "r2/body": [[2, 0, 1, 3], [0, 2, 1, 3], [1, 2, 3, 0], [2, 0, 1, 3]],
-        "r2/rewritten": [[2, 0, 1, 3, 4], [0, 2, 1, 3, 4], [1, 4, 2, 3, 0], [2, 0, 1, 3, 4], [4, 1, 2, 3, 0]],
+        "r2/rewritten": [[0], [0]],
     },
 }
 
@@ -574,29 +566,17 @@ PLAN_ORDERS = {
 # run under lex ties: the plans create one index per distinct set of
 # constant or already-bound columns they probe.
 INDEX_COLUMNS = {
-    "advisor": {"actual_adv": [], "chosen_r1": [(0, 1)], "professor": [(1,), (0, 1)], "student": [(1,), (0,)]},
-    "dijkstra": {"chosen_r1": [(0, 1)], "dj": [(0,)], "g": [(0,), (1,)], "node": []},
-    "matching": {"chosen_r1": [(0, 1, 2)], "g": [(0, 1, 2)], "matching": []},
-    "optmatching": {"chosen_r1": [(0, 1, 2)], "g": [(0, 1, 2)], "opt_matching": []},
-    "prim": {"chosen_r1": [(0, 1, 2)], "g": [(0,), (0, 1, 2)], "node": [], "st": [(1,)]},
-    "reach": {"chosen_r1": [(0, 1)], "g": [(0,), (1,)], "node": [], "reach": [(0,)]},
-    "sequence": {"chosen_r1": [(0,), (1,)], "d": [(0,)], "succ": [(1,)]},
-    "simplepath": {
-        "chosen_r1": [(0,)],
-        "chosen_r2": [(0, 1, 2)],
-        "g": [(0,), (0, 1, 2)],
-        "node": [],
-        "spath": [(0, 2), (1,)],
-    },
-    "sort": {"chosen_r1": [(0,), (1,)], "d": [(0,)], "succ": [(1,)]},
-    "spantree": {"chosen_r1": [(0, 1, 2)], "g": [(0,), (0, 1, 2)], "node": [], "st": [(1,)]},
-    "tsp": {
-        "chosen_r1": [(0,)],
-        "chosen_r2": [(0, 1, 2)],
-        "g": [(0,), (0, 1, 2)],
-        "node": [(0,)],
-        "spath": [(0, 2), (1,)],
-    },
+    "advisor": {"actual_adv": [], "chosen_r1": [], "professor": [(1,)], "student": [(1,)]},
+    "dijkstra": {"chosen_r1": [], "dj": [(0,)], "g": [(0,)], "node": []},
+    "matching": {"chosen_r1": [], "g": [], "matching": []},
+    "optmatching": {"chosen_r1": [], "g": [], "opt_matching": []},
+    "prim": {"chosen_r1": [], "g": [(0,)], "node": [], "st": [(1,)]},
+    "reach": {"chosen_r1": [], "g": [(0,)], "node": [], "reach": [(0,)]},
+    "sequence": {"chosen_r1": [], "d": [], "succ": []},
+    "simplepath": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2), (1,)]},
+    "sort": {"chosen_r1": [], "d": [], "succ": []},
+    "spantree": {"chosen_r1": [], "g": [(0,)], "node": [], "st": [(1,)]},
+    "tsp": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2), (1,)]},
 }
 
 
@@ -607,8 +587,7 @@ def _plan_bodies(name):
     for r in prog.rules:
         yield f"{r.rule_id}/body", r.body
         if r.choice_goals:
-            info = eng.infos[r.rule_id]
-            yield f"{r.rule_id}/rewritten", r.body + (Atom(info.chosen_pred, info.w_vars),)
+            yield f"{r.rule_id}/rewritten", _rewritten_goals(r, eng.infos[r.rule_id])
 
 
 def _plans(goals):
@@ -661,19 +640,105 @@ def test_index_columns_are_pinned(name):
 
 
 def test_dijkstra_chosen_delta_plan_is_bound_first():
-    # a new chosen_r1(Y, C) row checks Y, probes g by Y (column 1), then dj by
-    # the X that g bound (column 0), and checks the sum against the bound C
-    goals = dict(_plan_bodies("dijkstra"))["r1/rewritten"]
-    _, order = _plans(goals)[-1]
+    # a new dj(X, C1) row probes g by that X (column 0), then checks Y and
+    # computes C; the rewritten rule is the projection dj(Y, C) <-
+    # chosen_r1(Y, C), so a selection joins nothing
+    bodies = dict(_plan_bodies("dijkstra"))
+    goals = bodies["r1/body"]
+    start, order = _plans(goals)[1]
+    assert goals[start].pred == "dj"
     assert _plan_shape(goals, order) == [
-        ("chosen_r1", ()),
+        ("dj", ()),
+        ("g", (0,)),
         "Y \\= a",
-        ("g", (1,)),
-        ("dj", (0,)),
         "C = C1 + C2",
     ]
+    assert [g.pred for g in bodies["r1/rewritten"]] == ["chosen_r1"]
     indexes = _index_columns("dijkstra")
-    assert (1,) in indexes["g"] and (0,) in indexes["dj"]
+    assert (0,) in indexes["g"] and (0,) in indexes["dj"]
+
+
+def _full_rewritten_goals(rule, info):
+    return rule.body + (Atom(info.chosen_pred, info.w_vars),)
+
+
+# what the projection changes: only the rewritten rule's joins
+SAME_COUNTERS = ("iterations", "derived", "theta_inserts", "theta_deletes", "pq_ops", "conflict_checks")
+FEWER_COUNTERS = ("join_probes", "firings", "work")
+
+
+def test_projection_runs_as_the_full_rewritten_rule(monkeypatch):
+    # head <- chosen_r(W) and head <- B(Z), chosen_r(W) derive the same head
+    # tuples in the same closure pass: same models and selections, and no
+    # more joins, on every corpus program under every tie policy and queue
+    runs = []
+    for name in sorted(PROGRAMS):
+        edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(16,)), 16, 3)
+        for ties, seed in (("lex", None), ("fifo", None), ("random", 7)):
+            for pq in ("auto", "off"):
+                for mode in ("auto", "choice"):
+                    runs.append((name, edb, dict(ties=ties, seed=seed, pq=pq, mode=mode)))
+
+    def run_all():
+        out = []
+        for name, edb, kw in runs:
+            m, c = run_with_counters(get_program(name), edb=edb, **kw)
+            out.append((m.sorted_lines(), c))
+        return out
+
+    projected = run_all()
+    monkeypatch.setattr("gdlog.engine._rewritten_goals", _full_rewritten_goals)
+    full = run_all()
+    for (name, _, kw), (mp, cp), (mf, cf) in zip(runs, projected, full):
+        assert mp == mf, (name, kw)
+        assert [getattr(cp, f) for f in SAME_COUNTERS] == [getattr(cf, f) for f in SAME_COUNTERS], (name, kw)
+        assert all(getattr(cp, f) <= getattr(cf, f) for f in FEWER_COUNTERS), (name, kw, cp, cf)
+    assert sum(c.work for _, c in projected) < sum(c.work for _, c in full)
+
+
+# Choice rules whose head has a variable outside W, so that chosen_r1 alone
+# cannot bind it: the rewritten rule keeps B(Z), and each chosen W gives the
+# head tuples of every body match.  In the second, the delta plan from a
+# chosen (X, S) recomputes S = Y + Z and checks it against the bound S.
+HEAD_OUTSIDE_W = [
+    (
+        "p(X, Z) :- q(X, Y, Z), choice((X), (Y)).\n",
+        [(1, "a", 10), (1, "a", 11), (1, "b", 12), (2, "c", 20), (2, "c", 21), (2, "d", 22)],
+        ("X", "Y"),
+        {(1, 10), (1, 11), (2, 20), (2, 21)},
+    ),
+    (
+        "p(X, Z, S) :- q(X, Y, Z), S = Y + Z, choice((X), (S)).\n",
+        [(1, 2, 3), (1, 1, 4), (1, 0, 9), (2, 5, 5), (2, 0, 11)],
+        ("X", "S"),
+        {(1, 3, 5), (1, 4, 5), (2, 5, 10)},
+    ),
+]
+
+
+@pytest.mark.parametrize("src, q, w, p", HEAD_OUTSIDE_W, ids=["two-columns", "sum"])
+def test_head_variable_outside_w_keeps_the_full_body(src, q, w, p):
+    prog = parse_program(src)
+    edb = {"q": q}
+    rule = prog.rules[0]
+    goals = _rewritten_goals(rule, Engine(prog, edb=edb).infos[rule.rule_id])
+    assert goals == rule.body + (Atom("chosen_r1", tuple(map(Var, w))),)
+    model = run_with_counters(prog, edb=edb, ties="lex")[0].as_sets()
+    assert model["p"] == p
+    assert model == run_lico_reference(prog, edb=edb)
+    g = ground(foe_transform(prog), edb)
+    for kw in (dict(ties="lex"), dict(ties="fifo"), dict(ties="random", seed=5)):
+        atoms = {(pred, t) for pred, ts in _choice(prog, edb=edb, **kw).as_sets().items() for t in ts}
+        assert check_stable_model(g, atoms).is_stable, kw
+
+
+@pytest.mark.parametrize("pred", ["chosen_r1", "diffchoice_r1"])
+def test_database_rows_for_a_reserved_predicate_are_an_engine_error(pred):
+    # chosen_r rows come only from selection; the projection head <-
+    # chosen_r(W) relies on each being a candidate the rule derived
+    edb = {"g": [("a", "b", 5), ("b", "c", 1)], pred: [("c", 1), ("b", 99)]}
+    with pytest.raises(EngineError, match=f"database predicate {pred} uses a reserved prefix"):
+        Engine(get_program("dijkstra"), edb=edb)
 
 
 @pytest.mark.parametrize("name", ["prim", "dijkstra", "reach"])
@@ -745,33 +810,34 @@ def test_rule_longer_than_one_generated_function_nests():
 
 
 # Counters and models of every corpus program on the n=16 seed-3 benchmark
-# instance under lex ties, recorded before plans were compiled to generated
-# functions: (work, join_probes, firings, derived, iterations, sha256 of the
-# sorted model lines).  Any change to them is a change to the engine's
+# instance under lex ties: (work, join_probes, firings, derived, iterations,
+# sha256 of the sorted model lines).  The model digests date from before plans
+# were compiled to generated functions; the counters were re-recorded when the
+# rewritten rule became a projection of the chosen atom.  Any change to them is a change to the engine's
 # operation count, not only to its speed.
 GOLDEN = {
-    ("advisor", "auto"): (1564, 344, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
-    ("advisor", "off"): (1796, 344, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
-    ("dijkstra", "auto"): (422, 263, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
-    ("dijkstra", "off"): (425, 263, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
-    ("matching", "auto"): (542, 144, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
-    ("matching", "off"): (484, 144, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
-    ("optmatching", "auto"): (533, 144, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
-    ("optmatching", "off"): (484, 144, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
-    ("prim", "auto"): (611, 333, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
-    ("prim", "off"): (633, 333, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
-    ("reach", "auto"): (565, 274, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
-    ("reach", "off"): (597, 274, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
-    ("sequence", "auto"): (914, 354, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
-    ("sequence", "off"): (914, 354, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
-    ("simplepath", "auto"): (1676, 1147, 495, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
-    ("simplepath", "off"): (1676, 1147, 495, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
-    ("sort", "auto"): (914, 354, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
-    ("sort", "off"): (914, 354, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
-    ("spantree", "auto"): (681, 333, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
-    ("spantree", "off"): (690, 333, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
-    ("tsp", "auto"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
-    ("tsp", "off"): (1231, 702, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
+    ("advisor", "auto"): (1384, 164, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
+    ("advisor", "off"): (1616, 164, 148, 16, 16, "ba619d53d13d639a3e197fc68b561708052949bd7729b7b8618bce3d175e99e1"),
+    ("dijkstra", "auto"): (254, 95, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
+    ("dijkstra", "off"): (257, 95, 75, 15, 15, "480dc6577612af8250af6ae7781e78e9e52e29dba74a1428d4c564ae60bba828"),
+    ("matching", "auto"): (470, 72, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
+    ("matching", "off"): (412, 72, 72, 8, 8, "4776845aaa63389ec08ef603d354bc7bdf6f094c80c2b9ae38b939daf7bda69f"),
+    ("optmatching", "auto"): (461, 72, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
+    ("optmatching", "off"): (412, 72, 72, 8, 8, "452acfb0522ec2272d61b5872c41853da13ea652187a66be49637c68d14c3d8f"),
+    ("prim", "auto"): (437, 159, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
+    ("prim", "off"): (459, 159, 136, 15, 15, "c3903913ff1e5cc352f310c11e534a1d38c17c754a2d0654d7735df9de969484"),
+    ("reach", "auto"): (386, 95, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
+    ("reach", "off"): (418, 95, 75, 15, 15, "97f2b679c647ce199e4129d5cb3901114e2cd77dbdc9e6c67d2e603a13f5bc4b"),
+    ("sequence", "auto"): (865, 305, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
+    ("sequence", "off"): (865, 305, 288, 16, 16, "33c0e7742a559af4256c32f4a2509b5db7f814ce04b50229b72370e512fb29e3"),
+    ("simplepath", "auto"): (1072, 543, 481, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
+    ("simplepath", "off"): (1072, 543, 481, 16, 16, "2bd4825a397d9f9afc415d92da8d6c1d5b6c4bca92380e8ef12e704d5cfac70c"),
+    ("sort", "auto"): (865, 305, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
+    ("sort", "off"): (865, 305, 288, 16, 16, "5fcb1503eb6fb90896f20692748c631f1fd2491c141069089376bd4b5f1d5bd1"),
+    ("spantree", "auto"): (507, 159, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
+    ("spantree", "off"): (516, 159, 136, 15, 15, "fe309ea6d1e97468b20ae8683d5f6a0fca68999d9357075503947ac922d24858"),
+    ("tsp", "auto"): (865, 336, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
+    ("tsp", "off"): (865, 336, 272, 16, 16, "6eb8cc9ba735145fa388b158fcbb9cf3695c2bfcf2fdff856f83800f65519af0"),
 }
 
 
