@@ -173,7 +173,7 @@ class ChoiceInfo:
     fds: tuple[FD, ...]  # one per choice goal, in goal order
     kind: RuleKind
     cost_pos: int | None  # W position of the cost variable for least/most
-    unique_key: tuple[int, ...] | None  # union of FD left sides for least/most
+    unique_key: tuple[int, ...] | None  # least/most: the union of FD left sides, when sound
     chosen_pred: str
     diffchoice_pred: str
 
@@ -205,6 +205,14 @@ def choice_schema(rule: Rule) -> tuple[Var, ...]:
 
 
 def choice_info(rule: Rule) -> ChoiceInfo:
+    """W, the FDs, and for a least/most rule the cost position and the unique
+    key, the union of the FD left sides, on which theta keeps the best-cost
+    candidate only.  Dropping the worse of two candidates equal on the key
+    is sound when each chosen tuple conflicting with the better one also
+    conflicts with it: when all FDs share one left side, or when every FD
+    but the cost goal's has its right side in the key (a tuple chosen while
+    the better one waits costs no more, so it differs from both on the
+    cost).  Otherwise unique_key is None."""
     kind = classify_rule(rule)
     w = choice_schema(rule)
     pos = {v: i for i, v in enumerate(w)}
@@ -212,14 +220,14 @@ def choice_info(rule: Rule) -> ChoiceInfo:
         FD(tuple(pos[v] for v in c.left), tuple(pos[v] for v in c.right))
         for c in rule.choice_goals
     )
-    cost_pos = None
+    cost_pos = unique_key = None
     if kind in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST):
-        goal = next(c for c in rule.choice_goals if c.kind in ("choice_least", "choice_most"))
-        cost_pos = pos[goal.right[0]]
-    unique_key = None
-    if cost_pos is not None:
-        key = sorted({p for fd in fds for p in fd.left})
-        unique_key = tuple(key)
+        i = next(i for i, c in enumerate(rule.choice_goals) if c.kind != "choice")
+        cost_pos = pos[rule.choice_goals[i].right[0]]
+        key = tuple(sorted({p for fd in fds for p in fd.left}))
+        others = fds[:i] + fds[i + 1 :]
+        if len({fd.left for fd in fds}) == 1 or all(set(fd.right) <= set(key) for fd in others):
+            unique_key = key
     return ChoiceInfo(
         rule_id=rule.rule_id,
         w_vars=w,

@@ -34,21 +34,28 @@ def _load_program(path: str):
     return parse_program(text)
 
 
-def _load_edb(args) -> dict[str, list[tuple]] | None:
-    if args.facts:
-        return tsvio.read_facts_dir(args.facts)
-    return None
+def _load_edb(args, program) -> dict[str, list[tuple]] | None:
+    if not args.facts:
+        return None
+    edb = tsvio.read_facts_dir(args.facts)
+    arities = program.predicates()
+    for pred, rows in edb.items():
+        if rows and arities.get(pred, len(rows[0])) != len(rows[0]):
+            raise tsvio.FactFileError(
+                f"{pred}.facts: {len(rows[0])} columns, but the program uses {pred}/{arities[pred]}"
+            )
+    return edb
 
 
 def _out_stream(path: str | None):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
-    edb = _load_edb(args)
+    edb = _load_edb(args, program)
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as tr:
         interp, counters = run_with_counters(
             program,
@@ -60,13 +67,9 @@ def cmd_run(args) -> int:
             factorize=args.factorize,
             trace=tr,
         )
-    out, close = _out_stream(args.output)
-    try:
+    with _out_stream(args.output) as out:
         lines = interp.sorted_lines()
         out.write("\n".join(lines) + ("\n" if lines else ""))
-    finally:
-        if close:
-            out.close()
     if args.stats:
         for k, v in counters.as_dict().items():
             print(f"{k}\t{v}", file=sys.stderr)
@@ -75,7 +78,7 @@ def cmd_run(args) -> int:
 
 def cmd_enumerate(args) -> int:
     program = _load_program(args.program)
-    edb = _load_edb(args)
+    edb = _load_edb(args, program)
     truncated = False
     try:
         models = enumerate_choice_models(
@@ -85,22 +88,18 @@ def cmd_enumerate(args) -> int:
         if not exc.models:
             raise
         models, truncated = exc.models, True
-    out, close = _out_stream(args.output)
-    try:
+    with _out_stream(args.output) as out:
         for i, model in enumerate(models, 1):
             out.write(f"% model {i}\n")
             lines = tsvio.model_lines(model)
             out.write("\n".join(lines) + ("\n" if lines else ""))
         out.write(f"% {len(models)} model(s){' (truncated)' if truncated else ''}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_check(args) -> int:
     program = _load_program(args.program)
-    edb = _load_edb(args)
+    edb = _load_edb(args, program)
     model = tsvio.read_model(args.model)
     g = ground(foe_transform(program), edb)
     atoms = {(pred, t) for pred, ts in model.items() for t in ts}
@@ -133,9 +132,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise GdlogError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
     spec = bench.BenchSpec(
         example=args.example,
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
+        sizes=sizes,
         family=args.family,
         reps=args.reps,
         cost_max=args.cost_max,
@@ -145,18 +148,16 @@ def cmd_bench(args) -> int:
         base_seed=args.seed,
     )
     report = bench.run_bench(spec)
-    out, close = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         out.write(report.to_tsv())
-    finally:
-        if close:
-            out.close()
     for c in report.checks:
         print(f"{c.name}: {c.verdict} ({c.detail})", file=sys.stderr)
     return 0 if report.passed() else 3
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1 or (args.n2 is not None and args.n2 < 1):
+        raise GdlogError("--n and --n2 must be at least 1")
     if args.family == "complete":
         edb = corpus.complete_graph(
             args.n, cost_max=args.cost_max, seed=args.seed, directed=args.directed

@@ -137,38 +137,33 @@ def sparse_connected_graph(
 
 
 def bipartite_graph(
-    n1: int,
-    n2: int | None = None,
-    *,
-    cost_max: int = 1000,
-    seed: int = 0,
-    full: bool = True,
-    arcs: int | None = None,
+    n1: int, n2: int | None = None, *, cost_max: int = 1000, seed: int = 0
 ) -> dict[str, list[tuple]]:
-    """g(x, y, c) facts across the two parts u1..un1 / v1..vn2."""
+    """g(x, y, c) facts for every pair across the two parts u1..un1 /
+    v1..vn2."""
     rng = random.Random(seed)
     n2 = n1 if n2 is None else n2
-    left = [f"u{i}" for i in range(1, n1 + 1)]
-    right = [f"v{i}" for i in range(1, n2 + 1)]
-    pairs = [(u, v) for u in left for v in right]
-    if not full:
-        rng.shuffle(pairs)
-        pairs = sorted(pairs[: arcs if arcs is not None else 2 * max(n1, n2)])
-    return {"g": [(u, v, rng.randint(1, cost_max)) for u, v in pairs]}
+    return {
+        "g": [
+            (f"u{i}", f"v{j}", rng.randint(1, cost_max))
+            for i in range(1, n1 + 1)
+            for j in range(1, n2 + 1)
+        ]
+    }
 
 
-def domain_facts(n: int, *, value_max: int | None = None, seed: int = 0) -> dict[str, list[tuple]]:
-    """n distinct integers for the sequencing/sorting examples (`root` never
-    appears in the domain)."""
+def domain_facts(n: int, *, seed: int = 0) -> dict[str, list[tuple]]:
+    """n distinct integers from 1..max(10n, 100) for the sequencing/sorting
+    examples (`root` never appears in the domain)."""
     rng = random.Random(seed)
-    hi = value_max if value_max is not None else max(10 * n, 100)
-    values = rng.sample(range(1, hi + 1), n)
+    values = rng.sample(range(1, max(10 * n, 100) + 1), n)
     return {"d": [(v,) for v in values]}
 
 
-def advisor_facts(n_students: int = 3, n_professors: int = 3, *, n_majors: int = 2, seed: int = 0) -> dict[str, list[tuple]]:
+def advisor_facts(n_students: int = 3, n_professors: int = 3, *, seed: int = 0) -> dict[str, list[tuple]]:
+    """Students and professors, each in one of the majors m1 and m2."""
     rng = random.Random(seed)
-    majors = [f"m{i}" for i in range(1, n_majors + 1)]
+    majors = ["m1", "m2"]
     years = ["junior", "senior"]
     students = [
         (f"s{i}", rng.choice(majors), rng.choice(years)) for i in range(1, n_students + 1)

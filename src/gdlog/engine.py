@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import analysis, tsvio
-from .analysis import ChoiceInfo, RuleKind, Stratum
+from .analysis import FD, ChoiceInfo, RuleKind, Stratum
 from .lang import (
     MAX_INT,
     MIN_INT,
@@ -548,13 +548,16 @@ class Engine:
                 st.theta.insert(t)
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
+        if not self.greedy:
+            # the plain choice fixpoint reads least/most goals as ordinary
+            # choice goals: no cost order and no unique-key retention
+            info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
         return ThetaTable(
             info,
             counters=self.counters,
             use_pq=self.pq != "off",
             tie_policy=self.tie_policy,
             rng=self.rng,
-            treat_as_pure=not self.greedy,
         )
 
     def _chosen_table(self, info: ChoiceInfo) -> ChosenTable:
@@ -580,38 +583,24 @@ class Engine:
     # -- factorized evaluation (candidates form a Cartesian product) --------
 
     def _factorize_pattern(self, stratum: Stratum):
-        choice_rules = [r for r in stratum.rules if r.choice_goals]
-        if len(choice_rules) != 1:
+        # one rule head(X, Y) :- head(.., X, ..), dom(Y), dom from the database,
+        # with W = (X, Y), FDs X -> Y and Y -> X, and no cost or a cost on Y
+        if len(stratum.rules) != 1:
             return None
-        r = choice_rules[0]
-        others = [x for x in stratum.rules if x is not r]
-        if others:
+        r = stratum.rules[0]
+        info = self.infos.get(r.rule_id)
+        if info is None or info.w_vars != r.head.args:
+            return None
+        if set(info.fds) != {FD((0,), (1,)), FD((1,), (0,))} or info.cost_pos not in (None, 1):
             return None
         if len(r.body) != 2 or not all(isinstance(g, Atom) for g in r.body):
             return None
+        x, y = info.w_vars
         rec, dom = r.body  # type: ignore[misc]
-        if rec.pred != r.head.pred or dom.arity != 1:
+        named = [a for a in rec.args if isinstance(a, Var) and not a.name.startswith("_#")]
+        if rec.pred != r.head.pred or named != [x] or dom.args != (y,):
             return None
-        if any(x.head.pred == dom.pred for x in self.program.rules):
-            return None  # domain goal must be database-defined
-        rec_named = [a for a in rec.args if isinstance(a, Var) and not a.name.startswith("_#")]
-        if len(rec_named) != 1:
-            return None
-        x_var = rec_named[0]
-        y = dom.args[0]
-        if not isinstance(y, Var) or y == x_var:
-            return None
-        if r.head.args != (x_var, y):
-            return None
-        fds = {(c.left, c.right) for c in r.choice_goals}
-        if fds != {((x_var,), (y,)), ((y,), (x_var,))}:
-            return None
-        info = self.infos[r.rule_id]
-        if info.cost_pos is not None:
-            goal = next(c for c in r.choice_goals if c.kind != "choice")
-            if goal.left != (x_var,) or goal.right != (y,):
-                return None
-        if info.w_vars != (x_var, y):
+        if any(o.head.pred == dom.pred for o in self.program.rules):
             return None
         # the chain starts from the head relation's one loaded tuple; with a
         # second one, or a start value that is also a domain value, the

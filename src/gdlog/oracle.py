@@ -31,6 +31,9 @@ class GroundingError(GdlogError):
     pass
 
 
+MAX_PROBES = 5_000_000  # row probes one grounding may make before it gives up
+
+
 def const_key(c: Const):
     """Total order over mixed int/symbol constants: integers first, then
     symbols lexicographically.  The reference operator's own lex order,
@@ -169,7 +172,6 @@ def ground(
     *,
     max_instances: int = 10**6,
     max_atoms: int = 100_000,
-    max_probes: int = 5_000_000,
 ) -> GroundProgram:
     """Instantiate the rewritten program over its active domain.
 
@@ -177,12 +179,11 @@ def ground(
     model), so every relevant instance is produced.  diffchoice rules, which
     are not range restricted, are instantiated only over pairs of derivable
     chosen candidates; that preserves the stable models over the relevant
-    base.  Exceeding either cap raises with the offending size; programs that
-    accumulate costs around a directed cycle have no finite grounding at all
-    and trip the atom cap.
+    base.  Exceeding either cap, or MAX_PROBES row probes, raises;
+    programs that accumulate costs around a directed cycle have no finite
+    grounding at all and trip the atom cap.
     """
     store: dict[str, dict[Tup, None]] = {}
-    n_atoms = 0
     facts: list[GAtom] = []
     for f in foe.facts:
         store.setdefault(f.pred, {})[f.args] = None
@@ -205,7 +206,7 @@ def ground(
         tuple({g.pred for g in rule.pos_body if isinstance(g, Atom)}) for rule in deriving
     ]
     last_sizes: list[dict[str, int] | None] = [None] * len(deriving)
-    budget = [max_probes]
+    budget = [MAX_PROBES]
 
     changed = True
     while changed:
@@ -330,7 +331,6 @@ def enumerate_choice_models(
     cap: int = 1024,
     *,
     candidate_cap: int = 20,
-    max_instances: int = 10**6,
 ) -> list[dict[str, frozenset]]:
     """All choice models of the program over the given facts.
 
@@ -342,7 +342,7 @@ def enumerate_choice_models(
     models raises EnumerationError with the models found so far.
     """
     foe = foe_transform(program)
-    g = ground(foe, edb, max_instances=max_instances)
+    g = ground(foe, edb)
     n_cands = g.candidate_count()
     if n_cands > candidate_cap:
         raise EnumerationError(
@@ -428,15 +428,15 @@ def run_lico_reference(
     are new and compatible with the declared FDs, adjoin one, and re-close
     the non-choice rules naively.
 
-    mode "lazy" ignores costs; "least"/"most" pick the extreme-cost candidate
-    of choice_least/choice_most rules (each rule under its own cost sense)
-    and try those rules first; "lazy" takes the rules in program order.
+    mode "lazy" ignores costs and takes the rules in program order; "least"
+    picks the extreme-cost candidate of choice_least and choice_most rules
+    (each rule under its own cost sense) and tries those rules first.
     Rule scheduling and tie-breaking mirror the engine's greedy and choice
     modes so the two computations can be compared model-for-model.  The
     model comes back as {predicate: tuples}, chosen tables included, the
     shape of the engine's Interpretation.as_sets().
     """
-    if mode not in ("lazy", "least", "most"):
+    if mode not in ("lazy", "least"):
         raise GdlogError(f"unknown reference mode {mode!r}")
     tie_policy, rng = resolve_ties(ties, seed)
     store: dict[str, dict[Tup, None]] = {}

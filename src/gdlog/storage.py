@@ -166,31 +166,34 @@ class ChosenTable:
     def __init__(self, info: ChoiceInfo, rel: Relation):
         self.info = info
         self.rel = rel
-        # per FD: its left and right projections and an index on its left
-        # side; the FD invariant means key -> single tuple
+        self._rows = rel._pos  # rel's tuple set, tested without a method call
+        # per FD: its left and right projections and an index from each
+        # chosen left side to its right side, which the FD makes unique
         self._fds: list[tuple[FD, Callable, Callable, dict[Tup, Tup]]] = [
             (fd, projector(fd.left), projector(fd.right), {}) for fd in info.fds
         ]
 
     def conflicts(self, t: Tup) -> bool:
-        """True when t agrees with some stored tuple on the left side of at
-        least one FD (an equal tuple conflicts with its own keys)."""
-        for _, left, _, index in self._fds:
-            if left(t) in index:
+        """True when t is chosen already, or agrees with a chosen tuple on the
+        left side of some FD and differs from it on the right side."""
+        for _, left, right, index in self._fds:
+            r = index.get(left(t))
+            if r is not None and r != right(t):
                 return True
-        return False
+        return t in self._rows
 
     def insert(self, t: Tup) -> None:
-        if t in self.rel:
+        if t in self._rows:
             return
         for fd, left, right, index in self._fds:
-            other = index.get(left(t))
-            if other is not None and right(other) != right(t):
+            r = index.get(left(t))
+            if r is not None and r != right(t):
                 raise FDViolation(
-                    f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t} against {other}"
+                    f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
+                    f"whose left side is chosen with right side {r}"
                 )
-        for _, left, _, index in self._fds:
-            index[left(t)] = t
+        for _, left, right, index in self._fds:
+            index[left(t)] = right(t)
         self.rel.insert(t)
 
 
@@ -331,10 +334,12 @@ class _Heap:
 class ThetaTable:
     """Future candidates for one choice rule.
 
-    Hash-keyed on every FD left side; for choice-least/most rules the union
-    of the FD left sides is a unique key and only the best-cost tuple per key
-    value is retained.  A table with a fixed order (least/most, or pure under
-    lex ties) stores each candidate's order key at insert.
+    Hash-keyed on every FD left side.  The info alone shapes the table: a
+    cost position makes it greedy (choice_least or choice_most by its kind),
+    and with a unique key only the best-cost tuple per key value is
+    retained; the plain choice fixpoint passes a pure view of the info.  A
+    table with a fixed order (greedy, or pure under lex ties) stores each
+    candidate's order key at insert.
 
     An ordered table stages fresh candidates, together with their least key.
     A selection takes the better of that key and the least settled key, and
@@ -362,19 +367,14 @@ class ThetaTable:
         use_pq: bool = False,
         tie_policy: str = "lex",
         rng: random.Random | None = None,
-        treat_as_pure: bool = False,
     ):
         self.info = info
         self.counters = counters if counters is not None else Counters()
         self.rng = rng if rng is not None else random.Random(0)
-        # treat_as_pure drops cost-based retention and selection: the plain
-        # choice fixpoint reads least/most goals as ordinary choice goals
-        self.greedy = info.cost_pos is not None and not treat_as_pure
+        self.greedy = info.cost_pos is not None
         self._most = info.kind is RuleKind.CHOICE_MOST
         # projection onto the unique key, None when no key is kept
-        self._ukey = (
-            projector(info.unique_key) if self.greedy and info.unique_key is not None else None
-        )
+        self._ukey = None if info.unique_key is None else projector(info.unique_key)
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = self.greedy or tie_policy == "lex"
         self._key = order_key(len(info.w_vars))
@@ -384,8 +384,8 @@ class ThetaTable:
         self._seq = 0
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
-        self._fd_index: list[tuple[Callable[[Tup], Tup], dict[Tup, dict[Tup, None]]]] = [
-            (projector(fd.left), {}) for fd in info.fds
+        self._fd_index: list[tuple[Callable, Callable, dict[Tup, dict[Tup, None]]]] = [
+            (projector(fd.left), projector(fd.right), {}) for fd in info.fds
         ]
         self._ukey_index: dict[Tup, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
@@ -458,7 +458,7 @@ class ThetaTable:
 
     def _add(self, t: Tup, key) -> None:
         self._entries[t] = key
-        for left, index in self._fd_index:
+        for left, _, index in self._fd_index:
             index.setdefault(left(t), {})[t] = None
         if self._ukey is not None:
             self._ukey_index[self._ukey(t)] = t
@@ -479,7 +479,7 @@ class ThetaTable:
         del self._entries[t]
         self.counters.theta_deletes += 1
         self.counters.work += 1
-        for left, index in self._fd_index:
+        for left, _, index in self._fd_index:
             key = left(t)
             bucket = index[key]
             del bucket[t]
@@ -545,14 +545,17 @@ class ThetaTable:
         return least
 
     def purge_conflicting(self, delta: Tup) -> int:
-        """Drop every candidate agreeing with delta on the left side of some
-        FD; each removal is constant time through the FD indexes (plus heap
-        maintenance for a candidate already pushed)."""
+        """Drop delta and every candidate that agrees with it on the left side
+        of some FD and differs from it on the right side; the FD indexes
+        find them, and each removal is constant time (plus heap maintenance
+        for a candidate already pushed)."""
         removed = 0
-        for left, index in self._fd_index:
+        for left, right, index in self._fd_index:
+            r = right(delta)
             for t in list(index.get(left(delta), ())):
-                self._remove(t)
-                removed += 1
+                if right(t) != r or t == delta:
+                    self._remove(t)
+                    removed += 1
         return removed
 
     def _flush(self) -> None:

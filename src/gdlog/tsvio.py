@@ -56,9 +56,9 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
 
 
 def _mixed_arity_key(t: tuple) -> tuple:
-    # the same order for a predicate whose tuples differ in arity (a fact
-    # file and the program can disagree under enumerate): the column part of
-    # the key, without the trailing tuple, so tuples of two arities compare
+    # the same order for a predicate whose tuples differ in arity, which a
+    # library caller can pass (the CLI checks fact files against the
+    # program): the key without its trailing tuple, so two arities compare
     return order_key(len(t))(t)[:-1]
 
 

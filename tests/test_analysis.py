@@ -151,6 +151,31 @@ def test_unique_key_union_of_left_sides():
     assert info.unique_key == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "name, key", [("optmatching", (0, 1)), ("prim", (1,)), ("dijkstra", (0,)), ("sort", (0, 1)), ("tsp", (0, 1))]
+)
+def test_every_corpus_least_or_most_rule_keeps_its_unique_key(name, key):
+    (rule,) = [r for r in get_program(name).rules if any(c.kind != "choice" for c in r.choice_goals)]
+    assert choice_info(rule).unique_key == key
+
+
+@pytest.mark.parametrize(
+    "goals, key",
+    [
+        # one shared left side: W beyond the key lies in every FD's right side
+        ("choice((X),(Y)), choice_least((X),(C))", (0,)),
+        # every non-cost right side inside the key (X, Y)
+        ("choice((X),(Y)), choice((Y),(X)), choice_most((X),(C))", (0, 1)),
+        # a chosen tuple may differ from a kept candidate only outside the key
+        ("choice((X),(Y)), choice_least((Z),(C))", None),
+        ("choice((X),(Y,Z)), choice_least((Y),(C))", None),
+    ],
+)
+def test_unique_key_only_where_retention_keeps_every_admitted_candidate(goals, key):
+    info = choice_info(parse_program(f"p(X,Y,Z,C) :- q(X,Y,Z,C), {goals}.").rules[0])
+    assert info.unique_key == key
+
+
 def test_foe_printer_mentions_negation():
     text = format_foe_program(foe_transform(get_program("advisor")))
     assert "not diffchoice_r1(S, P)" in text

@@ -321,6 +321,79 @@ def test_bench_rejects_bad_ladder(capsys):
     assert main(["bench", "--example", "sequence", "--sizes", "64,32", "--reps", "3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("1,a", "comma-separated integers"),
+        ("", "comma-separated integers"),
+        ("0,1", "sizes must be at least 1"),
+        ("-4,8", "sizes must be at least 1"),
+    ],
+)
+def test_bench_rejects_sizes_that_are_not_positive_integers(capsys, sizes, message):
+    assert main(["bench", "--example", "sequence", f"--sizes={sizes}", "--reps", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "complete", "--n", "-3"],
+        ["--family", "sparse-connected", "--n", "0"],
+        ["--family", "bipartite", "--n", "2", "--n2", "0"],
+    ],
+)
+def test_gen_rejects_a_size_below_1(tmp_path, capsys, args):
+    out = tmp_path / "f"
+    assert main(["gen", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --n and --n2 must be at least 1\n"
+    assert not out.exists()
+
+
+# A fact file as wide as the program's atoms of its predicate, and two that
+# are not: g is used with three arguments
+ARITY_PROGRAM = "p(X,Y) :- g(X,Y,C), choice((X),(Y)).\n"
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "check"])
+@pytest.mark.parametrize("row, width", [("a\tb", 2), ("a\tb\t1\t2", 4)])
+def test_fact_file_narrower_or_wider_than_the_program_exit_1(tmp_path, capsys, command, row, width):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"{row}\n")
+    prog = tmp_path / "p.dl"
+    prog.write_text(ARITY_PROGRAM)
+    model = tmp_path / "m.tsv"
+    model.write_text("")
+    extra = ["--model", str(model)] if command == "check" else []
+    assert main([command, str(prog), "--facts", str(tmp_path / "f"), *extra]) == 1
+    assert capsys.readouterr().err == f"error: g.facts: {width} columns, but the program uses g/3\n"
+
+
+# Two FDs whose left sides a second candidate shares while it agrees with
+# the first on the right side, so both are chosen (see docs/dialect.md)
+SHARED_LEFT = {
+    "P1": "q(a,b,c,d).\nq(a,b,e,f).\np(X,Y,Z,V) :- q(X,Y,Z,V), choice((X),(Y)), choice((Z),(V)).\n",
+    "P2": (
+        "q(x,y1,z,1).\nq(x,y2,z,5).\nq(x,y2,z2,0).\n"
+        "p(X,Y,Z,C) :- q(X,Y,Z,C), choice((X),(Y)), choice_least((Z),(C)).\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, chosen", [("P1", ["a\tb\tc\td", "a\tb\te\tf"]), ("P2", ["x\ty2\tz2\t0", "x\ty2\tz\t5"])])
+def test_check_accepts_the_run_model_of_shared_fd_left_sides(tmp_path, capsys, name, chosen):
+    prog = tmp_path / "p.dl"
+    prog.write_text(SHARED_LEFT[name])
+    out = tmp_path / "m.tsv"
+    assert main(["run", str(prog), "-o", str(out)]) == 0
+    assert {line for line in out.read_text().splitlines() if line.startswith("p\t")} == {
+        f"p\t{c}" for c in chosen
+    }
+    assert main(["check", str(prog), "--model", str(out)]) == 0
+    assert capsys.readouterr().out == "stable\n"
+
+
 def test_facts_roundtrip(tmp_path):
     edb = {"g": [("a", "n2", 3), ("Jim Black", "x", -1)], "d": [(7,)]}
     write_facts_dir(str(tmp_path / "f"), edb)

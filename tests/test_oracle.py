@@ -12,6 +12,7 @@ from gdlog.corpus import (
     sparse_connected_graph,
 )
 from gdlog.engine import run_with_counters
+from gdlog import oracle
 from gdlog.lang import parse_program
 from gdlog.oracle import (
     EnumerationError,
@@ -85,6 +86,12 @@ def test_ground_instance_count_matches_bruteforce_enumeration():
 def test_grounding_cap_reported():
     with pytest.raises(GroundingError, match="cap"):
         ground(foe_transform(get_program("spantree")), TOY_TRIANGLE, max_instances=3)
+
+
+def test_grounding_probe_budget_reported(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_PROBES", 20)
+    with pytest.raises(GroundingError, match="budget"):
+        ground(foe_transform(get_program("spantree")), TOY_TRIANGLE)
 
 
 def test_cyclic_cost_accumulation_refused():

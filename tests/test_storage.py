@@ -8,7 +8,7 @@ from gdlog.analysis import choice_info
 from gdlog.corpus import domain_facts, get_program
 from gdlog.engine import Engine
 from gdlog.lang import MAX_INT, MIN_INT, format_const, parse_program
-from gdlog.oracle import tuple_key
+from gdlog.oracle import _fd_conflict, tuple_key
 from gdlog.storage import (
     ChosenTable,
     Counters,
@@ -174,6 +174,43 @@ def test_conflict_matches_bruteforce(s, against):
     assert chosen.rel.rows == kept
     brute = [t for t in s if any(t[0] == u[0] or t[1] == u[1] for u in kept)]
     assert _conflicting(s, chosen) == brute
+
+
+@st.composite
+def _fd_cases(draw):
+    # FDs of 1-3 choice goals over q/4, chosen tuples offered in turn, and
+    # candidates, all over two values so that FD sides collide often
+    goals = []
+    for _ in range(draw(st.integers(1, 3))):
+        right = draw(st.lists(st.sampled_from("XYZU"), min_size=1, max_size=2, unique=True))
+        left = draw(st.lists(st.sampled_from([v for v in "XYZU" if v not in right]), max_size=2, unique=True))
+        goals.append(f"choice(({','.join(left)}),({','.join(right)}))")
+    info = _info(f"p(X,Y,Z,U) :- q(X,Y,Z,U), {', '.join(goals)}.")
+    row = st.tuples(*[st.sampled_from("ab")] * len(info.w_vars))
+    return info, draw(st.lists(row, max_size=6)), draw(st.lists(row, max_size=8)), draw(row)
+
+
+@settings(max_examples=200)
+@given(_fd_cases())
+def test_conflicts_and_purge_follow_the_declared_fd_rule(case):
+    # a conflict agrees on an FD's left side and differs on its right side
+    # (oracle._fd_conflict); a chosen tuple conflicts with itself, and a
+    # purge drops delta itself
+    info, offered, cands, delta = case
+    chosen = ChosenTable(info, Relation(info.chosen_pred, len(info.w_vars)))
+    kept = []
+    for u in offered:
+        if not chosen.conflicts(u):
+            chosen.insert(u)  # raises FDViolation if the check let a conflict through
+            kept.append(u)
+    assert chosen.rel.rows == kept
+    declared = [t for t in cands if t in kept or any(_fd_conflict(info.fds, t, u) for u in kept)]
+    assert _conflicting(cands, chosen) == declared
+    th = ThetaTable(info)
+    for t in cands:
+        th.insert(t)
+    th.purge_conflicting(delta)
+    assert list(th) == [t for t in dict.fromkeys(cands) if t != delta and not _fd_conflict(info.fds, t, delta)]
 
 
 # ChosenTable -----------------------------------------------------------------
