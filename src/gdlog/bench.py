@@ -57,8 +57,8 @@ class BenchSpec:
             raise GdlogError(f"unknown example {self.example!r}")
         if len(self.sizes) == 0:
             raise GdlogError("empty size ladder")
-        if min(self.sizes) < 1:
-            raise GdlogError("sizes must be at least 1")
+        if min(self.sizes) < 1 or self.cost_max < 1:
+            raise GdlogError("sizes and --cost-max must be at least 1")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise GdlogError("sizes must be strictly increasing")
         if self.reps < 3:

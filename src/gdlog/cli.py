@@ -156,8 +156,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or (args.n2 is not None and args.n2 < 1):
-        raise GdlogError("--n and --n2 must be at least 1")
+    if args.n < 1 or args.cost_max < 1 or (args.n2 is not None and args.n2 < 1):
+        raise GdlogError("--n, --n2 and --cost-max must be at least 1")
     if args.family == "complete":
         edb = corpus.complete_graph(
             args.n, cost_max=args.cost_max, seed=args.seed, directed=args.directed

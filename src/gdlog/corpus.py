@@ -137,19 +137,18 @@ def sparse_connected_graph(
 
 
 def bipartite_graph(
-    n1: int, n2: int | None = None, *, cost_max: int = 1000, seed: int = 0
+    n1: int,
+    n2: int | None = None,
+    *,
+    cost_max: int = 1000,
+    seed: int = 0,
 ) -> dict[str, list[tuple]]:
-    """g(x, y, c) facts for every pair across the two parts u1..un1 /
-    v1..vn2."""
+    """g(x, y, c) facts for every pair across the two parts u1..un1 / v1..vn2."""
     rng = random.Random(seed)
     n2 = n1 if n2 is None else n2
-    return {
-        "g": [
-            (f"u{i}", f"v{j}", rng.randint(1, cost_max))
-            for i in range(1, n1 + 1)
-            for j in range(1, n2 + 1)
-        ]
-    }
+    left = [f"u{i}" for i in range(1, n1 + 1)]
+    right = [f"v{i}" for i in range(1, n2 + 1)]
+    return {"g": [(u, v, rng.randint(1, cost_max)) for u in left for v in right]}
 
 
 def domain_facts(n: int, *, seed: int = 0) -> dict[str, list[tuple]]:

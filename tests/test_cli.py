@@ -322,18 +322,18 @@ def test_bench_rejects_bad_ladder(capsys):
 
 
 @pytest.mark.parametrize(
-    "sizes, message",
+    "args, message",
     [
-        ("1,a", "comma-separated integers"),
-        ("", "comma-separated integers"),
-        ("0,1", "sizes must be at least 1"),
-        ("-4,8", "sizes must be at least 1"),
+        (["--sizes=1,a"], "--sizes takes comma-separated integers, not '1,a'"),
+        (["--sizes="], "--sizes takes comma-separated integers, not ''"),
+        (["--sizes=0,1"], "sizes and --cost-max must be at least 1"),
+        (["--sizes=-4,8"], "sizes and --cost-max must be at least 1"),
+        (["--sizes=8", "--cost-max=0"], "sizes and --cost-max must be at least 1"),
     ],
 )
-def test_bench_rejects_sizes_that_are_not_positive_integers(capsys, sizes, message):
-    assert main(["bench", "--example", "sequence", f"--sizes={sizes}", "--reps", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+def test_bench_rejects_numbers_that_are_not_positive_integers(capsys, args, message):
+    assert main(["bench", "--example", "sequence", *args, "--reps", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -342,12 +342,13 @@ def test_bench_rejects_sizes_that_are_not_positive_integers(capsys, sizes, messa
         ["--family", "complete", "--n", "-3"],
         ["--family", "sparse-connected", "--n", "0"],
         ["--family", "bipartite", "--n", "2", "--n2", "0"],
+        ["--family", "complete", "--n", "3", "--cost-max", "0"],
     ],
 )
-def test_gen_rejects_a_size_below_1(tmp_path, capsys, args):
+def test_gen_rejects_a_size_or_cost_max_below_1(tmp_path, capsys, args):
     out = tmp_path / "f"
     assert main(["gen", *args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: --n and --n2 must be at least 1\n"
+    assert capsys.readouterr().err == "error: --n, --n2 and --cost-max must be at least 1\n"
     assert not out.exists()
 
 
