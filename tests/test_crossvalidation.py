@@ -134,10 +134,10 @@ def _atoms_of(model: dict) -> set:
 # FDs with a shared left side ------------------------------------------------
 #
 # A candidate conflicts with a chosen tuple when the two agree on an FD's left
-# side and differ on its right side.  P1's second tuple agrees with the first
-# on X and Y, and on nothing of Z -> V, so both are chosen.  In P2, retention
-# on the key (X, Z) would drop (x,y2,z,5) for (x,y1,z,1), which the cheaper
-# (x,y2,z2,0) then purges, though the declared FDs admit (x,y2,z,5).
+# side and differ on its right side.  P1's two tuples agree on X and on Y and
+# differ on Z, so neither FD makes them conflict and both are chosen.  In P2,
+# retention on the key (X, Z) would drop (x,y2,z,5) for (x,y1,z,1), which the
+# cheaper (x,y2,z2,0) then purges, though the declared FDs admit (x,y2,z,5).
 
 P1 = "p(X,Y,Z,V) :- q(X,Y,Z,V), choice((X),(Y)), choice((Z),(V))."
 P1_FACTS = [("a", "b", "c", "d"), ("a", "b", "e", "f")]
