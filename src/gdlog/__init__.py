@@ -8,7 +8,6 @@ from .analysis import (
     FD,
     FoeProgram,
     RuleKind,
-    SubprogramPlan,
     build_dependency_graph,
     classify_rules,
     foe_transform,

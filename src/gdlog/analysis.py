@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .lang import (
     Atom,
@@ -131,12 +131,7 @@ class Stratum:
         )
 
 
-@dataclass(frozen=True)
-class SubprogramPlan:
-    strata: tuple[Stratum, ...]
-
-
-def plan_subprograms(graph: DependencyGraph, program: Program) -> SubprogramPlan:
+def plan_subprograms(graph: DependencyGraph, program: Program) -> tuple[Stratum, ...]:
     """Group mutually recursive predicates and order the groups so every body
     predicate of a stratum is defined in the same or an earlier stratum;
     earlier results act as database facts for later strata."""
@@ -151,7 +146,7 @@ def plan_subprograms(graph: DependencyGraph, program: Program) -> SubprogramPlan
             rules.extend(by_head.get(pred, []))
         rules.sort(key=lambda r: order[r.rule_id])
         strata.append(Stratum(clique, tuple(rules)))
-    return SubprogramPlan(tuple(strata))
+    return tuple(strata)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +273,6 @@ class FoeProgram:
     facts: tuple[Atom, ...]
     infos: dict[str, ChoiceInfo]
 
-    def all_rules(self) -> Iterator[FoeRule]:
-        yield from self.rewritten
-        yield from self.chosen
-        yield from self.diffchoice
-
 
 def _prime(v: Var) -> Var:
     return Var(v.name + "'")
@@ -330,13 +320,13 @@ def format_foe_rule(r: FoeRule) -> str:
 
 def format_foe_program(foe: FoeProgram) -> str:
     lines = [f"{format_atom(f)}." for f in foe.facts]
-    lines += [format_foe_rule(r) for r in foe.all_rules()]
+    lines += [format_foe_rule(r) for r in foe.rewritten + foe.chosen + foe.diffchoice]
     return "\n".join(lines) + "\n"
 
 
-def format_plan(plan: SubprogramPlan) -> str:
+def format_plan(strata: tuple[Stratum, ...]) -> str:
     lines = []
-    for i, s in enumerate(plan.strata, 1):
+    for i, s in enumerate(strata, 1):
         preds = ", ".join(sorted(s.preds))
         kinds = {r.rule_id: classify_rule(r).value for r in s.rules}
         tag = " recursive" if s.is_recursive_clique() else ""

@@ -179,6 +179,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
 # Complexity checks
 
 SLOPE_TOL = 0.3
+MAX_SPREAD = 2.0
 
 
 def fit_slope(points: list[tuple[float, float]]) -> float | None:
@@ -198,25 +199,25 @@ def model_slope(model, xs: list[float]) -> float:
     return (math.log2(model(hi)) - math.log2(model(lo))) / (math.log2(hi) - math.log2(lo))
 
 
-def _slope_check(name, metric, points, expected, tol=SLOPE_TOL) -> LadderCheck:
+def _slope_check(name, metric, points, expected) -> LadderCheck:
     slope = fit_slope(points)
     if slope is None:
         return LadderCheck(name, metric, "NA", "slope undefined: need at least 2 sizes")
-    verdict = "PASS" if abs(slope - expected) <= tol else "FAIL"
+    verdict = "PASS" if abs(slope - expected) <= SLOPE_TOL else "FAIL"
     return LadderCheck(
-        name, metric, verdict, f"slope={slope:.3f} expected={expected:.3f} tol={tol}"
+        name, metric, verdict, f"slope={slope:.3f} expected={expected:.3f} tol={SLOPE_TOL}"
     )
 
 
-def _budget_check(name, metric, ratios, max_spread=2.0) -> LadderCheck:
+def _budget_check(name, metric, ratios) -> LadderCheck:
     """Fitted constants c_i = metric / budget must stay stable across the
     ladder (bounded spread), i.e. the metric is O(budget)."""
     if len(ratios) < 2:
         return LadderCheck(name, metric, "NA", "budget fit undefined: need at least 2 sizes")
     spread = max(ratios) / min(ratios)
-    verdict = "PASS" if spread <= max_spread else "FAIL"
+    verdict = "PASS" if spread <= MAX_SPREAD else "FAIL"
     cs = ", ".join(f"{c:.3f}" for c in ratios)
-    return LadderCheck(name, metric, verdict, f"c=[{cs}] spread={spread:.2f} max={max_spread}")
+    return LadderCheck(name, metric, verdict, f"c=[{cs}] spread={spread:.2f} max={MAX_SPREAD}")
 
 
 def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> list[LadderCheck]:

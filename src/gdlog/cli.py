@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, bench, corpus, tsvio
 from .analysis import foe_transform
-from .engine import PQ_SETTINGS, EngineError, run_with_counters
+from .engine import MODES, PQ_SETTINGS, EngineError, run_with_counters
 from .lang import Diagnostic, GdlogError, ProgramError, parse_program
 from .oracle import (
     EnumerationError,
@@ -163,8 +163,13 @@ def cmd_gen(args) -> int:
             args.n, cost_max=args.cost_max, seed=args.seed, directed=args.directed
         )
     elif args.family == "sparse-connected":
+        arcs = bench.ARCS_PER_NODE * args.n if args.arcs is None else args.arcs
+        # an explicit --arcs holds the spanning tree and at most one arc per node pair
+        pairs = args.n * (args.n - 1) // (1 if args.directed else 2)
+        if args.arcs is not None and not args.n - 1 <= arcs <= pairs:
+            raise GdlogError(f"--arcs must be between {args.n - 1} and {pairs} for --n {args.n}, not {arcs}")
         edb = corpus.sparse_connected_graph(
-            args.n, args.arcs, cost_max=args.cost_max, seed=args.seed, directed=args.directed
+            args.n, arcs, cost_max=args.cost_max, seed=args.seed, directed=args.directed
         )
     elif args.family == "bipartite":
         edb = corpus.bipartite_graph(args.n, args.n2, cost_max=args.cost_max, seed=args.seed)
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="seed for random ties")
     run.add_argument("--ties", choices=TIE_POLICIES, help="default lex, or random with --seed")
     run.add_argument("--pq", choices=PQ_SETTINGS, default="auto")
-    run.add_argument("--mode", choices=["auto", "choice", "greedy"], default="auto")
+    run.add_argument("--mode", choices=MODES, default="auto")
     run.add_argument("--factorize", action="store_true")
     run.add_argument("--trace", help="write one TSV row per selection to this file")
     run.add_argument("--stats", action="store_true", help="print counters to stderr")
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", required=True, choices=["complete", "sparse-connected", "bipartite"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--n2", type=int, help="right part size for bipartite (default n)")
-    gen.add_argument("--arcs", type=int, help="arc count for sparse-connected (default 4n)")
+    gen.add_argument("--arcs", type=int, help=f"arc count for sparse-connected (default {bench.ARCS_PER_NODE}n)")
     gen.add_argument("--cost-max", type=int, default=1000)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--directed", action="store_true")

@@ -98,7 +98,7 @@ def complete_graph(n: int, *, cost_max: int = 1000, seed: int = 0, directed: boo
 
 def sparse_connected_graph(
     n: int,
-    arcs: int | None = None,
+    arcs: int,
     *,
     cost_max: int = 1000,
     seed: int = 0,
@@ -108,8 +108,6 @@ def sparse_connected_graph(
     by construction (every node can be reached from `a`)."""
     rng = random.Random(seed)
     nodes = node_names(n)
-    if arcs is None:
-        arcs = 4 * n
     edges: set[tuple[str, str]] = set()
     order = nodes[1:]
     rng.shuffle(order)
@@ -159,7 +157,7 @@ def domain_facts(n: int, *, seed: int = 0) -> dict[str, list[tuple]]:
     return {"d": [(v,) for v in values]}
 
 
-def advisor_facts(n_students: int = 3, n_professors: int = 3, *, seed: int = 0) -> dict[str, list[tuple]]:
+def advisor_facts(n_students: int, n_professors: int, *, seed: int = 0) -> dict[str, list[tuple]]:
     """Students and professors, each in one of the majors m1 and m2."""
     rng = random.Random(seed)
     majors = ["m1", "m2"]
@@ -170,22 +168,3 @@ def advisor_facts(n_students: int = 3, n_professors: int = 3, *, seed: int = 0) 
     professors = [(f"p{i}", rng.choice(majors)) for i in range(1, n_professors + 1)]
     return {"student": students, "professor": professors}
 
-
-# The three-node graph whose spanning-tree program has exactly three choice
-# models; arc costs 1 (a-b), 2 (b-c), 3 (a-c).
-TOY_TRIANGLE: dict[str, list[tuple]] = {
-    "g": [
-        ("a", "b", 1),
-        ("b", "a", 1),
-        ("b", "c", 2),
-        ("c", "b", 2),
-        ("a", "c", 3),
-        ("c", "a", 3),
-    ]
-}
-
-# The advisor facts used throughout: one student, two same-major professors.
-ADVISOR_TOY: dict[str, list[tuple]] = {
-    "student": [("Jim Black", "ee", "senior")],
-    "professor": [("ohm", "ee"), ("bell", "ee")],
-}

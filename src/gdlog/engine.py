@@ -70,6 +70,7 @@ class EngineError(GdlogError):
 
 EDB = dict[str, Iterable[Tup]]
 PQ_SETTINGS = ("auto", "off")
+MODES = ("auto", "choice", "greedy")
 
 
 class Interpretation:
@@ -453,7 +454,7 @@ class Engine:
                 self.arities[info.chosen_pred] = len(info.w_vars)
         self.greedy = self._resolve_mode(mode)
         graph = analysis.build_dependency_graph(program)
-        self.plan = analysis.plan_subprograms(graph, program)
+        self.strata = analysis.plan_subprograms(graph, program)
 
         self._load_facts(edb)
         # atoms after loading: the model then grows by one atom per derived
@@ -461,7 +462,7 @@ class Engine:
         self._loaded = sum(map(len, self.interp.relations.values()))
 
     def _resolve_mode(self, mode: str) -> bool:
-        if mode not in ("auto", "choice", "greedy"):
+        if mode not in MODES:
             raise EngineError(f"unknown mode {mode!r}")
         has_extreme = any(info.cost_pos is not None for info in self.infos.values())
         if mode == "greedy" and not has_extreme:
@@ -488,7 +489,7 @@ class Engine:
 
     def run(self) -> Interpretation:
         t0 = time.perf_counter()
-        for stratum in self.plan.strata:
+        for stratum in self.strata:
             pattern = self._factorize_pattern(stratum) if self.factorize else None
             if pattern is not None:
                 self._run_stratum_factorized(*pattern)
@@ -645,28 +646,9 @@ class Engine:
 # Public operations
 
 
-def run_with_counters(
-    program: Program,
-    *,
-    mode: str = "auto",
-    pq: str = "auto",
-    ties: str | None = None,
-    seed: int | None = None,
-    edb: EDB | None = None,
-    factorize: bool = False,
-    trace=None,
-) -> tuple[Interpretation, Counters]:
+def run_with_counters(program: Program, **knobs) -> tuple[Interpretation, Counters]:
     """Run the program and report operation counters alongside the model.
-    The knobs are Engine's; trace is a text stream or None."""
-    eng = Engine(
-        program,
-        edb=edb,
-        mode=mode,
-        pq=pq,
-        ties=ties,
-        seed=seed,
-        factorize=factorize,
-        trace=trace,
-    )
+    The keywords are Engine's knobs."""
+    eng = Engine(program, **knobs)
     interp = eng.run()
     return interp, eng.counters

@@ -11,7 +11,7 @@ freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 MIN_INT = -(2**63)
@@ -126,25 +126,13 @@ class Rule:
     head: Atom
     body: tuple[BodyGoal, ...]
     choice_goals: tuple[ChoiceGoal, ...]
-    rule_id: str = ""
-    line: int = 0
+    rule_id: str = field(default="", compare=False)
+    line: int = field(default=0, compare=False)
 
     def body_atoms(self) -> Iterator[Atom]:
         for g in self.body:
             if isinstance(g, Atom):
                 yield g
-
-    def __eq__(self, other):
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return (self.head, self.body, self.choice_goals) == (
-            other.head,
-            other.body,
-            other.choice_goals,
-        )
-
-    def __hash__(self):
-        return hash((self.head, self.body, self.choice_goals))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional
 
-from .analysis import ChoiceInfo, FoeProgram, RuleKind, VectorNeq, choice_info, foe_transform
+from .analysis import ChoiceInfo, FoeProgram, RuleKind, choice_info, foe_transform
 from .lang import MAX_INT, MIN_INT, Atom, Comparison, Const, GdlogError, PlusBinding, Program, Var
 from .storage import resolve_ties
 
@@ -32,6 +32,8 @@ class GroundingError(GdlogError):
 
 
 MAX_PROBES = 5_000_000  # row probes one grounding may make before it gives up
+MAX_INSTANCES = 10**6  # ground rule instances one grounding may make
+MAX_ATOMS = 100_000  # ground atoms one grounding may derive
 
 
 def const_key(c: Const):
@@ -81,20 +83,16 @@ class GroundProgram:
 # Naive matching over plain atom stores (insertion-ordered for determinism)
 
 
-def _eval_builtin(goal, env) -> bool:
+def _eval_builtin(goal: Comparison, env) -> bool:
     def val(t):
         return env[t] if isinstance(t, Var) else t
 
-    if isinstance(goal, Comparison):
-        a, b = val(goal.left), val(goal.right)
-        if goal.op == "\\=":
-            return a != b
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise GroundingError(f"order comparison over non-integers {a!r} {goal.op} {b!r}")
-        return {"<": a < b, "=<": a <= b, ">": a > b, ">=": a >= b}[goal.op]
-    if isinstance(goal, VectorNeq):
-        return any(val(x) != val(y) for x, y in goal.pairs)
-    raise AssertionError(goal)
+    a, b = val(goal.left), val(goal.right)
+    if goal.op == "\\=":
+        return a != b
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise GroundingError(f"order comparison over non-integers {a!r} {goal.op} {b!r}")
+    return {"<": a < b, "=<": a <= b, ">": a > b, ">=": a >= b}[goal.op]
 
 
 def _all_matches(goals, store: dict[str, dict[Tup, None]], budget: list[int] | None = None):
@@ -169,9 +167,6 @@ def _fd_conflict(fds, w: Tup, u: Tup) -> bool:
 def ground(
     foe: FoeProgram,
     edb: dict[str, Iterable[Tup]] | None = None,
-    *,
-    max_instances: int = 10**6,
-    max_atoms: int = 100_000,
 ) -> GroundProgram:
     """Instantiate the rewritten program over its active domain.
 
@@ -179,7 +174,7 @@ def ground(
     model), so every relevant instance is produced.  diffchoice rules, which
     are not range restricted, are instantiated only over pairs of derivable
     chosen candidates; that preserves the stable models over the relevant
-    base.  Exceeding either cap, or MAX_PROBES row probes, raises;
+    base.  Exceeding MAX_INSTANCES, MAX_ATOMS or MAX_PROBES raises;
     programs that accumulate costs around a directed cycle have no finite
     grounding at all and trip the atom cap.
     """
@@ -224,9 +219,9 @@ def ground(
                 key = (ri, head, pos)
                 if key in instances:
                     continue
-                if len(instances) >= max_instances:
+                if len(instances) >= MAX_INSTANCES:
                     raise GroundingError(
-                        f"grounding exceeds the cap of {max_instances} instances"
+                        f"grounding exceeds the cap of {MAX_INSTANCES} instances"
                     )
                 instances[key] = GroundRule(head, pos, neg)
                 if rule.neg_body:  # a chosen rule: record the candidate
@@ -235,9 +230,9 @@ def ground(
                 if head[1] not in bucket:
                     bucket[head[1]] = None
                     n_atoms += 1
-                    if n_atoms > max_atoms:
+                    if n_atoms > MAX_ATOMS:
                         raise GroundingError(
-                            f"grounding exceeds the cap of {max_atoms} ground atoms"
+                            f"grounding exceeds the cap of {MAX_ATOMS} ground atoms"
                         )
                     changed = True
 
@@ -253,9 +248,9 @@ def ground(
                 for w2 in cands:
                     if not _fd_conflict((fd,), w, w2):
                         continue
-                    if len(rules) >= max_instances:
+                    if len(rules) >= MAX_INSTANCES:
                         raise GroundingError(
-                            f"grounding exceeds the cap of {max_instances} instances"
+                            f"grounding exceeds the cap of {MAX_INSTANCES} instances"
                         )
                     head = (info.diffchoice_pred, w)
                     rules.append(GroundRule(head, ((info.chosen_pred, w2),), ()))
@@ -556,19 +551,19 @@ def bipartite_matching_valid(pairs: Iterable[tuple], edges: Iterable[tuple] | No
     return True
 
 
-def chain_is_total_order(succ_pairs: Iterable[tuple], domain: Iterable, root="root") -> bool:
-    """succ tuples (minus the root loop) must form a chain starting at root
-    and visiting every domain element exactly once."""
+def chain_is_total_order(succ_pairs: Iterable[tuple], domain: Iterable) -> bool:
+    """succ tuples (minus the root loop) must form a chain starting at the
+    symbol root and visiting every domain element exactly once."""
     domain = set(domain)
     nxt = {}
     for x, y in succ_pairs:
-        if x == root and y == root:
+        if x == "root" and y == "root":
             continue
         if x in nxt:
             return False
         nxt[x] = y
     seen = set()
-    cur = root
+    cur = "root"
     while cur in nxt:
         cur = nxt[cur]
         if cur in seen:

@@ -32,16 +32,17 @@ def parse_cell(cell: str) -> Const:
 def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
     """One `predicate<TAB>args...` line per tuple, predicates in name order
     and tuples in storage.order_key order: integers before symbols in each
-    column, column by column.  Integer cells are written by str, and each
-    distinct symbol is formatted by format_const once per call."""
+    column, column by column.  Each predicate has one arity.  Integer cells
+    are written by str, and each distinct symbol is formatted by format_const
+    once per call."""
     out = []
     append = out.append
     cells: dict[str, str] = {}
     for pred in sorted(relations):
         rows = relations[pred]
-        arities = set(map(len, rows))
-        key = order_key(arities.pop()) if len(arities) == 1 else _mixed_arity_key
-        for t in sorted(rows, key=key):
+        if not rows:
+            continue
+        for t in sorted(rows, key=order_key(len(next(iter(rows))))):
             line = [pred]
             for c in t:
                 if c.__class__ is int:
@@ -53,13 +54,6 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
                     line.append(cell)
             append("\t".join(line))
     return out
-
-
-def _mixed_arity_key(t: tuple) -> tuple:
-    # the same order for a predicate whose tuples differ in arity, which a
-    # library caller can pass (the CLI checks fact files against the
-    # program): the key without its trailing tuple, so two arities compare
-    return order_key(len(t))(t)[:-1]
 
 
 def read_model(path: str) -> dict[str, set[tuple]]:

@@ -1,5 +1,6 @@
-"""Fact-set builders that only the tests use: small random EDBs for each
-corpus program, on graphs that the stable-model oracle can ground."""
+"""Fact sets that only the tests use: small random EDBs for each corpus
+program, on graphs that the stable-model oracle can ground, and two fixed
+toy EDBs."""
 
 from __future__ import annotations
 
@@ -59,3 +60,23 @@ def example_edb(name: str, n: int, *, seed: int = 0, cost_max: int = 100) -> dic
     if name in ("simplepath", "tsp"):
         return complete_graph(n, cost_max=cost_max, seed=seed)
     raise KeyError(name)
+
+
+# The three-node graph whose spanning-tree program has exactly three choice
+# models; arc costs 1 (a-b), 2 (b-c), 3 (a-c).
+TOY_TRIANGLE: dict[str, list[tuple]] = {
+    "g": [
+        ("a", "b", 1),
+        ("b", "a", 1),
+        ("b", "c", 2),
+        ("c", "b", 2),
+        ("a", "c", 3),
+        ("c", "a", 3),
+    ]
+}
+
+# The advisor facts used throughout: one student, two same-major professors.
+ADVISOR_TOY: dict[str, list[tuple]] = {
+    "student": [("Jim Black", "ee", "senior")],
+    "professor": [("ohm", "ee"), ("bell", "ee")],
+}

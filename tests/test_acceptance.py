@@ -10,7 +10,6 @@ import pytest
 from gdlog.analysis import choice_info, foe_transform
 from gdlog.bench import BenchSpec, run_bench
 from gdlog.corpus import (
-    TOY_TRIANGLE,
     complete_graph,
     domain_facts,
     get_program,
@@ -24,7 +23,7 @@ from gdlog.oracle import (
     ref_dijkstra,
     run_lico_reference,
 )
-from corpus_helpers import example_edb
+from corpus_helpers import TOY_TRIANGLE, example_edb
 from oracle_helpers import ref_mst_weight
 
 CORPUS = [

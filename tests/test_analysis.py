@@ -38,8 +38,8 @@ def test_plan_chain_matches_networkx_condensation():
     # an independent SCC condensation
     prog = parse_program("p(X) :- q(X). q(X) :- r(X). r(a).")
     g = build_dependency_graph(prog)
-    plan = plan_subprograms(g, prog)
-    order = [s.preds for s in plan.strata]
+    strata = plan_subprograms(g, prog)
+    order = [s.preds for s in strata]
     assert order.index(frozenset({"r"})) < order.index(frozenset({"q"})) < order.index(
         frozenset({"p"})
     )
@@ -55,9 +55,9 @@ def test_plan_chain_matches_networkx_condensation():
 def test_plan_respects_dependencies_everywhere(name):
     prog = get_program(name)
     g = build_dependency_graph(prog)
-    plan = plan_subprograms(g, prog)
+    strata = plan_subprograms(g, prog)
     seen = set()
-    for stratum in plan.strata:
+    for stratum in strata:
         for r in stratum.rules:
             for a in r.body_atoms():
                 assert a.pred in seen or a.pred in stratum.preds

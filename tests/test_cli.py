@@ -212,6 +212,24 @@ def test_check_rejects_junk_model(advisor_file, tmp_path, capsys):
     assert main(["check", advisor_file, "--model", str(bad)]) == 3
 
 
+def test_check_witness_prints_the_reduct_minimum(advisor_file, tmp_path, capsys):
+    # the run's model plus one junk atom: still a model, but not stable
+    out = tmp_path / "m.tsv"
+    assert main(["run", advisor_file, "-o", str(out)]) == 0
+    with open(out, "a", encoding="utf-8") as f:
+        f.write("actual_adv\tnobody\tohm\n")
+    assert main(["check", advisor_file, "--model", str(out), "--witness"]) == 3
+    assert capsys.readouterr().out == (
+        "model but not stable\n"
+        "% reduct minimum: actual_adv\t'Jim Black'\tbell\n"
+        "% reduct minimum: chosen_r1\t'Jim Black'\tbell\n"
+        "% reduct minimum: diffchoice_r1\t'Jim Black'\tohm\n"
+        "% reduct minimum: professor\tbell\tee\n"
+        "% reduct minimum: professor\tohm\tee\n"
+        "% reduct minimum: student\t'Jim Black'\tee\tsenior\n"
+    )
+
+
 def test_check_non_utf8_model_exit_1(advisor_file, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_bytes(b"actual_adv\t'Jim Black'\t\xff\n")
@@ -223,6 +241,19 @@ def test_explain_outputs(advisor_file, capsys):
     assert main(["explain", advisor_file]) == 0
     out = capsys.readouterr().out
     assert "chosen_r1" in out and "diffchoice_r1" in out and "stratum" in out
+
+
+def test_explain_classify_prints_only_the_rule_kinds(advisor_file, capsys):
+    assert main(["explain", advisor_file, "--classify"]) == 0
+    assert capsys.readouterr().out == "r1\tpure-choice\n"
+
+
+def test_enumerate_max_models_truncates(advisor_file, capsys):
+    # advisor has two choice models; the cap keeps the first
+    assert main(["enumerate", advisor_file, "--max-models", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("% model") == 1
+    assert out.endswith("% 1 model(s) (truncated)\n")
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--facts"])
@@ -350,6 +381,29 @@ def test_gen_rejects_a_size_or_cost_max_below_1(tmp_path, capsys, args):
     assert main(["gen", *args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: --n, --n2 and --cost-max must be at least 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "arcs, directed, bounds",
+    [("-5", False, "2 and 3"), ("1", False, "2 and 3"), ("4", False, "2 and 3"), ("7", True, "2 and 6")],
+)
+def test_gen_rejects_arcs_outside_tree_and_node_pairs(tmp_path, capsys, arcs, directed, bounds):
+    # n - 1 arcs form the spanning tree; n(n-1) directed or n(n-1)/2
+    # undirected arcs join every node pair
+    out = tmp_path / "f"
+    args = ["gen", "--family", "sparse-connected", "--n", "3", f"--arcs={arcs}", "--out", str(out)]
+    assert main(args + ["--directed"] * directed) == 1
+    assert capsys.readouterr().err == f"error: --arcs must be between {bounds} for --n 3, not {arcs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arcs, directed", [(2, False), (3, False), (6, True)])
+def test_gen_writes_arcs_at_the_bounds(tmp_path, arcs, directed):
+    out = tmp_path / "f"
+    args = ["gen", "--family", "sparse-connected", "--n", "3", "--arcs", str(arcs), "--out", str(out)]
+    assert main(args + ["--directed"] * directed) == 0
+    g = read_facts_dir(str(out))["g"]
+    assert len({(u, v) for u, v, _ in g}) == arcs * (1 if directed else 2)
 
 
 # A fact file as wide as the program's atoms of its predicate, and two that

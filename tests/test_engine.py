@@ -8,9 +8,7 @@ from pathlib import Path
 import pytest
 
 from gdlog.corpus import (
-    ADVISOR_TOY,
     PROGRAMS,
-    TOY_TRIANGLE,
     complete_graph,
     domain_facts,
     get_program,
@@ -29,7 +27,7 @@ from gdlog.lang import Atom, Program, Rule, Var, format_goal, parse_program
 from gdlog.analysis import foe_transform
 from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
 from gdlog.storage import StorageError
-from corpus_helpers import acyclic_digraph, example_edb
+from corpus_helpers import ADVISOR_TOY, TOY_TRIANGLE, acyclic_digraph, example_edb
 from oracle_helpers import ref_mst_weight
 
 EXIT_RULE = Rule(Atom("st", ("root", "a", 0)), (), ())
@@ -337,6 +335,37 @@ def test_factorize_keeps_the_generic_loop_unless_the_chain_is_fresh(facts, edb):
     assert not eng.factorized_strata
 
 
+# Programs of the sequence shape that _factorize_pattern rejects for one
+# reason each, with the facts they run on
+FACTORIZE_REJECTED = [
+    (
+        "succ(root, root).\n"
+        "succ(X, Y) :- succ(_, X), d(Y), Y > 20, choice((X), (Y)), choice((Y), (X)).\n",
+        {"d": [(v,) for v in (5, 31, 77, 24, 12)]},
+    ),
+    (
+        "prev(root, root).\nsucc(root, root).\n"
+        "succ(X, Y) :- prev(_, X), d(Y), choice((X), (Y)), choice((Y), (X)).\n",
+        {"d": [(v,) for v in (5, 31, 77)]},
+    ),
+    (
+        "d(Y) :- e(Y).\nsucc(root, root).\n"
+        "succ(X, Y) :- succ(_, X), d(Y), choice((X), (Y)), choice((Y), (X)).\n",
+        {"e": [(v,) for v in (5, 31, 77)]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "src, edb", FACTORIZE_REJECTED, ids=["third-body-goal", "chain-over-another-predicate", "derived-domain"]
+)
+def test_factorize_rejects_other_shapes(src, edb):
+    prog = parse_program(src)
+    eng = Engine(prog, edb=edb, ties="lex", factorize=True)
+    assert _model(eng.run()) == _model(run_with_counters(prog, edb=edb, ties="lex")[0])
+    assert eng.factorized_strata == []
+
+
 def test_factorized_sort_counters():
     # n = 1000 theta inserts and deletes; the first selection takes the
     # staged best with no heap operation, the other n - 1 = 999 candidates
@@ -441,7 +470,8 @@ def _child_solve_call():
 def test_benchmark_entry_points_keep_working():
     counters_keys, keywords = _child_solve_call()
     assert counters_keys and keywords
-    assert keywords <= set(inspect.signature(run_with_counters).parameters)
+    # run_with_counters forwards its keywords to Engine
+    assert keywords <= set(inspect.signature(Engine).parameters)
     # the sort-factorized solve as the benchmark makes it, on a small domain
     # with negative integers, plus a relation whose symbols need quoting
     edb = {"d": [(5,), (-3,), (12,), (-40,)], "label": [("Jim Black",), ("x",)]}
@@ -795,6 +825,29 @@ def test_plans_compile_hostile_constants_and_predicate_names():
     model = run_with_counters(prog, mode="choice", ties="lex")[0].as_sets()
     assert model == run_lico_reference(prog, "lazy")
     assert ("__import__", "{0}") in model["in"]
+
+
+# Rule-body shapes checked against the reference operator: comments in the
+# program text, one variable twice in one atom (the generated plan checks the
+# second column against the first inline), and zero-arity body goals
+BODY_SHAPES = [
+    ("% facts first\nq(1). q(2).  % two of them\np(X) :- q(X). % a copy\n", None, "p", {(1,), (2,)}),
+    (
+        "loop(X) :- e(X, X).\nout(X, Y) :- e(X, X), e(X, Y), choice((X), (Y)).\n",
+        {"e": [(1, 1), (1, 2), (2, 2), (3, 1), (2, 3)]},
+        "loop",
+        {(1,), (2,)},
+    ),
+    ("on.\np(X) :- q(X), on.\nr(X) :- q(X), off.\nq(1). q(2).\n", None, "p", {(1,), (2,)}),
+]
+
+
+@pytest.mark.parametrize("src, edb, pred, rows", BODY_SHAPES, ids=["comments", "repeated-variable", "zero-arity"])
+def test_rule_bodies_agree_with_the_reference(src, edb, pred, rows):
+    prog = parse_program(src)
+    model = run_with_counters(prog, edb=edb, ties="lex")[0].as_sets()
+    assert model == run_lico_reference(prog, edb=edb)
+    assert model[pred] == rows
 
 
 def test_rule_longer_than_one_generated_function_nests():

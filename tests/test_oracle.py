@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from gdlog.analysis import foe_transform
 from gdlog.corpus import (
-    ADVISOR_TOY,
-    TOY_TRIANGLE,
     get_program,
     sparse_connected_graph,
 )
@@ -27,7 +25,7 @@ from gdlog.oracle import (
     ground,
     ref_dijkstra,
 )
-from corpus_helpers import example_edb
+from corpus_helpers import ADVISOR_TOY, TOY_TRIANGLE, example_edb
 from oracle_helpers import audit_stable_model, reachable, ref_mst_weight, ref_prim_weight
 
 
@@ -83,9 +81,10 @@ def test_ground_instance_count_matches_bruteforce_enumeration():
     assert rewritten == brute
 
 
-def test_grounding_cap_reported():
+def test_grounding_cap_reported(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_INSTANCES", 3)
     with pytest.raises(GroundingError, match="cap"):
-        ground(foe_transform(get_program("spantree")), TOY_TRIANGLE, max_instances=3)
+        ground(foe_transform(get_program("spantree")), TOY_TRIANGLE)
 
 
 def test_grounding_probe_budget_reported(monkeypatch):
@@ -94,10 +93,11 @@ def test_grounding_probe_budget_reported(monkeypatch):
         ground(foe_transform(get_program("spantree")), TOY_TRIANGLE)
 
 
-def test_cyclic_cost_accumulation_refused():
+def test_cyclic_cost_accumulation_refused(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ATOMS", 500)
     edb = {"g": [("a", "b", 1), ("b", "c", 1), ("c", "b", 1)]}
     with pytest.raises(GroundingError):
-        ground(foe_transform(get_program("reach")), edb, max_atoms=500)
+        ground(foe_transform(get_program("reach")), edb)
 
 
 # stable-model checking -------------------------------------------------------

@@ -605,13 +605,9 @@ def _reference_model_lines(relations):
         st.integers(0, 3).flatmap(lambda n: st.sets(st.tuples(*[CONSTS] * n), max_size=12)),
         max_size=4,
     ),
-    # tuples of two arities under one predicate, as enumerate can give when a
-    # fact file and the program disagree
-    st.sets(st.one_of(st.tuples(CONSTS), st.tuples(CONSTS, CONSTS)), max_size=8),
 )
-def test_model_lines_match_the_reference_formula(relations, mixed):
+def test_model_lines_match_the_reference_formula(relations):
     relations["flag"] = {()}  # a 0-arity predicate
-    relations["mixed"] = mixed
     assert model_lines(relations) == _reference_model_lines(relations)
 
 
