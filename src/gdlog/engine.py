@@ -478,9 +478,10 @@ class Engine:
                 # relies on each being a candidate its rule derived
                 if pred.startswith(RESERVED_PREFIXES):
                     raise EngineError(f"database predicate {pred} uses a reserved prefix")
-                for t in rows:
-                    arity = self.arities.setdefault(pred, len(t))
-                    self.interp.rel(pred, arity).insert(tuple(t))
+                rows = list(map(tuple, rows))
+                if rows:
+                    arity = self.arities.setdefault(pred, len(rows[0]))
+                    self.interp.rel(pred, arity).insert_all(rows)
 
     def _rel(self, pred: str) -> Relation:
         return self.interp.rel(pred, self.arities[pred])

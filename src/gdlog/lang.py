@@ -16,6 +16,7 @@ from typing import Iterator, Union
 
 MIN_INT = -(2**63)
 MAX_INT = 2**63 - 1
+_MAX_DIGITS = len(str(MAX_INT))  # 19; more significant digits never fit
 
 CHOICE_KINDS = ("choice", "choice_least", "choice_most")
 RESERVED_PREFIXES = ("chosen_", "diffchoice_")
@@ -31,6 +32,21 @@ class DialectSyntaxError(GdlogError):
         self.message = message
         self.line = line
         self.col = col
+
+
+def int_in_range(text: str) -> int | None:
+    """The integer that an optional '-' and one or more ASCII digits spell,
+    or None when it lies outside the 64-bit signed range.  Any number of
+    digits is fine: the digits are counted before int() reads them, which
+    refuses strings longer than sys.get_int_max_str_digits()."""
+    neg = text[0] == "-"
+    digits = text[neg:].lstrip("0")
+    if len(digits) > _MAX_DIGITS:
+        return None
+    value = int(digits or "0")
+    if neg:
+        value = -value
+    return value if MIN_INT <= value <= MAX_INT else None
 
 
 class ProgramError(GdlogError):
@@ -219,8 +235,8 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
-            value = int(text[i:j])
-            if not (MIN_INT <= value <= MAX_INT):
+            value = int_in_range(text[i:j])
+            if value is None:
                 raise DialectSyntaxError("integer literal outside 64-bit range", start_line, start_col)
             toks.append(_Tok("int", value, start_line, start_col))
             col += j - i
@@ -393,6 +409,9 @@ class _Parser:
         if t.kind != "ident":
             raise DialectSyntaxError(f"expected a predicate name, found {t.value!r}", t.line, t.col)
         pred = str(t.value)
+        if pred.startswith("%"):
+            # a model line starting with '%' is a comment to read_model
+            raise DialectSyntaxError(f"predicate name {pred!r} starts with '%'", t.line, t.col)
         if not self._is_punct(0, "("):
             return Atom(pred, ())
         self.next()

@@ -134,6 +134,28 @@ class Relation:
             index.setdefault(key(t), []).append(t)
         return True
 
+    def insert_all(self, ts: list[Tup]) -> None:
+        """insert(t) for each t of ts in order, in bulk: the first occurrence
+        of a tuple is added, its repeats and the tuples already present are
+        not.  A tuple of the wrong arity raises as insert does, after the
+        tuples before it are added."""
+        arity = self.arity
+        if list(map(len, ts)).count(arity) != len(ts):
+            bad = next(i for i, t in enumerate(ts) if len(t) != arity)
+            self.insert_all(ts[:bad])
+            self.insert(ts[bad])  # raises
+        pos = self._pos
+        if pos:
+            fresh = [t for t in dict.fromkeys(ts) if t not in pos]
+            pos.update(fresh)
+        else:
+            pos.update(ts)
+            fresh = ts if len(pos) == len(ts) else list(dict.fromkeys(ts))
+        self.rows += fresh
+        for key, index in self._keyed:
+            for t in fresh:
+                index.setdefault(key(t), []).append(t)
+
     def ensure_index(self, cols: tuple[int, ...]) -> None:
         if cols in self._indexes or not cols:
             return

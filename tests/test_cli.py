@@ -561,3 +561,70 @@ def test_run_mode_greedy_needs_least_or_most_rule(matching_run, capsys):
     prog, facts = matching_run
     assert main(["run", prog, "--facts", facts, "--mode", "greedy"]) == 2
     assert "requires at least one choice_least or choice_most rule" in capsys.readouterr().err
+
+
+# 5,000 digits: past sys.get_int_max_str_digits(), so int() alone would
+# raise ValueError instead of the out-of-range error
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("where", ["facts", "program", "model"])
+def test_integer_of_5000_digits_exits_1_out_of_range(tmp_path, capsys, where):
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"x\t1\ny\t{LONG if where == 'facts' else 2}\n")
+    prog = tmp_path / "h.dl"
+    prog.write_text(f"h(X,C) :- g(X,C).\nk({LONG if where == 'program' else 3}).\n")
+    model = tmp_path / "m.tsv"
+    model.write_text(f"% model\ng\tx\t{LONG}\n")
+    command = ["check", "--model", str(model)] if where == "model" else ["run"]
+    assert main([command[0], str(prog), "--facts", str(tmp_path / "f"), *command[1:]]) == 1
+    expected = {
+        "facts": f"g.facts:2: integer {LONG} outside the 64-bit range",
+        "program": "2:3: integer literal outside 64-bit range",
+        "model": f"{model}:2: integer {LONG} outside the 64-bit range",
+    }[where]
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_zero_padded_integer_of_5000_digits_is_in_range(tmp_path, capsys):
+    padded = "0" * 5000 + "7"
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "g.facts").write_text(f"x\t{padded}\n")
+    prog = tmp_path / "h.dl"
+    prog.write_text(f"h(X,C) :- g(X,C).\nk(-{padded}).\n")
+    assert main(["run", str(prog), "--facts", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().out == "g\tx\t7\nh\tx\t7\nk\t-7\n"
+
+
+def test_predicate_starting_with_percent_is_rejected(tmp_path, capsys):
+    # a model line '%x<TAB>a' would be a comment to check --model
+    prog = tmp_path / "p.dl"
+    prog.write_text("'%x'(a).\np(X) :- '%x'(X).\n")
+    assert main(["run", str(prog)]) == 1
+    assert capsys.readouterr().err == "error: 1:1: predicate name '%x' starts with '%'\n"
+    (tmp_path / "f").mkdir()
+    (tmp_path / "f" / "%x.facts").write_text("a\n")
+    prog.write_text("p(a).\n")
+    assert main(["run", str(prog), "--facts", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == "error: %x.facts: predicate name %x starts with '%'\n"
+
+
+def test_run_then_check_keeps_a_percent_inside_a_predicate_name(tmp_path, capsys):
+    prog = tmp_path / "p.dl"
+    prog.write_text("'x%'(a).\np(X) :- 'x%'(X), choice((), (X)).\n")
+    out = tmp_path / "m.tsv"
+    assert main(["run", str(prog), "-o", str(out)]) == 0
+    assert "x%\ta\n" in out.read_text()
+    assert main(["check", str(prog), "--model", str(out)]) == 0
+    assert capsys.readouterr().out == "stable\n"
+
+
+def test_facts_naming_a_file_says_it_is_not_a_directory(tmp_path, capsys):
+    prog = tmp_path / "p.dl"
+    prog.write_text("p(a).\n")
+    facts = tmp_path / "g.facts"
+    facts.write_text("a\n")
+    assert main(["run", str(prog), "--facts", str(facts)]) == 1
+    assert capsys.readouterr().err == f"error: facts path {facts} is not a directory\n"
+    assert main(["run", str(prog), "--facts", str(tmp_path / "missing")]) == 1
+    assert capsys.readouterr().err == f"error: facts directory {tmp_path / 'missing'} does not exist\n"

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gdlog.analysis import choice_info
 from gdlog.corpus import domain_facts, get_program
@@ -97,6 +97,46 @@ def test_relation_arity_mismatch():
     r = Relation("p", 2)
     with pytest.raises(StorageError, match="arity"):
         r.insert(("a",))
+
+
+def _relation_state(r: Relation):
+    return r.rows, r._pos, r._indexes, len(r)
+
+
+PAIRS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    before=st.one_of(st.just([]), st.lists(PAIRS, max_size=6)),
+    # mostly pairs, with now and then a tuple of the wrong arity
+    ts=st.lists(st.one_of(PAIRS, PAIRS, PAIRS, st.tuples(st.integers(0, 3))), max_size=20),
+    indexes=st.lists(st.sampled_from([(0,), (1,), (1, 0)]), max_size=2),
+)
+@example(before=[], ts=[(1, 1), (1, 1)], indexes=[])
+def test_relation_insert_all_equals_repeated_insert(before, ts, indexes):
+    one, bulk = Relation("p", 2), Relation("p", 2)
+    for r in (one, bulk):
+        for cols in indexes:
+            r.ensure_index(cols)
+        for t in before:
+            r.insert(t)
+    errors = []
+    try:
+        for t in ts:
+            one.insert(t)
+    except StorageError as exc:
+        errors.append(str(exc))
+    try:
+        bulk.insert_all(ts)
+    except StorageError as exc:
+        errors.append(str(exc))
+    assert len(errors) in (0, 2) and len(set(errors)) <= 1
+    assert _relation_state(bulk) == _relation_state(one)
+    # an index made afterwards sees the same rows
+    one.ensure_index((1,))
+    bulk.ensure_index((1,))
+    assert _relation_state(bulk) == _relation_state(one)
 
 
 def test_relation_insert_amortized_constant():
