@@ -478,6 +478,9 @@ class Engine:
                 # relies on each being a candidate its rule derived
                 if pred.startswith(RESERVED_PREFIXES):
                     raise EngineError(f"database predicate {pred} uses a reserved prefix")
+                # a model line starting with '%' is a comment to read_model
+                if pred.startswith("%"):
+                    raise EngineError(f"database predicate {pred} starts with '%'")
                 rows = list(map(tuple, rows))
                 if rows:
                     arity = self.arities.setdefault(pred, len(rows[0]))
@@ -528,7 +531,7 @@ class Engine:
         while True:
             selected: _ChoiceState | None = None
             for st in ordered:
-                self._insert_fresh(st)
+                st.theta.admit(st.cand.evaluate(), st.chosen)
                 if len(st.theta):
                     selected = st
                     break
@@ -540,14 +543,6 @@ class Engine:
             self.counters.iterations += 1
             self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
             closure.run()
-
-    def _insert_fresh(self, st: _ChoiceState) -> None:
-        ts = st.cand.evaluate()
-        self.counters.conflict_checks += len(ts)
-        self.counters.work += len(ts)
-        for t in ts:
-            if t not in st.theta and not st.chosen.conflicts(t):
-                st.theta.insert(t)
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
         if not self.greedy:
@@ -628,8 +623,7 @@ class Engine:
         theta = self._theta_table(dom_info)
         chosen = self._chosen_table(info)
         head_rel = self.interp.rel(rule.head.pred, 2)
-        for t in self.interp.rel(dom_pred, 1).rows:
-            theta.insert(t)
+        theta.admit(self.interp.rel(dom_pred, 1).rows, None)
 
         x = start
         while len(theta):

@@ -2,6 +2,13 @@
 tables, and the theta candidate tables (hash-keyed, optionally heap-ordered
 by cost).  Everything lives in main memory; tables are single-writer and
 owned by one fixpoint run at a time.
+
+Chosen and theta tables keep one FD index per distinct left side, not one
+per declared FD: the FDs L -> R1, ..., L -> Rk of a rule share an index on
+L whose right side is R1 + ... + Rk, in declared order.  By Armstrong's
+union rule the k FDs hold exactly when that one does, so a tuple agrees
+with another on L and differs on some Ri exactly when it differs on the
+concatenation: the index sees the declared conflicts and no others.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .analysis import FD, ChoiceInfo, RuleKind
 from .lang import GdlogError
@@ -48,6 +55,16 @@ def projector(cols: tuple[int, ...]) -> Callable[[Tup], Tup]:
     if cols:
         return itemgetter(slice(cols[0], cols[0] + 1))
     return itemgetter(slice(0, 0))
+
+
+def _fd_groups(fds: tuple[FD, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[FD, ...]]]:
+    """(left, right, declared) per distinct FD left side, in order of first
+    appearance: right concatenates the right sides of the declared FDs with
+    that left side, in their order."""
+    groups: dict[tuple[int, ...], list[FD]] = {}
+    for fd in fds:
+        groups.setdefault(fd.left, []).append(fd)
+    return [(left, sum((fd.right for fd in g), ()), tuple(g)) for left, g in groups.items()]
 
 
 TIE_POLICIES = ("lex", "fifo", "random")
@@ -189,16 +206,19 @@ class ChosenTable:
         self.info = info
         self.rel = rel
         self._rows = rel._pos  # rel's tuple set, tested without a method call
-        # per FD: its left and right projections and an index from each
-        # chosen left side to its right side, which the FD makes unique
-        self._fds: list[tuple[FD, Callable, Callable, dict[Tup, Tup]]] = [
-            (fd, projector(fd.left), projector(fd.right), {}) for fd in info.fds
+        groups = _fd_groups(info.fds)
+        # per left side: its left and right projections and an index from
+        # each chosen left side to its right side, which the FDs make unique
+        self._fds: list[tuple[Callable, Callable, dict[Tup, Tup]]] = [
+            (projector(left), projector(right), {}) for left, right, _ in groups
         ]
+        self._declared = [declared for _, _, declared in groups]
 
     def conflicts(self, t: Tup) -> bool:
         """True when t is chosen already, or agrees with a chosen tuple on the
-        left side of some FD and differs from it on the right side."""
-        for _, left, right, index in self._fds:
+        left side of some FD and differs from it on the right side.  The
+        reference for ThetaTable.admit's inline check."""
+        for left, right, index in self._fds:
             r = index.get(left(t))
             if r is not None and r != right(t):
                 return True
@@ -207,14 +227,18 @@ class ChosenTable:
     def insert(self, t: Tup) -> None:
         if t in self._rows:
             return
-        for fd, left, right, index in self._fds:
+        for (left, right, index), declared in zip(self._fds, self._declared):
             r = index.get(left(t))
             if r is not None and r != right(t):
-                raise FDViolation(
-                    f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
-                    f"whose left side is chosen with right side {r}"
-                )
-        for _, left, right, index in self._fds:
+                # name the first declared FD of this left side that t violates
+                for fd in declared:
+                    part, r = r[: len(fd.right)], r[len(fd.right) :]
+                    if part != projector(fd.right)(t):
+                        raise FDViolation(
+                            f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
+                            f"whose left side is chosen with right side {part}"
+                        )
+        for left, right, index in self._fds:
             index[left(t)] = right(t)
         self.rel.insert(t)
 
@@ -232,15 +256,18 @@ class _Heap:
     Indexed, the heap keeps each stored tuple's position, so conflicting
     candidates can be deleted from the middle in O(log m); its sifts move a
     hole, rewrite the position of every key they pass and write the sifted
-    key once at the end.  A table with neither an FD index nor a unique key
-    only ever deletes its least key, so its heap keeps no positions and runs
-    on heapq: delete accepts only the least key.  The counts stay the same
-    because the arrays do: keys are distinct, heappush sifts up as _sift_up
-    does, and heappop moves the sifted key to the same place as _sift_down,
-    since both take the right child only when it is strictly smaller.  push
-    counts the levels its key rose by finding it on the path up from the
-    last slot; delete counts the levels the last key will sink by walking
-    the min-child path first, with _sift_down's comparisons but no writes."""
+    key once at the end.  A delete fills the hole with the last key, which
+    rises while it is less than its parent and otherwise sinks while a child
+    is less than it.  A table with neither an FD index nor a unique key only
+    ever deletes its least key, so its heap keeps no positions and runs on
+    heapq: delete accepts only the least key.  The counts stay the same
+    because the arrays do: keys are distinct, heappush sifts up as the
+    indexed push does, and heappop moves the sifted key to the same place as
+    the indexed sink, since both take the right child only when it is
+    strictly smaller.  A push counts the levels its key rose by finding it
+    on the path up from the last slot; delete counts the levels the last key
+    will sink by walking the min-child path first, with the indexed sink's
+    comparisons but no writes."""
 
     __slots__ = ("items", "pos", "counters")
 
@@ -253,100 +280,100 @@ class _Heap:
         return len(self.items)
 
     def push(self, key: tuple) -> None:
-        items = self.items
-        self.counters.pq_ops += 1
-        self.counters.work += 1
-        if self.pos is not None:
-            items.append(key)
-            self.pos[key[-1]] = len(items) - 1
-            self._sift_up(len(items) - 1)
-            return
-        heappush(items, key)
-        i = len(items) - 1
+        self.push_all((key,))
+
+    def push_all(self, keys: Collection[tuple]) -> None:
+        """push(key) for each key, in order, in one call."""
+        items, pos = self.items, self.pos
         moved = 0
-        while items[i] is not key:
-            i = (i - 1) // 2
-            moved += 1
-        self.counters.pq_ops += moved
-        self.counters.work += moved
+        if pos is None:
+            for key in keys:
+                heappush(items, key)
+                i = len(items) - 1
+                while items[i] is not key:
+                    i = (i - 1) // 2
+                    moved += 1
+        else:
+            for key in keys:
+                i = len(items)
+                items.append(key)
+                while i > 0:
+                    parent = (i - 1) // 2
+                    above = items[parent]
+                    if not key < above:
+                        break
+                    items[i] = above
+                    pos[above[-1]] = i
+                    i = parent
+                    moved += 1
+                items[i] = key
+                pos[key[-1]] = i
+        self.counters.pq_ops += len(keys) + moved
+        self.counters.work += len(keys) + moved
 
     def delete(self, t: Tup) -> None:
-        items = self.items
-        if self.pos is None and (not items or items[0][-1] != t):
-            raise StorageError(f"heap without positions can only delete its least key, not {t}")
-        self.counters.pq_ops += 1
-        self.counters.work += 1
-        if self.pos is None:
-            n = len(items) - 1
-            key = items[n]
-            i = moved = 0
-            while True:
-                child = 2 * i + 1
-                if child >= n:
-                    break
-                right = child + 1
-                if right < n and items[right] < items[child]:
-                    child = right
-                if not items[child] < key:
-                    break
-                i = child
-                moved += 1
-            heappop(items)
-            self.counters.pq_ops += moved
-            self.counters.work += moved
-            return
-        i = self.pos.pop(t)
-        last = items.pop()
-        if i < len(items):
-            items[i] = last
-            self.pos[last[-1]] = i
-            i = self._sift_up(i)
-            self._sift_down(i)
+        self.delete_all((t,))
 
-    def _place(self, key, i: int, moved: int) -> None:
-        self.items[i] = key
-        self.pos[key[-1]] = i
-        self.counters.pq_ops += moved
-        self.counters.work += moved
-
-    def _sift_up(self, i: int) -> int:
+    def delete_all(self, ts: Iterable[Tup]) -> None:
+        """delete(t) for each tuple t, in order, in one call."""
         items, pos = self.items, self.pos
-        key = items[i]
-        moved = 0
-        while i > 0:
-            parent = (i - 1) // 2
-            above = items[parent]
-            if not key < above:
-                break
-            items[i] = above
-            pos[above[-1]] = i
-            i = parent
-            moved += 1
-        if moved:
-            self._place(key, i, moved)
-        return i
-
-    def _sift_down(self, i: int) -> None:
-        items, pos = self.items, self.pos
-        n = len(items)
-        key = items[i]
-        moved = 0
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and items[right] < items[child]:
-                child = right
-            below = items[child]
-            if not below < key:
-                break
-            items[i] = below
-            pos[below[-1]] = i
-            i = child
-            moved += 1
-        if moved:
-            self._place(key, i, moved)
+        deleted = moved = 0
+        try:
+            for t in ts:
+                n = len(items) - 1  # the size after this delete
+                if pos is None:
+                    if not items or items[0][-1] != t:
+                        raise StorageError(f"heap without positions can only delete its least key, not {t}")
+                    key = items[n]
+                    i = 0
+                    while True:
+                        child = 2 * i + 1
+                        if child >= n:
+                            break
+                        right = child + 1
+                        if right < n and items[right] < items[child]:
+                            child = right
+                        if not items[child] < key:
+                            break
+                        i = child
+                        moved += 1
+                    heappop(items)
+                else:
+                    i = pos.pop(t)
+                    key = items.pop()
+                    if i < n:
+                        # the last key fills the hole: it rises past greater
+                        # parents, or else sinks past lesser children (one
+                        # that rose has only greater children)
+                        while i > 0:
+                            parent = (i - 1) // 2
+                            above = items[parent]
+                            if not key < above:
+                                break
+                            items[i] = above
+                            pos[above[-1]] = i
+                            i = parent
+                            moved += 1
+                        while True:
+                            child = 2 * i + 1
+                            if child >= n:
+                                break
+                            right = child + 1
+                            if right < n and items[right] < items[child]:
+                                child = right
+                            below = items[child]
+                            if not below < key:
+                                break
+                            items[i] = below
+                            pos[below[-1]] = i
+                            i = child
+                            moved += 1
+                        items[i] = key
+                        pos[key[-1]] = i
+                deleted += 1
+        finally:
+            self.counters.pq_ops += deleted + moved
+            self.counters.work += deleted + moved
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +433,14 @@ class ThetaTable:
         self._seq = 0
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
+        groups = _fd_groups(info.fds)
         self._fd_index: list[tuple[Callable, Callable, dict[Tup, dict[Tup, None]]]] = [
-            (projector(fd.left), projector(fd.right), {}) for fd in info.fds
+            (projector(left), projector(right), {}) for left, right, _ in groups
         ]
+        # a purge passes once per declared FD, in declared order, over the
+        # index of its left side: victims leave in that order
+        by_left = {left: entry for (left, _, _), entry in zip(groups, self._fd_index)}
+        self._purges = [(by_left[fd.left][0], projector(fd.right), by_left[fd.left][2]) for fd in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
@@ -439,93 +471,133 @@ class ThetaTable:
     def __contains__(self, t: Tup) -> bool:
         return t in self._entries
 
-    # -- cost / ordering ----------------------------------------------------
-
-    def _order_key(self, t: Tup):
-        # heap/selection key: for a greedy table the extreme cost first, then
-        # the generated key, so equal-cost ties break in constant order; the
-        # tuple itself last, where _Heap reads it
-        if not self.greedy:
-            return self._key(t)
-        c = t[self.info.cost_pos]
-        if not isinstance(c, int):
-            raise StorageError(
-                f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
-            )
-        return (-c if self._most else c, *self._key(t))
-
     # -- mutation -----------------------------------------------------------
 
     def insert(self, t: Tup) -> None:
-        """Add a candidate; the caller has already filtered tuples conflicting
-        with the chosen table.  A duplicate is ignored.  Restores the
-        unique-key invariant for greedy rules, retaining only the better-cost
-        tuple per key value."""
-        self.counters.theta_inserts += 1
-        self.counters.work += 1
-        if self._ordered:
-            key = self._order_key(t)  # surfaces a non-integer cost at insertion time
-        else:
-            key = self._seq
-            self._seq += 1
-        if t in self._entries:
+        """Add one candidate, as admit((t,), None) does: the caller has
+        already filtered tuples conflicting with the chosen table."""
+        self.admit((t,), None)
+
+    def admit(self, ts: Collection[Tup], chosen: Optional[ChosenTable]) -> None:
+        """Add each candidate of ts that is not in the table and, when chosen
+        is given, does not conflict with it (as chosen.conflicts(t) decides);
+        with chosen, every tuple of ts counts as one conflict check.  An added
+        candidate counts as a theta insert, and its order key surfaces a
+        non-integer cost.  Under a unique key only the better-cost tuple per
+        key value is retained."""
+        if not ts:
             return
-        if self._ukey is not None:
-            cur = self._ukey_index.get(self._ukey(t))
-            if cur is not None:
-                if not key < self._entries[cur]:
-                    return
-                self._remove(cur)
-        self._add(t, key)
-
-    def _add(self, t: Tup, key) -> None:
-        self._entries[t] = key
-        for left, _, index in self._fd_index:
-            index.setdefault(left(t), {})[t] = None
-        if self._ukey is not None:
-            self._ukey_index[self._ukey(t)] = t
-        if self._ordered:
-            if self._staged_best is None:
-                self._flush()
-                self._staged_best = key
-            elif key < self._staged_best:
-                self._staged_best = key
-            self._staged[t] = key
-        if self._fifo is not None:
-            self._fifo.append((key, t))
-        if self._random:
-            self._rand_pos[t] = len(self._rand_list)
-            self._rand_list.append(t)
-
-    def _remove(self, t: Tup) -> None:
-        del self._entries[t]
-        self.counters.theta_deletes += 1
-        self.counters.work += 1
-        for left, _, index in self._fd_index:
-            key = left(t)
-            bucket = index[key]
-            del bucket[t]
-            if not bucket:
-                del index[key]
-        if self._ukey is not None:
-            key = self._ukey(t)
-            if self._ukey_index.get(key) == t:
-                del self._ukey_index[key]
-        if self._ordered:
-            key = self._staged.pop(t, None)
-            if key is None:
-                if self._heap is not None:
-                    self._heap.delete(t)
+        counters = self.counters
+        entries = self._entries
+        cfds, crows = (chosen._fds, chosen._rows) if chosen is not None else ((), ())
+        fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
+        ordered, greedy, okey = self._ordered, self.greedy, self._key
+        cost_pos, most = self.info.cost_pos, self._most
+        staged, best = self._staged, self._staged_best
+        fifo, rand_list, rand_pos = self._fifo, self._rand_list, self._rand_pos
+        randomized = self._random
+        if chosen is not None:
+            counters.conflict_checks += len(ts)
+            counters.work += len(ts)
+        added = 0
+        try:
+            for t in ts:
+                if t in entries or t in crows:
+                    continue
+                conflict = False
+                for left, right, index in cfds:
+                    r = index.get(left(t))
+                    if r is not None and r != right(t):
+                        conflict = True
+                        break
+                if conflict:
+                    continue
+                added += 1
+                if not ordered:
+                    key = self._seq
+                    self._seq += 1
+                elif greedy:
+                    c = t[cost_pos]
+                    if not isinstance(c, int):
+                        raise StorageError(
+                            f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
+                        )
+                    # the extreme cost first, so equal-cost ties break in
+                    # constant order
+                    key = (-c if most else c, *okey(t))
                 else:
-                    del self._settled[t]
-            elif key is self._staged_best:
-                self._staged_best = None
-        if self._random:
-            i = self._rand_pos.pop(t)
-            last = self._rand_list.pop()
-            if last != t:
-                self._rand_list[i] = last
-                self._rand_pos[last] = i
+                    key = okey(t)
+                if ukey is not None:
+                    u = ukey(t)
+                    cur = ukey_index.get(u)
+                    if cur is not None:
+                        if not key < entries[cur]:
+                            continue
+                        self._staged_best = best
+                        self._remove_all((cur,))
+                        best = self._staged_best
+                    ukey_index[u] = t
+                entries[t] = key
+                for left, _, index in fd_index:
+                    index.setdefault(left(t), {})[t] = None
+                if ordered:
+                    if best is None:
+                        self._flush()
+                        best = key
+                    elif key < best:
+                        best = key
+                    staged[t] = key
+                if fifo is not None:
+                    fifo.append((key, t))
+                if randomized:
+                    rand_pos[t] = len(rand_list)
+                    rand_list.append(t)
+        finally:
+            self._staged_best = best
+            counters.theta_inserts += added
+            counters.work += added
+
+    def _remove_all(self, ts: Iterable[Tup]) -> None:
+        counters = self.counters
+        entries = self._entries
+        fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
+        staged, heap, settled = self._staged, self._heap, self._settled
+        ordered, randomized = self._ordered, self._random
+        rand_list, rand_pos = self._rand_list, self._rand_pos
+        removed = 0
+        heaped = []  # the removed candidates the heap holds, in order
+        for t in ts:
+            del entries[t]
+            removed += 1
+            for left, _, index in fd_index:
+                key = left(t)
+                bucket = index[key]
+                del bucket[t]
+                if not bucket:
+                    del index[key]
+            if ukey is not None:
+                key = ukey(t)
+                if ukey_index.get(key) == t:
+                    del ukey_index[key]
+            if ordered:
+                key = staged.pop(t, None)
+                if key is None:
+                    if heap is not None:
+                        heaped.append(t)
+                    else:
+                        del settled[t]
+                elif key is self._staged_best:
+                    self._staged_best = None
+            if randomized:
+                i = rand_pos.pop(t)
+                last = rand_list.pop()
+                if last != t:
+                    rand_list[i] = last
+                    rand_pos[last] = i
+        if heaped:
+            heap.delete_all(heaped)
+        counters.theta_deletes += removed
+        counters.work += removed
 
     # -- selection ----------------------------------------------------------
 
@@ -553,7 +625,7 @@ class ThetaTable:
                     break
         else:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
-        self._remove(t)
+        self._remove_all((t,))
         return t
 
     def _least_settled(self) -> Optional[tuple]:
@@ -572,18 +644,17 @@ class ThetaTable:
         find them, and each removal is constant time (plus heap maintenance
         for a candidate already pushed)."""
         removed = 0
-        for left, right, index in self._fd_index:
+        for left, right, index in self._purges:
             r = right(delta)
-            for t in list(index.get(left(delta), ())):
-                if right(t) != r or t == delta:
-                    self._remove(t)
-                    removed += 1
+            victims = [t for t in index.get(left(delta), ()) if right(t) != r or t == delta]
+            if victims:
+                self._remove_all(victims)
+                removed += len(victims)
         return removed
 
     def _flush(self) -> None:
         if self._heap is not None:
-            for key in self._staged.values():
-                self._heap.push(key)
+            self._heap.push_all(self._staged.values())
         else:
             self._settled.update(self._staged)
         self._staged.clear()

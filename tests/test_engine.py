@@ -771,6 +771,18 @@ def test_database_rows_for_a_reserved_predicate_are_an_engine_error(pred):
         Engine(get_program("dijkstra"), edb=edb)
 
 
+def test_database_rows_for_a_percent_led_predicate_are_an_engine_error(tmp_path):
+    # the model line "%x<TAB>a" would read back as a comment, losing the fact
+    prog = parse_program("p(X) :- q(X).")
+    with pytest.raises(EngineError, match="database predicate %x starts with '%'"):
+        run_with_counters(prog, edb={"%x": [("a",)], "q": [("b",)]})
+    # a '%' after the first character is an ordinary name character
+    model, _ = run_with_counters(prog, edb={"x%": [("a",)], "q": [("b",)]})
+    path = tmp_path / "model.tsv"
+    path.write_text("".join(line + "\n" for line in model.sorted_lines()), encoding="utf-8")
+    assert tsvio.read_model(str(path)) == model.as_sets()
+
+
 @pytest.mark.parametrize("name", ["prim", "dijkstra", "reach"])
 def test_delta_plans_probe_an_index_after_the_delta_atom(name):
     indexes = _index_columns(name)

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdlog.analysis import choice_info
+from gdlog.analysis import RuleKind, choice_info
 from gdlog.corpus import domain_facts, get_program
 from gdlog.engine import Engine
 from gdlog.lang import MAX_INT, MIN_INT, format_const, parse_program
@@ -253,6 +254,34 @@ def test_conflicts_and_purge_follow_the_declared_fd_rule(case):
     assert list(th) == [t for t in dict.fromkeys(cands) if t != delta and not _fd_conflict(info.fds, t, delta)]
 
 
+@settings(max_examples=200)
+@given(_fd_cases())
+def test_purge_removes_victims_fd_by_fd_in_declared_order(case):
+    # FDs that share a left side share one index, yet a purge still takes
+    # them one at a time, so heap upkeep and random ties see the same order
+    info, _, cands, delta = case
+    th = ThetaTable(info)
+    th.admit(cands, None)
+    removed = []
+    remove_all = th._remove_all
+
+    def record(ts):
+        removed.extend(ts)
+        remove_all(ts)
+
+    th._remove_all = record
+    th.purge_conflicting(delta)
+    live, want = list(dict.fromkeys(cands)), []
+    for fd in info.fds:
+        for t in list(live):
+            if projector(fd.left)(t) == projector(fd.left)(delta) and (
+                projector(fd.right)(t) != projector(fd.right)(delta) or t == delta
+            ):
+                live.remove(t)
+                want.append(t)
+    assert removed == want
+
+
 # ChosenTable -----------------------------------------------------------------
 
 
@@ -265,6 +294,29 @@ def test_chosen_table_enforces_fds():
     with pytest.raises(FDViolation):
         c.insert(("z", "b"))
     assert c.rel.rows == [("a", "b")]
+
+
+def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
+    # X -> Y and X -> C share one index on X, whose right side is (Y, C)
+    info = _info("p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((X),(C)).")
+    c = ChosenTable(info, Relation(info.chosen_pred, 3))
+    assert len(info.fds) == 2 and len(c._fds) == 1
+    c.insert(("a", "b", 1))
+    with pytest.raises(FDViolation, match=r"FD \(0,\)->\(2,\) violated by \('a', 'b', 2\), .* right side \(1,\)$"):
+        c.insert(("a", "b", 2))
+    with pytest.raises(FDViolation, match=r"FD \(0,\)->\(1,\) violated by \('a', 'c', 1\), .* right side \('b',\)$"):
+        c.insert(("a", "c", 1))
+    # both violated: the first declared one is named
+    with pytest.raises(FDViolation, match=r"FD \(0,\)->\(1,\) violated by \('a', 'c', 2\)"):
+        c.insert(("a", "c", 2))
+    assert c.rel.rows == [("a", "b", 1)]
+
+
+def test_tables_keep_one_fd_index_per_left_side():
+    # the matching rule declares Y -> X, X -> Y and X -> C: two left sides
+    info = choice_info(get_program("matching").rules[0])
+    assert [fd.left for fd in info.fds] == [(1,), (0,), (0,)]
+    assert len(ThetaTable(info)._fd_index) == len(ChosenTable(info, Relation(info.chosen_pred, 3))._fds) == 2
 
 
 # ThetaTable ------------------------------------------------------------------
@@ -442,23 +494,52 @@ def test_heap_handle_deletion_is_logarithmic_shape():
 
 
 @settings(max_examples=200)
-# an integer pushes a key with that cost, None deletes the least key
-@given(st.lists(st.one_of(st.integers(0, 20), st.none()), max_size=120))
+# an integer pushes a key with that cost, a list pushes one key per cost,
+# None deletes the least key
+@given(st.lists(st.one_of(st.integers(0, 20), st.lists(st.integers(0, 20), max_size=6), st.none()), max_size=120))
 def test_heap_without_positions_matches_the_indexed_heap(ops):
     # heapq leaves the array the indexed sifts leave, and the counted sift
-    # levels are the levels those sifts move
+    # levels are the levels those sifts move; push_all leaves the array, the
+    # positions and the counts of one push per key
     a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
+    c, d = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
     for seq, op in enumerate(ops):
-        if op is not None:
-            for h in (a, b):
+        if isinstance(op, int):
+            for h in (a, b, c, d):
                 h.push((op, (seq,)))
+        elif op is not None:
+            keys = [(cost, (seq, i)) for i, cost in enumerate(op)]
+            for h in (a, b):
+                for key in keys:
+                    h.push(key)
+            for h in (c, d):
+                h.push_all(keys)
         elif len(a):
             t = a.items[0][-1]
-            for h in (a, b):
+            for h in (a, b, c, d):
                 h.delete(t)
-        assert a.items == b.items
-        assert (a.counters.pq_ops, a.counters.work) == (b.counters.pq_ops, b.counters.work)
+        assert a.items == b.items == c.items == d.items
+        assert a.pos == c.pos
+        assert len({(h.counters.pq_ops, h.counters.work) for h in (a, b, c, d)}) == 1
         assert audit_heap(b)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 20), max_size=60),
+    st.lists(st.integers(0, 59), max_size=30),
+)
+def test_heap_delete_all_equals_repeated_deletes(costs, picks):
+    # deletes from the middle, in one call or one call each
+    a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=True)
+    for h in (a, b):
+        h.push_all([(cost, (i,)) for i, cost in enumerate(costs)])
+    victims = list(dict.fromkeys((p % len(costs),) for p in picks)) if costs else []
+    for t in victims:
+        a.delete(t)
+    b.delete_all(victims)
+    assert a.items == b.items and a.pos == b.pos and audit_heap(b)
+    assert (a.counters.pq_ops, a.counters.work) == (b.counters.pq_ops, b.counters.work)
 
 
 def test_heap_without_positions_deletes_only_its_least_key():
@@ -492,6 +573,74 @@ def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypa
     (theta,) = tables
     assert not theta.info.fds and theta.info.unique_key is None
     assert theta._heap.pos is None
+
+
+# one rule per shape: FDs sharing a left side (the matching rule), empty
+# left sides, unique keys (Y; X, Y; X) and least/most costs, a greedy rule
+# without a unique key
+ADMISSION_RULES = [
+    "p(X,Y,C) :- q(X,Y,C), choice((Y),(X)), choice((X),(Y)), choice((X),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((),(X)), choice((),(Y,C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice_least((),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((Y),(X)), choice_least((Y),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((Y),(X)), choice_least((Y),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice_most((X),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((X,Y),(C)), choice_least((X),(C)).",
+]
+ADMISSION_INFOS = [_info(src) for src in ADMISSION_RULES]
+TRIPLE = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(0, 3))
+
+
+def _reference_admit(theta, chosen, ts):
+    # the per-candidate path: one conflict check per candidate, then insert
+    theta.counters.conflict_checks += len(ts)
+    theta.counters.work += len(ts)
+    for t in ts:
+        if t not in theta and not chosen.conflicts(t):
+            theta.insert(t)
+
+
+def test_admission_cases_cover_the_table_shapes():
+    assert any(len({fd.left for fd in i.fds}) < len(i.fds) for i in ADMISSION_INFOS)
+    assert any(fd.left == () for i in ADMISSION_INFOS for fd in i.fds)
+    assert {i.unique_key for i in ADMISSION_INFOS} >= {None, (1,), (0, 1), (0,)}
+    assert {i.kind for i in ADMISSION_INFOS} == {RuleKind.PURE_CHOICE, RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ADMISSION_INFOS),
+    st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
+    st.sampled_from(["lex", "fifo", "random"]),
+    st.booleans(),  # the priority queue
+    # a list admits a candidate batch, None selects, chooses and purges
+    st.lists(st.one_of(st.lists(TRIPLE, max_size=8), st.none()), max_size=12),
+)
+def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq, ops):
+    if pure:
+        info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
+    sides = []
+    for _ in range(2):
+        counters = Counters()
+        theta = ThetaTable(info, counters=counters, use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
+        sides.append((theta, ChosenTable(info, Relation(info.chosen_pred, 3))))
+    (batch, batch_chosen), (ref, ref_chosen) = sides
+    for op in ops:
+        if op is not None:
+            batch.admit(op, batch_chosen)
+            _reference_admit(ref, ref_chosen, op)
+        else:
+            for theta, chosen in sides:
+                delta = theta.select_extreme()
+                if delta is not None:
+                    chosen.insert(delta)
+                    theta.purge_conflicting(delta)
+        assert list(batch._entries.items()) == list(ref._entries.items())
+        assert audit_theta(batch) and audit_theta(ref)
+        assert batch.counters == ref.counters
+        assert batch_chosen.rel.rows == ref_chosen.rel.rows
+        if use_pq and batch._heap is not None:
+            assert batch._heap.items == ref._heap.items
 
 
 def test_fifo_policy_returns_oldest():
