@@ -245,6 +245,9 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
     elif spec.example == "sort" and spec.factorize and spec.pq != "off":
         expected = model_slope(lambda x: x * math.log2(x), [float(n) for n in sizes])
         checks.append(_slope_check("sort-factorized-nlogn", "work~n*log2(n)", work_n, expected))
+    elif spec.example == "sort" and not spec.factorize:
+        # the quadratic control: unfactorized, every pair is a candidate
+        checks.append(_slope_check("sort-unfactorized-n2", "work~n^2", work_n, 2.0))
     elif spec.example == "sequence" and spec.factorize:
         checks.append(_slope_check("sequence-factorized-linear", "work~n", work_n, 1.0))
     elif spec.example == "tsp":

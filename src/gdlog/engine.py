@@ -14,9 +14,10 @@ binds every head variable, so a selection does not re-join the body.
 
 With factorize, a stratum whose one choice rule chains a frontier value X to
 a fresh database domain value Y (sort, sequence) keeps only the domain
-column of theta: a ThetaTable over the domain values, filled once.  Each
-step selects Y from it, chooses (X, Y) and moves the frontier to Y, so
-selection, ties, counters and trace rows are those of every choice rule.
+column of theta: a ThetaTable over the domain values, filled once and
+emptied by ThetaTable.drain.  Each step takes the next Y from it, chooses
+(X, Y) and moves the frontier to Y, so selection, ties, counters and trace
+rows are those of select_extreme called once per step.
 
 Each rule compiles to one full plan and one delta plan per body atom, all
 ordered bound-first: a delta plan starts from its delta atom, the full plan
@@ -610,8 +611,8 @@ class Engine:
 
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
-        values, filled once, from which each step takes the next y and
-        chooses (x, y), y becoming the next x."""
+        values, filled once and drained, from which each step takes the next
+        y and chooses (x, y), y becoming the next x."""
         self.factorized_strata.append(rule.rule_id)
         dom_info = dataclasses.replace(
             info,
@@ -626,8 +627,7 @@ class Engine:
         theta.admit(self.interp.rel(dom_pred, 1).rows, None)
 
         x = start
-        while len(theta):
-            (y,) = theta.select_extreme()
+        for (y,) in theta.drain():
             delta = (x, y)
             chosen.insert(delta)
             head_rel.insert(delta)

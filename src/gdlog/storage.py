@@ -207,18 +207,18 @@ class ChosenTable:
         self.rel = rel
         self._rows = rel._pos  # rel's tuple set, tested without a method call
         groups = _fd_groups(info.fds)
-        # per left side: its left and right projections and an index from
-        # each chosen left side to its right side, which the FDs make unique
-        self._fds: list[tuple[Callable, Callable, dict[Tup, Tup]]] = [
-            (projector(left), projector(right), {}) for left, right, _ in groups
+        # per left side: its left and right projections, an index from each
+        # chosen left side to its right side, which the FDs make unique, and
+        # the declared FDs of that left side
+        self._fds: list[tuple[Callable, Callable, dict[Tup, Tup], tuple[FD, ...]]] = [
+            (projector(left), projector(right), {}, declared) for left, right, declared in groups
         ]
-        self._declared = [declared for _, _, declared in groups]
 
     def conflicts(self, t: Tup) -> bool:
         """True when t is chosen already, or agrees with a chosen tuple on the
         left side of some FD and differs from it on the right side.  The
         reference for ThetaTable.admit's inline check."""
-        for left, right, index in self._fds:
+        for left, right, index, _ in self._fds:
             r = index.get(left(t))
             if r is not None and r != right(t):
                 return True
@@ -227,9 +227,15 @@ class ChosenTable:
     def insert(self, t: Tup) -> None:
         if t in self._rows:
             return
-        for (left, right, index), declared in zip(self._fds, self._declared):
-            r = index.get(left(t))
-            if r is not None and r != right(t):
+        # each side projected once; t's new left sides are written only
+        # after every index has been checked
+        fresh = []
+        for left, right, index, declared in self._fds:
+            lt = left(t)
+            r = index.get(lt)
+            if r is None:
+                fresh.append((index, lt, right(t)))
+            elif r != right(t):
                 # name the first declared FD of this left side that t violates
                 for fd in declared:
                     part, r = r[: len(fd.right)], r[len(fd.right) :]
@@ -238,8 +244,8 @@ class ChosenTable:
                             f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
                             f"whose left side is chosen with right side {part}"
                         )
-        for left, right, index in self._fds:
-            index[left(t)] = right(t)
+        for index, lt, rt in fresh:
+            index[lt] = rt
         self.rel.insert(t)
 
 
@@ -260,14 +266,14 @@ class _Heap:
     rises while it is less than its parent and otherwise sinks while a child
     is less than it.  A table with neither an FD index nor a unique key only
     ever deletes its least key, so its heap keeps no positions and runs on
-    heapq: delete accepts only the least key.  The counts stay the same
-    because the arrays do: keys are distinct, heappush sifts up as the
-    indexed push does, and heappop moves the sifted key to the same place as
-    the indexed sink, since both take the right child only when it is
-    strictly smaller.  A push counts the levels its key rose by finding it
-    on the path up from the last slot; delete counts the levels the last key
-    will sink by walking the min-child path first, with the indexed sink's
-    comparisons but no writes."""
+    heapq: delete accepts only the least key, and pop removes it.  The
+    counts stay the same because the arrays do: keys are distinct, heappush
+    sifts up as the indexed push does, and heappop moves the sifted key to
+    the same place as the indexed sink, since both take the right child only
+    when it is strictly smaller.  A push counts the levels its key rose by
+    finding it on the path up from the last slot; pop, which delete calls,
+    counts the levels the last key will sink by walking the min-child path
+    first, with the indexed sink's comparisons but no writes."""
 
     __slots__ = ("items", "pos", "counters")
 
@@ -314,18 +320,56 @@ class _Heap:
     def delete(self, t: Tup) -> None:
         self.delete_all((t,))
 
+    def pop(self) -> tuple:
+        """Remove and return the least key of a non-empty heap without
+        positions: one operation, plus one per level the last key sinks."""
+        items = self.items
+        n = len(items) - 1  # the size after this pop
+        key = items[n]
+        i = moved = 0
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            right = child + 1
+            if right < n and items[right] < items[child]:
+                child = right
+            if not items[child] < key:
+                break
+            i = child
+            moved += 1
+        self.counters.pq_ops += 1 + moved
+        self.counters.work += 1 + moved
+        return heappop(items)
+
     def delete_all(self, ts: Iterable[Tup]) -> None:
         """delete(t) for each tuple t, in order, in one call."""
         items, pos = self.items, self.pos
+        if pos is None:
+            for t in ts:
+                if not items or items[0][-1] != t:
+                    raise StorageError(f"heap without positions can only delete its least key, not {t}")
+                self.pop()
+            return
         deleted = moved = 0
         try:
             for t in ts:
                 n = len(items) - 1  # the size after this delete
-                if pos is None:
-                    if not items or items[0][-1] != t:
-                        raise StorageError(f"heap without positions can only delete its least key, not {t}")
-                    key = items[n]
-                    i = 0
+                i = pos.pop(t)
+                key = items.pop()
+                if i < n:
+                    # the last key fills the hole: it rises past greater
+                    # parents, or else sinks past lesser children (one that
+                    # rose has only greater children)
+                    while i > 0:
+                        parent = (i - 1) // 2
+                        above = items[parent]
+                        if not key < above:
+                            break
+                        items[i] = above
+                        pos[above[-1]] = i
+                        i = parent
+                        moved += 1
                     while True:
                         child = 2 * i + 1
                         if child >= n:
@@ -333,43 +377,15 @@ class _Heap:
                         right = child + 1
                         if right < n and items[right] < items[child]:
                             child = right
-                        if not items[child] < key:
+                        below = items[child]
+                        if not below < key:
                             break
+                        items[i] = below
+                        pos[below[-1]] = i
                         i = child
                         moved += 1
-                    heappop(items)
-                else:
-                    i = pos.pop(t)
-                    key = items.pop()
-                    if i < n:
-                        # the last key fills the hole: it rises past greater
-                        # parents, or else sinks past lesser children (one
-                        # that rose has only greater children)
-                        while i > 0:
-                            parent = (i - 1) // 2
-                            above = items[parent]
-                            if not key < above:
-                                break
-                            items[i] = above
-                            pos[above[-1]] = i
-                            i = parent
-                            moved += 1
-                        while True:
-                            child = 2 * i + 1
-                            if child >= n:
-                                break
-                            right = child + 1
-                            if right < n and items[right] < items[child]:
-                                child = right
-                            below = items[child]
-                            if not below < key:
-                                break
-                            items[i] = below
-                            pos[below[-1]] = i
-                            i = child
-                            moved += 1
-                        items[i] = key
-                        pos[key[-1]] = i
+                    items[i] = key
+                    pos[key[-1]] = i
                 deleted += 1
         finally:
             self.counters.pq_ops += deleted + moved
@@ -398,7 +414,10 @@ class ThetaTable:
     they are pushed in insertion order onto a heap, found in O(log m) at
     selection; without it they move to a dict that each selection scans, one
     tick per settled candidate.  A candidate purged while still staged never
-    settles.
+    settles.  drain() yields the selections of a table that is emptied
+    without purges (the factorized domain table): it makes the calls of
+    select_extreme, except that a heap without positions, once everything is
+    settled, is popped in one loop with the same counts.
 
     The order key is order_key's generated function for the table's arity:
     integers before symbols in each column, column by column, behind the
@@ -505,7 +524,7 @@ class ThetaTable:
                 if t in entries or t in crows:
                     continue
                 conflict = False
-                for left, right, index in cfds:
+                for left, right, index, _ in cfds:
                     r = index.get(left(t))
                     if r is not None and r != right(t):
                         conflict = True
@@ -627,6 +646,28 @@ class ThetaTable:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
         self._remove_all((t,))
         return t
+
+    def drain(self) -> Iterator[Tup]:
+        """Yield what select_extreme would return, call after call, until the
+        table is empty, each tuple removed before it is yielded; the counters
+        and random draws are those of the calls.  A heap without positions
+        pops its least key in one loop once every candidate is settled; any
+        other table, and a candidate inserted between yields, goes through
+        select_extreme."""
+        entries, staged, counters = self._entries, self._staged, self.counters
+        heap = self._heap
+        pop = heap.pop if heap is not None and heap.pos is None else None
+        while entries:
+            if pop is None or staged:
+                yield self.select_extreme()
+                continue
+            # what select_extreme and _remove_all do for a settled least key
+            # of a table with no FD index and no unique key
+            t = pop()[-1]
+            del entries[t]
+            counters.theta_deletes += 1
+            counters.work += 1
+            yield t
 
     def _least_settled(self) -> Optional[tuple]:
         if self._heap is not None:

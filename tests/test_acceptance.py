@@ -279,6 +279,14 @@ def test_07g_sequence_factorized_linear():
     report("07g sequence factorized linear", ok, detail)
 
 
+def test_07h_sort_unfactorized_quadratic():
+    # the control for 07f: without factorize every pair is a candidate
+    ok, detail = _ladder(
+        BenchSpec("sort", (32, 64, 128, 256), family="domain", pq="auto", ties="lex", reps=5)
+    )
+    report("07h sort unfactorized n^2", ok, detail)
+
+
 def test_08_greedy_tsp_sanity():
     hamiltonian_ok = True
     for n in (12, 25, 50, 100):

@@ -3,9 +3,9 @@
 Each run of the matrix (every corpus program on two `bench.build_edb`
 instances, under lex, fifo and random(7) ties, pq auto and off, mode auto
 and choice, and with and without factorize for sort and sequence) has its
-model's SHA-256 and its nine counters recorded in golden_counters.json.  A
-storage or engine change that moves any of them shows here, whichever
-program, knob or tie policy it touches.
+model's SHA-256, its --trace rows' SHA-256 and its nine counters recorded in
+golden_counters.json.  A storage or engine change that moves any of them
+shows here, whichever program, knob or tie policy it touches.
 
 To record the file again after a change that means to move a counter:
 
@@ -13,6 +13,7 @@ To record the file again after a change that means to move a counter:
 """
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -54,11 +55,16 @@ def measure(run_id: str) -> dict:
     name, inst, ties, pq, mode, *fac = run_id.split("/")
     n, seed = map(int, inst[1:].split("s"))
     edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(n,)), n, seed)
+    trace = io.StringIO()
     model, c = run_with_counters(
-        get_program(name), edb=edb, pq=pq[3:], mode=mode, factorize=bool(fac), **TIES[ties]
+        get_program(name), edb=edb, pq=pq[3:], mode=mode, factorize=bool(fac), trace=trace, **TIES[ties]
     )
     text = "".join(line + "\n" for line in model.sorted_lines())
-    return {"model_sha256": hashlib.sha256(text.encode()).hexdigest(), **{k: getattr(c, k) for k in COUNTERS}}
+    return {
+        "model_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "trace_sha256": hashlib.sha256(trace.getvalue().encode()).hexdigest(),
+        **{k: getattr(c, k) for k in COUNTERS},
+    }
 
 
 def _golden() -> dict:

@@ -296,6 +296,17 @@ def test_chosen_table_enforces_fds():
     assert c.rel.rows == [("a", "b")]
 
 
+def test_a_violating_insert_changes_no_fd_index():
+    c = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2))
+    c.insert(("a", "b"))
+    # ("z", "b") passes X -> Y, whose index has no "z", and violates Y -> X
+    with pytest.raises(FDViolation):
+        c.insert(("z", "b"))
+    assert not c.conflicts(("z", "c"))
+    c.insert(("z", "c"))
+    assert c.rel.rows == [("a", "b"), ("z", "c")]
+
+
 def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
     # X -> Y and X -> C share one index on X, whose right side is (Y, C)
     info = _info("p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((X),(C)).")
@@ -641,6 +652,81 @@ def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq,
         assert batch_chosen.rel.rows == ref_chosen.rel.rows
         if use_pq and batch._heap is not None:
             assert batch._heap.items == ref._heap.items
+
+
+# the admission shapes, plus greedy tables with neither an FD index nor a
+# unique key (the factorized domain table's shape), whose heap keeps no
+# positions
+DRAIN_INFOS = ADMISSION_INFOS + [
+    dataclasses.replace(ADMISSION_INFOS[i], fds=(), unique_key=None) for i in (2, 5)
+]
+
+
+def _select_all(theta):
+    # the per-call path: select_extreme until the table is empty
+    while len(theta):
+        yield theta.select_extreme()
+
+
+def _run_out(theta, selections, late):
+    """Each selection with the table's size and counters right after it;
+    the candidates of late[k] are inserted after the k-th selection."""
+    steps = []
+    for k, t in enumerate(selections):
+        steps.append((t, len(theta), dataclasses.replace(theta.counters)))
+        for u in late.get(k, ()):
+            theta.insert(u)
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(DRAIN_INFOS),
+    st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
+    st.sampled_from(["lex", "fifo", "random"]),
+    st.booleans(),  # the priority queue
+    # before draining: a list admits a candidate batch, None selects,
+    # chooses and purges
+    st.lists(st.one_of(st.lists(TRIPLE, max_size=8), st.none()), max_size=8),
+    # candidates inserted between yields, by the selection they follow
+    st.dictionaries(st.integers(0, 10), st.lists(TRIPLE, min_size=1, max_size=3), max_size=3),
+)
+def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, late):
+    if pure:
+        info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
+    sides = []
+    for _ in range(2):
+        theta = ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
+        chosen = ChosenTable(info, Relation(info.chosen_pred, 3))
+        for op in ops:
+            if op is not None:
+                theta.admit(op, chosen)
+            elif (delta := theta.select_extreme()) is not None:
+                chosen.insert(delta)
+                theta.purge_conflicting(delta)
+        sides.append(theta)
+    drained, called = sides
+    assert _run_out(drained, drained.drain(), late) == _run_out(called, _select_all(called), late)
+    assert len(drained) == 0 and audit_theta(drained)
+    assert drained.counters == called.counters
+    assert drained.rng.getstate() == called.rng.getstate()
+
+
+def test_drain_pops_a_heap_without_positions_and_takes_late_candidates():
+    # the factorized domain table's shape: greedy, no FD, no unique key
+    info = dataclasses.replace(ADMISSION_INFOS[2], fds=(), unique_key=None)
+    cands = [(i % 3, "a", (i * 7) % 11) for i in range(30)]
+    late = {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]}  # early, into the heap phase
+    sides = [ThetaTable(info, use_pq=True) for _ in range(2)]
+    for theta in sides:
+        theta.admit(cands, None)
+    drained, called = sides
+    assert drained._heap.pos is None
+    got = _run_out(drained, drained.drain(), late)
+    assert got == _run_out(called, _select_all(called), late)
+    assert [t for t, _, _ in got][13] == (8, 8, -1)  # the late least key comes next
+    assert len(got) == 33 and len(drained) == 0
+    assert drained.counters == called.counters and drained.counters.pq_ops > 33
 
 
 def test_fifo_policy_returns_oldest():
