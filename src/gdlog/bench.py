@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import corpus
 from .engine import run_with_counters
@@ -93,7 +93,7 @@ class BenchReport:
         return all(c.verdict != "FAIL" for c in self.checks)
 
     def to_tsv(self) -> str:
-        cols = [f.name for f in fields(Counters)]
+        cols = list(Counters().as_dict())
         fam = self.spec.resolved_family()
         lines = [
             f"# gdlog bench example={self.spec.example} family={fam} pq={self.spec.pq}"

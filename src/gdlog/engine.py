@@ -348,7 +348,6 @@ class _DifferentialRule:
         self.cursors = snapshot
         for probes, fired in runs:
             self.counters.join_probes += probes
-            self.counters.work += probes
             self.counters.firings += fired
         return out
 
@@ -372,7 +371,7 @@ class _Closure:
                 if not dr.pending_delta():
                     continue
                 ts = dr.evaluate()
-                counters.work += len(ts)
+                counters.emissions += len(ts)
                 for t in ts:
                     if head.insert(t):
                         counters.derived += 1

@@ -523,17 +523,13 @@ def _check_reserved(pred: str, rid: str, line: int, diags: list[Diagnostic]):
         diags.append(Diagnostic(rid, f"predicate name {pred} uses a reserved prefix", line))
 
 
-def parse_program(text: str, strict: bool = True) -> Program:
-    """Parse dialect source into a Program.
-
-    With strict=True (the default) the program is validated and a
-    ProgramError carrying all diagnostics is raised if any check fails.
-    """
+def parse_program(text: str) -> Program:
+    """Parse dialect source into a validated Program; a ProgramError
+    carrying all diagnostics is raised if any check fails."""
     program = _Parser(text).program()
-    if strict:
-        diags = validate(program)
-        if diags:
-            raise ProgramError(diags)
+    diags = validate(program)
+    if diags:
+        raise ProgramError(diags)
     return program
 
 

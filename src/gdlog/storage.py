@@ -85,10 +85,14 @@ def resolve_ties(policy: str | None, seed: int | None) -> tuple[str, random.Rand
 class Counters:
     """Machine-independent operation counters.
 
-    work is the master counter: one tick per elementary engine operation
-    (join probe, table insert/delete, selection scan step, heap sift level,
-    conflict check, derived tuple).  The benchmark slope checks run on these
-    counters; wall time is reported only informationally.
+    work is the master counter, the sum of seven parts, each ticked once per
+    elementary operation: join_probes (body rows probed), emissions (tuples
+    a closure evaluation returns, facts already held included),
+    conflict_checks (candidates checked against the chosen table),
+    theta_inserts, theta_deletes, pq_ops (heap operations and sift levels)
+    and scan_steps (settled candidates a pq=off selection visits).  The
+    benchmark slope checks run on these counters; wall time is reported only
+    informationally.
     """
 
     iterations: int = 0
@@ -99,13 +103,23 @@ class Counters:
     theta_deletes: int = 0
     pq_ops: int = 0
     conflict_checks: int = 0
-    work: int = 0
+    emissions: int = 0
+    scan_steps: int = 0
     wall_time_s: float = 0.0
 
+    @property
+    def work(self) -> int:
+        return (
+            self.join_probes + self.emissions + self.conflict_checks + self.theta_inserts
+            + self.theta_deletes + self.pq_ops + self.scan_steps
+        )
+
     def as_dict(self) -> dict[str, float]:
-        """The counters by field name, in field order (the --stats and bench
-        TSV column order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The counters by field name, in field order, with work before
+        wall_time_s (the --stats and bench TSV column order)."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        wall_time_s = d.pop("wall_time_s")
+        return {**d, "work": self.work, "wall_time_s": wall_time_s}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,7 @@ class _Heap:
     sifts up as the indexed push does, and heappop moves the sifted key to
     the same place as the indexed sink, since both take the right child only
     when it is strictly smaller.  A push counts the levels its key rose by
-    finding it on the path up from the last slot; pop, which delete calls,
+    finding it on the path up from the last slot; pop, which delete_all calls,
     counts the levels the last key will sink by walking the min-child path
     first, with the indexed sink's comparisons but no writes."""
 
@@ -285,11 +299,8 @@ class _Heap:
     def __len__(self):
         return len(self.items)
 
-    def push(self, key: tuple) -> None:
-        self.push_all((key,))
-
     def push_all(self, keys: Collection[tuple]) -> None:
-        """push(key) for each key, in order, in one call."""
+        """Push each key, in order."""
         items, pos = self.items, self.pos
         moved = 0
         if pos is None:
@@ -315,10 +326,6 @@ class _Heap:
                 items[i] = key
                 pos[key[-1]] = i
         self.counters.pq_ops += len(keys) + moved
-        self.counters.work += len(keys) + moved
-
-    def delete(self, t: Tup) -> None:
-        self.delete_all((t,))
 
     def pop(self) -> tuple:
         """Remove and return the least key of a non-empty heap without
@@ -339,11 +346,10 @@ class _Heap:
             i = child
             moved += 1
         self.counters.pq_ops += 1 + moved
-        self.counters.work += 1 + moved
         return heappop(items)
 
     def delete_all(self, ts: Iterable[Tup]) -> None:
-        """delete(t) for each tuple t, in order, in one call."""
+        """Delete the key of each tuple t, in order."""
         items, pos = self.items, self.pos
         if pos is None:
             for t in ts:
@@ -389,7 +395,6 @@ class _Heap:
                 deleted += 1
         finally:
             self.counters.pq_ops += deleted + moved
-            self.counters.work += deleted + moved
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +522,6 @@ class ThetaTable:
         randomized = self._random
         if chosen is not None:
             counters.conflict_checks += len(ts)
-            counters.work += len(ts)
         added = 0
         try:
             for t in ts:
@@ -574,7 +578,6 @@ class ThetaTable:
         finally:
             self._staged_best = best
             counters.theta_inserts += added
-            counters.work += added
 
     def _remove_all(self, ts: Iterable[Tup]) -> None:
         counters = self.counters
@@ -616,7 +619,6 @@ class ThetaTable:
         if heaped:
             heap.delete_all(heaped)
         counters.theta_deletes += removed
-        counters.work += removed
 
     # -- selection ----------------------------------------------------------
 
@@ -666,18 +668,13 @@ class ThetaTable:
             t = pop()[-1]
             del entries[t]
             counters.theta_deletes += 1
-            counters.work += 1
             yield t
 
     def _least_settled(self) -> Optional[tuple]:
         if self._heap is not None:
             return self._heap.items[0] if self._heap else None
-        least = None
-        for k in self._settled.values():
-            self.counters.work += 1
-            if least is None or k < least:
-                least = k
-        return least
+        self.counters.scan_steps += len(self._settled)
+        return min(self._settled.values(), default=None)
 
     def purge_conflicting(self, delta: Tup) -> int:
         """Drop delta and every candidate that agrees with it on the left side

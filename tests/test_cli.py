@@ -281,7 +281,8 @@ def test_run_trace_factorized_sort(tmp_path):
 
 COUNTER_COLUMNS = [
     "iterations", "firings", "derived", "join_probes", "theta_inserts",
-    "theta_deletes", "pq_ops", "conflict_checks", "work", "wall_time_s",
+    "theta_deletes", "pq_ops", "conflict_checks", "emissions", "scan_steps",
+    "work", "wall_time_s",
 ]
 
 

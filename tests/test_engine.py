@@ -23,7 +23,7 @@ from gdlog.engine import (
     _rewritten_goals,
 )
 from gdlog import bench, tsvio
-from gdlog.lang import Atom, Program, Rule, Var, format_goal, parse_program
+from gdlog.lang import Atom, Program, Rule, Var, _Parser, format_goal, parse_program
 from gdlog.analysis import foe_transform
 from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
 from gdlog.storage import StorageError
@@ -799,7 +799,7 @@ def test_delta_plans_probe_an_index_after_the_delta_atom(name):
     ids=["neq-last", "neq-first", "less"],
 )
 def test_unbound_builtin_operand_is_an_engine_error(src):
-    prog = parse_program(src + " q(1). q(2).", strict=False)
+    prog = _Parser(src + " q(1). q(2).").program()
     with pytest.raises(EngineError, match="r1: variable Y is unbound"):
         run_with_counters(prog)
 

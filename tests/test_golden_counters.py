@@ -3,7 +3,7 @@
 Each run of the matrix (every corpus program on two `bench.build_edb`
 instances, under lex, fifo and random(7) ties, pq auto and off, mode auto
 and choice, and with and without factorize for sort and sequence) has its
-model's SHA-256, its --trace rows' SHA-256 and its nine counters recorded in
+model's SHA-256, its --trace rows' SHA-256 and its eleven counters recorded in
 golden_counters.json.  A storage or engine change that moves any of them
 shows here, whichever program, knob or tie policy it touches.
 
@@ -33,6 +33,8 @@ COUNTERS = (
     "theta_deletes",
     "pq_ops",
     "conflict_checks",
+    "emissions",
+    "scan_steps",
     "work",
 )
 INSTANCES = ((16, 3), (32, 1))  # (n, seed) of bench.build_edb

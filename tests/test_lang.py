@@ -9,6 +9,7 @@ from gdlog.lang import (
     Program,
     Rule,
     Var,
+    _Parser,
     format_const,
     format_program,
     parse_program,
@@ -50,51 +51,49 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 1 and exc.value.col > 0
 
 
+def _diagnostics(text):
+    with pytest.raises(ProgramError) as exc:
+        parse_program(text)
+    return [d.message for d in exc.value.diagnostics]
+
+
 def test_choice_sides_must_be_disjoint():
-    p = parse_program("p(X,Y) :- q(X,Y), choice((X),(X)).", strict=False)
-    msgs = [d.message for d in validate(p)]
+    msgs = _diagnostics("p(X,Y) :- q(X,Y), choice((X),(X)).")
     assert any("X ∩ Y nonempty" in m for m in msgs)
 
 
 def test_at_most_one_choice_least():
-    p = parse_program(
-        "p(X,Y,C,D) :- q(X,Y,C,D), choice_least((X),(C)), choice_least((X),(D)).",
-        strict=False,
-    )
-    msgs = [d.message for d in validate(p)]
+    msgs = _diagnostics("p(X,Y,C,D) :- q(X,Y,C,D), choice_least((X),(C)), choice_least((X),(D)).")
     assert any("at most one choice_least" in m for m in msgs)
 
 
 def test_least_and_most_cannot_share_a_rule():
-    p = parse_program(
-        "p(X,C,D) :- q(X,C,D), choice_least((X),(C)), choice_most((X),(D)).",
-        strict=False,
-    )
-    assert any("cannot share" in d.message for d in validate(p))
+    msgs = _diagnostics("p(X,C,D) :- q(X,C,D), choice_least((X),(C)), choice_most((X),(D)).")
+    assert any("cannot share" in m for m in msgs)
 
 
 def test_cost_side_must_be_single_variable():
-    p = parse_program("p(X,Y,C) :- q(X,Y,C), choice_least((X),(Y,C)).", strict=False)
-    assert any("single cost variable" in d.message for d in validate(p))
+    msgs = _diagnostics("p(X,Y,C) :- q(X,Y,C), choice_least((X),(Y,C)).")
+    assert any("single cost variable" in m for m in msgs)
 
 
 def test_comparison_needs_bound_operands():
-    p = parse_program("p(X) :- X \\= a, q(X).", strict=False)
-    assert any("not bound by an earlier goal" in d.message for d in validate(p))
+    msgs = _diagnostics("p(X) :- X \\= a, q(X).")
+    assert any("not bound by an earlier goal" in m for m in msgs)
 
 
 def test_arithmetic_binds_fresh_variable():
-    p = parse_program("p(C) :- q(C,B), C = C + B.", strict=False)
-    assert any("already bound" in d.message for d in validate(p))
+    msgs = _diagnostics("p(C) :- q(C,B), C = C + B.")
+    assert any("already bound" in m for m in msgs)
 
 
 def test_reserved_prefix_rejected():
-    p = parse_program("chosen_r1(X) :- q(X).", strict=False)
-    assert any("reserved prefix" in d.message for d in validate(p))
+    msgs = _diagnostics("chosen_r1(X) :- q(X).")
+    assert any("reserved prefix" in m for m in msgs)
 
 
 def test_spanning_tree_program_validates_cleanly():
-    assert validate(parse_program(PROGRAMS["spantree"], strict=False)) == []
+    assert validate(parse_program(PROGRAMS["spantree"])) == []
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -206,6 +205,6 @@ def _programs(draw):
 @given(_programs())
 def test_roundtrip_generated(p1):
     text = format_program(p1)
-    p2 = parse_program(text, strict=False)
+    p2 = _Parser(text).program()
     assert p1.rules == p2.rules and p1.facts == p2.facts
     assert format_program(p2) == text

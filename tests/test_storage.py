@@ -490,14 +490,14 @@ def test_heap_handle_deletion_is_logarithmic_shape():
     h = _Heap(Counters(), indexed=True)
     items = [((i * 37) % 101, (i,)) for i in range(101)]
     for key, t in items:
-        h.push((key, t))
+        h.push_all(((key, t),))
     for key, t in sorted(items)[::3]:
-        h.delete(t)
+        h.delete_all((t,))
         assert audit_heap(h)
     got = []
     while len(h):
         got.append(h.items[0][-1])
-        h.delete(got[-1])
+        h.delete_all((got[-1],))
     keys = [((t[0]) * 37) % 101 for t in got]
     assert keys == sorted(keys)
     # one pq_op per push and delete plus one per level a sift moves
@@ -517,18 +517,18 @@ def test_heap_without_positions_matches_the_indexed_heap(ops):
     for seq, op in enumerate(ops):
         if isinstance(op, int):
             for h in (a, b, c, d):
-                h.push((op, (seq,)))
+                h.push_all(((op, (seq,)),))
         elif op is not None:
             keys = [(cost, (seq, i)) for i, cost in enumerate(op)]
             for h in (a, b):
                 for key in keys:
-                    h.push(key)
+                    h.push_all((key,))
             for h in (c, d):
                 h.push_all(keys)
         elif len(a):
             t = a.items[0][-1]
             for h in (a, b, c, d):
-                h.delete(t)
+                h.delete_all((t,))
         assert a.items == b.items == c.items == d.items
         assert a.pos == c.pos
         assert len({(h.counters.pq_ops, h.counters.work) for h in (a, b, c, d)}) == 1
@@ -547,7 +547,7 @@ def test_heap_delete_all_equals_repeated_deletes(costs, picks):
         h.push_all([(cost, (i,)) for i, cost in enumerate(costs)])
     victims = list(dict.fromkeys((p % len(costs),) for p in picks)) if costs else []
     for t in victims:
-        a.delete(t)
+        a.delete_all((t,))
     b.delete_all(victims)
     assert a.items == b.items and a.pos == b.pos and audit_heap(b)
     assert (a.counters.pq_ops, a.counters.work) == (b.counters.pq_ops, b.counters.work)
@@ -556,13 +556,13 @@ def test_heap_delete_all_equals_repeated_deletes(costs, picks):
 def test_heap_without_positions_deletes_only_its_least_key():
     h = _Heap(Counters(), indexed=False)
     with pytest.raises(StorageError):
-        h.delete(("a",))
+        h.delete_all((("a",),))
     for i in (3, 1, 2):
-        h.push((i, (i,)))
+        h.push_all(((i, (i,)),))
     with pytest.raises(StorageError):
-        h.delete((2,))
+        h.delete_all(((2,),))
     assert [k for k, _ in h.items] == [1, 3, 2]
-    h.delete((1,))
+    h.delete_all(((1,),))
     assert h.items[0] == (2, (2,))
 
 
@@ -605,7 +605,6 @@ TRIPLE = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(
 def _reference_admit(theta, chosen, ts):
     # the per-candidate path: one conflict check per candidate, then insert
     theta.counters.conflict_checks += len(ts)
-    theta.counters.work += len(ts)
     for t in ts:
         if t not in theta and not chosen.conflicts(t):
             theta.insert(t)

@@ -42,7 +42,6 @@ SURFACE = [
     "lang.Rule.line",
     "lang.Rule.rule_id",
     "lang._Parser.peek(ahead)",
-    "lang.parse_program(strict)",
     "oracle.EnumerationError.__init__(models)",
     "oracle._all_matches(budget)",
     "oracle.bipartite_matching_valid(edges)",
@@ -57,14 +56,15 @@ SURFACE = [
     "oracle.run_lico_reference(ties)",
     "storage.Counters.conflict_checks",
     "storage.Counters.derived",
+    "storage.Counters.emissions",
     "storage.Counters.firings",
     "storage.Counters.iterations",
     "storage.Counters.join_probes",
     "storage.Counters.pq_ops",
+    "storage.Counters.scan_steps",
     "storage.Counters.theta_deletes",
     "storage.Counters.theta_inserts",
     "storage.Counters.wall_time_s",
-    "storage.Counters.work",
     "storage.ThetaTable.__init__(counters)",
     "storage.ThetaTable.__init__(rng)",
     "storage.ThetaTable.__init__(tie_policy)",
