@@ -240,8 +240,8 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
                         f"{spec.example}-pq-on-{suffix}", f"{counter}<=c*e*log2(n)", ratios
                     )
                 )
-    elif spec.example == "matching":
-        checks.append(_slope_check("matching-linear-e", "work~e", work_e, 1.0))
+    elif spec.example in ("matching", "optmatching", "spantree", "reach"):
+        checks.append(_slope_check(f"{spec.example}-linear-e", "work~e", work_e, 1.0))
     elif spec.example == "sort" and spec.factorize and spec.pq != "off":
         expected = model_slope(lambda x: x * math.log2(x), [float(n) for n in sizes])
         checks.append(_slope_check("sort-factorized-nlogn", "work~n*log2(n)", work_n, expected))
@@ -250,6 +250,8 @@ def _ladder_checks(spec: BenchSpec, medians: dict[int, dict[str, float]]) -> lis
         checks.append(_slope_check("sort-unfactorized-n2", "work~n^2", work_n, 2.0))
     elif spec.example == "sequence" and spec.factorize:
         checks.append(_slope_check("sequence-factorized-linear", "work~n", work_n, 1.0))
-    elif spec.example == "tsp":
-        checks.append(_slope_check("tsp-n2", "work~n^2", work_n, 2.0))
+    elif spec.example == "sequence":
+        checks.append(_slope_check("sequence-unfactorized-n2", "work~n^2", work_n, 2.0))
+    elif spec.example == "tsp" or (spec.example == "simplepath" and family == "complete"):
+        checks.append(_slope_check(f"{spec.example}-n2", "work~n^2", work_n, 2.0))
     return checks

@@ -17,7 +17,10 @@ a fresh database domain value Y (sort, sequence) keeps only the domain
 column of theta: a ThetaTable over the domain values, filled once and
 emptied by ThetaTable.drain.  Each step takes the next Y from it, chooses
 (X, Y) and moves the frontier to Y, so selection, ties, counters and trace
-rows are those of select_extreme called once per step.
+rows are those of select_extreme called once per step.  (X, Y) is written
+straight to chosen_r and the head, without a ChosenTable: the pattern's one
+start value is not a domain value and the domain rows are distinct, so the
+chain repeats no X and no Y, and both FDs X -> Y and Y -> X hold.
 
 Each rule compiles to one full plan and one delta plan per body atom, all
 ordered bound-first: a delta plan starts from its delta atom, the full plan
@@ -516,7 +519,8 @@ class Engine:
             # and the chosen rule chosen_r(W) <- B(Z), with conflicts checked
             # against the chosen table instead of a diffchoice relation
             cand = _DifferentialRule(r.rule_id, info.w_vars, r.body, self._rel, self.counters)
-            states.append(_ChoiceState(r, info, cand, self._theta_table(info), self._chosen_table(info)))
+            chosen = ChosenTable(info, self._rel(info.chosen_pred))
+            states.append(_ChoiceState(r, info, cand, self._theta_table(info), chosen))
 
         closure = _Closure(rules, self.counters)
         closure.run()
@@ -557,25 +561,13 @@ class Engine:
             rng=self.rng,
         )
 
-    def _chosen_table(self, info: ChoiceInfo) -> ChosenTable:
-        return ChosenTable(info, self._rel(info.chosen_pred))
-
     def _trace_row(self, rule_id: str, theta: ThetaTable, delta: Tup, purged: int) -> None:
         if self.trace is None:
             return
-        self.trace.write(
-            "\t".join(
-                [
-                    str(self.counters.iterations),
-                    rule_id,
-                    str(len(theta)),
-                    ",".join(format_const(c) for c in delta),
-                    str(purged),
-                    str(self._loaded + self.counters.derived + self.counters.iterations),
-                ]
-            )
-            + "\n"
-        )
+        c = self.counters
+        chosen = ",".join(format_const(v) for v in delta)
+        size = self._loaded + c.derived + c.iterations
+        self.trace.write(f"{c.iterations}\t{rule_id}\t{len(theta)}\t{chosen}\t{purged}\t{size}\n")
 
     # -- factorized evaluation (candidates form a Cartesian product) --------
 
@@ -611,7 +603,13 @@ class Engine:
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
         values, filled once and drained, from which each step takes the next
-        y and chooses (x, y), y becoming the next x."""
+        y and chooses (x, y), y becoming the next x.  (x, y) goes straight
+        to chosen_r and the head, with no ChosenTable: _factorize_pattern
+        admits only FDs {X -> Y, Y -> X}, one start tuple whose frontier
+        value is not a domain value, and a database domain, whose rows are
+        distinct.  So the x values (the start, then each y but the last) are
+        pairwise distinct, and so are the y values: both FDs hold, and
+        nothing admits candidates against chosen_r, so no FD index is read."""
         self.factorized_strata.append(rule.rule_id)
         dom_info = dataclasses.replace(
             info,
@@ -621,17 +619,18 @@ class Engine:
             cost_pos=None if info.cost_pos is None else 0,
         )
         theta = self._theta_table(dom_info)
-        chosen = self._chosen_table(info)
+        chosen_rel = self._rel(info.chosen_pred)
         head_rel = self.interp.rel(rule.head.pred, 2)
         theta.admit(self.interp.rel(dom_pred, 1).rows, None)
 
+        counters = self.counters
         x = start
         for (y,) in theta.drain():
             delta = (x, y)
-            chosen.insert(delta)
+            chosen_rel.insert(delta)
             head_rel.insert(delta)
-            self.counters.derived += 1
-            self.counters.iterations += 1
+            counters.derived += 1
+            counters.iterations += 1
             self._trace_row(rule.rule_id, theta, delta, 0)
             x = y
 

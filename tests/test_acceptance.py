@@ -287,6 +287,32 @@ def test_07h_sort_unfactorized_quadratic():
     report("07h sort unfactorized n^2", ok, detail)
 
 
+def test_07i_sequence_unfactorized_quadratic():
+    # the control for 07g
+    ok, detail = _ladder(
+        BenchSpec("sequence", (32, 64, 128, 256), family="domain", ties="lex", reps=5)
+    )
+    report("07i sequence unfactorized n^2", ok, detail)
+
+
+@pytest.mark.parametrize(
+    "example, sizes",
+    [
+        pytest.param("spantree", (250, 500, 1000, 2000), id="spantree"),
+        pytest.param("reach", (250, 500, 1000, 2000), id="reach"),
+        pytest.param("optmatching", (16, 32, 64, 128), id="optmatching"),
+    ],
+)
+def test_07j_linear_in_e(example, sizes):
+    ok, detail = _ladder(BenchSpec(example, sizes, reps=3))
+    report(f"07j {example} linear in e", ok, detail)
+
+
+def test_07k_simplepath_complete_quadratic():
+    ok, detail = _ladder(BenchSpec("simplepath", (32, 64, 128, 256), family="complete", reps=3))
+    report("07k simplepath n^2", ok, detail)
+
+
 def test_08_greedy_tsp_sanity():
     hamiltonian_ok = True
     for n in (12, 25, 50, 100):

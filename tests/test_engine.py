@@ -24,7 +24,7 @@ from gdlog.engine import (
 )
 from gdlog import bench, tsvio
 from gdlog.lang import Atom, Program, Rule, Var, _Parser, format_goal, parse_program
-from gdlog.analysis import foe_transform
+from gdlog.analysis import choice_info, foe_transform
 from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
 from gdlog.storage import StorageError
 from corpus_helpers import ADVISOR_TOY, TOY_TRIANGLE, acyclic_digraph, example_edb
@@ -245,8 +245,6 @@ def test_lico_no_choice_rules_gives_minimal_model():
 
 
 def _assert_fds_hold(prog, model):
-    from gdlog.analysis import choice_info
-
     for r in prog.rules:
         if not r.choice_goals:
             continue
@@ -272,6 +270,24 @@ def test_factorized_sort_agrees_with_plain_engine(ties, pq):
     b = eng.run()
     assert eng.factorized_strata
     assert _model(a) == _model(b)
+
+
+@pytest.mark.parametrize("pq", ["auto", "off"])
+@pytest.mark.parametrize("ties, seed", [("lex", None), ("fifo", None), ("random", 7)])
+@pytest.mark.parametrize("name", ["sort", "sequence"])
+def test_factorized_chain_keeps_both_fds(name, ties, seed, pq):
+    # the factorized step writes chosen_r without a ChosenTable, so nothing
+    # checks the FDs X -> Y and Y -> X as it runs; the model must keep both
+    edb = domain_facts(200, seed=31)
+    prog = get_program(name)
+    eng = Engine(prog, edb=edb, ties=ties, seed=seed, pq=pq, factorize=True)
+    interp = eng.run()
+    assert eng.factorized_strata
+    model = interp.as_sets()
+    _assert_fds_hold(prog, model)
+    (rule,) = [r for r in prog.rules if r.choice_goals]
+    ys = [y for _, y in model[choice_info(rule).chosen_pred]]
+    assert sorted(ys) == sorted(v for (v,) in edb["d"])
 
 
 def test_factorized_sequence_linear_candidate_work():
@@ -925,7 +941,7 @@ def test_trace_model_size_is_the_model_size(name):
     edb = bench.build_edb(bench.BenchSpec(example=name, sizes=(16,)), 16, 3)
     runs = [dict(ties=t, mode=m) for t in ("lex", "fifo") for m in ("auto", "choice")]
     if name in ("sort", "sequence"):
-        runs.append(dict(ties="lex", factorize=True))
+        runs += [dict(ties=t, factorize=True) for t in ("lex", "fifo")]
     for kw in runs:
         tr = _SizeAtRow()
         tr.engine = Engine(get_program(name), edb=edb, trace=tr, **kw)
