@@ -77,6 +77,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_models < 1:
+        raise GdlogError(f"--max-models must be at least 1, not {args.max_models}")
+    if args.candidate_cap < 0:
+        raise GdlogError(f"--candidate-cap must be at least 0, not {args.candidate_cap}")
     program = _load_program(args.program)
     edb = _load_edb(args, program)
     truncated = False

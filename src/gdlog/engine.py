@@ -4,21 +4,27 @@ The engine computes stable models of choice programs bottom-up: strata are
 evaluated in dependency order; within a stratum the non-choice rules are
 closed by semi-naive iteration, and choice rules run the candidate/selection
 loop: derive new candidate tuples differentially, buffer them in per-rule
-theta tables, move one tuple per iteration into the chosen table, purge the
-candidates it conflicts with, and re-close the non-choice rules.  Both
-modes run this one loop and insert every fresh candidate; when a candidate
-enters the priority queue is the theta table's decision alone.  The chosen
-tuple reaches the head through the rewritten rule head <- B(Z), chosen_r(W),
-which the closure evaluates as the projection head <- chosen_r(W) when W
-binds every head variable, so a selection does not re-join the body.
+theta tables, select one tuple per iteration, record it on its theta
+table's chosen side and purge the candidates it conflicts with (choose),
+commit it, and re-close the non-choice rules.  Both modes run this one loop
+and insert every fresh candidate; when a candidate enters the priority
+queue is the theta table's decision alone.
+
+The commit step (Engine._commit) is where a chosen tuple reaches the model:
+it goes to chosen_r, the trace row is written, and then, when W binds every
+head variable, the head tuple projected from it goes to the head.  That is
+what the rewritten rule head <- B(Z), chosen_r(W) would derive from it,
+since every chosen tuple is a candidate B(Z) derived, so such a rule is not
+compiled and a selection re-joins nothing.  A rule with a head variable
+outside W keeps its rewritten rule in the closure.
 
 With factorize, a stratum whose one choice rule chains a frontier value X to
 a fresh database domain value Y (sort, sequence) keeps only the domain
 column of theta: a ThetaTable over the domain values, filled once and
-emptied by ThetaTable.drain.  Each step takes the next Y from it, chooses
-(X, Y) and moves the frontier to Y, so selection, ties, counters and trace
-rows are those of select_extreme called once per step.  (X, Y) is written
-straight to chosen_r and the head, without a ChosenTable: the pattern's one
+emptied by ThetaTable.drain.  Each step takes the next Y from it and
+commits (X, Y), then moves the frontier to Y, so selection, ties, counters
+and trace rows are those of select_extreme called once per step.  Nothing
+is chosen through the domain table, and no FD is checked: the pattern's one
 start value is not a domain value and the domain rows are distinct, so the
 chain repeats no X and no Y, and both FDs X -> Y and Y -> X hold.
 
@@ -65,7 +71,7 @@ from .lang import (
     format_const,
     format_goal,
 )
-from .storage import ChosenTable, Counters, Relation, ThetaTable, Tup, resolve_ties
+from .storage import Counters, Relation, ThetaTable, Tup, projector, resolve_ties
 
 
 class EngineError(GdlogError):
@@ -385,26 +391,44 @@ class _Closure:
 # The engine
 
 
-def _rewritten_goals(rule: Rule, info: ChoiceInfo) -> tuple:
-    """The goals the engine evaluates for the rewritten rule of a choice
-    rule, head <- B(Z), chosen_r(W).  When W binds every head variable this
-    is the projection head <- chosen_r(W): each chosen_r row is a candidate
-    B(Z) derived, and relations only grow within a run, so both rules derive
-    the same head tuples in the same closure pass, without re-joining B(Z)
-    after each selection.  A head variable outside W keeps the full body."""
-    chosen = Atom(info.chosen_pred, info.w_vars)
+def _rewritten_goals(rule: Rule, info: ChoiceInfo) -> Optional[tuple]:
+    """The goals of a choice rule's rewritten rule head <- B(Z), chosen_r(W)
+    for the closure to evaluate, or None when W binds every head variable.
+    Then the commit step writes the head tuple projected from each chosen
+    tuple: every chosen_r row is a candidate B(Z) derived, and relations
+    only grow within a run, so that is the one head tuple the rewritten rule
+    would derive from it.  A head variable outside W keeps the full body,
+    since each chosen W then gives the head tuples of every body match."""
     if set(rule.head.vars()) <= set(info.w_vars):
-        return (chosen,)
-    return rule.body + (chosen,)
+        return None
+    return rule.body + (Atom(info.chosen_pred, info.w_vars),)
+
+
+def _head_projection(head: Atom, w_vars: tuple[Var, ...]) -> Callable[[Tup], Tup]:
+    """The head tuple of a chosen W tuple, for a head whose variables W all
+    binds: one C call (tuple returns a tuple unchanged, so a head that is W
+    itself shares the chosen tuple), except for a head with constants."""
+    if head.args == w_vars:
+        return tuple
+    if all(isinstance(a, Var) for a in head.args):
+        return projector(tuple(w_vars.index(a) for a in head.args))
+    cols = [(w_vars.index(a), None) if isinstance(a, Var) else (None, a) for a in head.args]
+    return lambda t: tuple(a if i is None else t[i] for i, a in cols)
 
 
 @dataclass
 class _ChoiceState:
     rule: Rule
     info: ChoiceInfo
-    cand: _DifferentialRule
+    # the candidate rule chosen_r(W) <- B(Z); None for a factorized stratum,
+    # whose domain table is filled once
+    cand: Optional[_DifferentialRule]
     theta: ThetaTable
-    chosen: ChosenTable
+    chosen_r: Relation
+    head_rel: Relation
+    # the head tuple of a chosen tuple, or None when the closure derives
+    # the head through the rewritten rule
+    head: Optional[Callable[[Tup], Tup]]
 
 
 class Engine:
@@ -477,8 +501,8 @@ class Engine:
             self.interp.rel(f.pred, f.arity).insert(f.args)
         if edb:
             for pred, rows in edb.items():
-                # chosen_r rows come only from selection: _rewritten_goals
-                # relies on each being a candidate its rule derived
+                # chosen_r rows come only from selection: the head the commit
+                # step writes relies on each being a candidate its rule derived
                 if pred.startswith(RESERVED_PREFIXES):
                     raise EngineError(f"database predicate {pred} uses a reserved prefix")
                 # a model line starting with '%' is a comment to read_model
@@ -510,17 +534,22 @@ class Engine:
         states: list[_ChoiceState] = []
         for r in stratum.rules:
             info = self.infos.get(r.rule_id)
-            # a choice rule runs as its rewritten rule (see _rewritten_goals)
+            head_rel = self._rel(r.head.pred)
+            # a choice rule runs as its rewritten rule, unless the commit
+            # step writes its head (see _rewritten_goals)
             goals = r.body if info is None else _rewritten_goals(r, info)
-            dr = _DifferentialRule(r.rule_id, r.head.args, goals, self._rel, self.counters)
-            rules.append((dr, self._rel(r.head.pred)))
+            if goals is not None:
+                dr = _DifferentialRule(r.rule_id, r.head.args, goals, self._rel, self.counters)
+                rules.append((dr, head_rel))
             if info is None:
                 continue
             # and the chosen rule chosen_r(W) <- B(Z), with conflicts checked
-            # against the chosen table instead of a diffchoice relation
+            # against the theta table's chosen side instead of a diffchoice
+            # relation
             cand = _DifferentialRule(r.rule_id, info.w_vars, r.body, self._rel, self.counters)
-            chosen = ChosenTable(info, self._rel(info.chosen_pred))
-            states.append(_ChoiceState(r, info, cand, self._theta_table(info), chosen))
+            head = None if goals is not None else _head_projection(r.head, info.w_vars)
+            theta = self._theta_table(info)
+            states.append(_ChoiceState(r, info, cand, theta, self._rel(info.chosen_pred), head_rel, head))
 
         closure = _Closure(rules, self.counters)
         closure.run()
@@ -535,17 +564,14 @@ class Engine:
         while True:
             selected: _ChoiceState | None = None
             for st in ordered:
-                st.theta.admit(st.cand.evaluate(), st.chosen)
+                st.theta.admit(st.cand.evaluate())
                 if len(st.theta):
                     selected = st
                     break
             if selected is None:
                 return
             delta = selected.theta.select_extreme()
-            selected.chosen.insert(delta)
-            purged = selected.theta.purge_conflicting(delta)
-            self.counters.iterations += 1
-            self._trace_row(selected.rule.rule_id, selected.theta, delta, purged)
+            self._commit(selected, delta, selected.theta.choose(delta))
             closure.run()
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
@@ -561,13 +587,22 @@ class Engine:
             rng=self.rng,
         )
 
-    def _trace_row(self, rule_id: str, theta: ThetaTable, delta: Tup, purged: int) -> None:
-        if self.trace is None:
-            return
+    def _commit(self, st: _ChoiceState, delta: Tup, purged: int) -> None:
+        """The one step that stores a selection, in both loops: delta goes to
+        chosen_r, iterations ticks and the trace row is written; then the
+        head tuple, when this step writes it, goes to the head, and derived
+        ticks when it is new.  The row's model size thus counts the chosen
+        tuple and not yet the head tuple."""
+        st.chosen_r.insert(delta)
         c = self.counters
-        chosen = ",".join(format_const(v) for v in delta)
-        size = self._loaded + c.derived + c.iterations
-        self.trace.write(f"{c.iterations}\t{rule_id}\t{len(theta)}\t{chosen}\t{purged}\t{size}\n")
+        c.iterations += 1
+        if self.trace is not None:
+            chosen = ",".join(format_const(v) for v in delta)
+            size = self._loaded + c.derived + c.iterations
+            row = f"{c.iterations}\t{st.rule.rule_id}\t{len(st.theta)}\t{chosen}\t{purged}\t{size}\n"
+            self.trace.write(row)
+        if st.head is not None and st.head_rel.insert(st.head(delta)):
+            c.derived += 1
 
     # -- factorized evaluation (candidates form a Cartesian product) --------
 
@@ -603,13 +638,13 @@ class Engine:
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
         values, filled once and drained, from which each step takes the next
-        y and chooses (x, y), y becoming the next x.  (x, y) goes straight
-        to chosen_r and the head, with no ChosenTable: _factorize_pattern
-        admits only FDs {X -> Y, Y -> X}, one start tuple whose frontier
-        value is not a domain value, and a database domain, whose rows are
-        distinct.  So the x values (the start, then each y but the last) are
-        pairwise distinct, and so are the y values: both FDs hold, and
-        nothing admits candidates against chosen_r, so no FD index is read."""
+        y and commits (x, y) as the generic loop commits a selection, y
+        becoming the next x.  The domain table has no FD and nothing is
+        chosen through it, so no FD is checked: _factorize_pattern admits
+        only FDs {X -> Y, Y -> X}, one start tuple whose frontier value is
+        not a domain value, and a database domain, whose rows are distinct.
+        So the x values (the start, then each y but the last) are pairwise
+        distinct, and so are the y values: both FDs hold."""
         self.factorized_strata.append(rule.rule_id)
         dom_info = dataclasses.replace(
             info,
@@ -619,19 +654,12 @@ class Engine:
             cost_pos=None if info.cost_pos is None else 0,
         )
         theta = self._theta_table(dom_info)
-        chosen_rel = self._rel(info.chosen_pred)
-        head_rel = self.interp.rel(rule.head.pred, 2)
-        theta.admit(self.interp.rel(dom_pred, 1).rows, None)
-
-        counters = self.counters
+        theta.admit(self.interp.rel(dom_pred, 1).rows)
+        chosen_r, head_rel = self._rel(info.chosen_pred), self._rel(rule.head.pred)
+        st = _ChoiceState(rule, info, None, theta, chosen_r, head_rel, _head_projection(rule.head, info.w_vars))
         x = start
         for (y,) in theta.drain():
-            delta = (x, y)
-            chosen_rel.insert(delta)
-            head_rel.insert(delta)
-            counters.derived += 1
-            counters.iterations += 1
-            self._trace_row(rule.rule_id, theta, delta, 0)
+            self._commit(st, (x, y), 0)
             x = y
 
 

@@ -1,7 +1,7 @@
-"""In-memory tuple storage: relations with hash indexes, the per-rule chosen
-tables, and the theta candidate tables (hash-keyed, optionally heap-ordered
-by cost).  Everything lives in main memory; tables are single-writer and
-owned by one fixpoint run at a time.
+"""In-memory tuple storage: relations with hash indexes, and the theta
+candidate tables (hash-keyed, optionally heap-ordered by cost), each with
+its rule's chosen tuples.  Everything lives in main memory; tables are
+single-writer and owned by one fixpoint run at a time.
 
 Chosen and theta tables keep one FD index per distinct left side, not one
 per declared FD: the FDs L -> R1, ..., L -> Rk of a rule share an index on
@@ -88,7 +88,7 @@ class Counters:
     work is the master counter, the sum of seven parts, each ticked once per
     elementary operation: join_probes (body rows probed), emissions (tuples
     a closure evaluation returns, facts already held included),
-    conflict_checks (candidates checked against the chosen table),
+    conflict_checks (candidates checked against a theta table's chosen side),
     theta_inserts, theta_deletes, pq_ops (heap operations and sift levels)
     and scan_steps (settled candidates a pq=off selection visits).  The
     benchmark slope checks run on these counters; wall time is reported only
@@ -210,20 +210,18 @@ _EMPTY: list = []
 
 
 class ChosenTable:
-    """The chosen_r tuples of one choice rule, with one hash index per FD left
-    side.  The FDs hold at all times; a violating insert raises.
+    """The chosen side of one choice rule's theta table: the tuples chosen so
+    far, and one hash index per FD left side from each chosen left side to
+    its right side, which the FDs make unique.  The FDs hold at all times; a
+    violating insert raises.  ThetaTable.admit reads the indexes inline; the
+    engine stores each chosen tuple in the chosen_r relation as well."""
 
-    The tuples live in rel, the interpretation's chosen_r relation, so each
-    chosen tuple is stored once."""
-
-    def __init__(self, info: ChoiceInfo, rel: Relation):
+    def __init__(self, info: ChoiceInfo):
         self.info = info
-        self.rel = rel
-        self._rows = rel._pos  # rel's tuple set, tested without a method call
+        self.rows: set[Tup] = set()
         groups = _fd_groups(info.fds)
-        # per left side: its left and right projections, an index from each
-        # chosen left side to its right side, which the FDs make unique, and
-        # the declared FDs of that left side
+        # per left side: its left and right projections, the index, and the
+        # declared FDs of that left side
         self._fds: list[tuple[Callable, Callable, dict[Tup, Tup], tuple[FD, ...]]] = [
             (projector(left), projector(right), {}, declared) for left, right, declared in groups
         ]
@@ -236,10 +234,10 @@ class ChosenTable:
             r = index.get(left(t))
             if r is not None and r != right(t):
                 return True
-        return t in self._rows
+        return t in self.rows
 
     def insert(self, t: Tup) -> None:
-        if t in self._rows:
+        if t in self.rows:
             return
         # each side projected once; t's new left sides are written only
         # after every index has been checked
@@ -260,7 +258,7 @@ class ChosenTable:
                         )
         for index, lt, rt in fresh:
             index[lt] = rt
-        self.rel.insert(t)
+        self.rows.add(t)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +402,9 @@ class _Heap:
 class ThetaTable:
     """Future candidates for one choice rule.
 
-    Hash-keyed on every FD left side.  The info alone shapes the table: a
+    Hash-keyed on every FD left side, and holding the rule's chosen side
+    (ChosenTable), against which admit checks candidates and into which
+    choose records each selected one.  The info alone shapes the table: a
     cost position makes it greedy (choice_least or choice_most by its kind),
     and with a unique key only the best-cost tuple per key value is
     retained; the plain choice fixpoint passes a pure view of the info.  A
@@ -442,6 +442,7 @@ class ThetaTable:
         rng: random.Random | None = None,
     ):
         self.info = info
+        self.chosen = ChosenTable(info)
         self.counters = counters if counters is not None else Counters()
         self.rng = rng if rng is not None else random.Random(0)
         self.greedy = info.cost_pos is not None
@@ -498,29 +499,29 @@ class ThetaTable:
     # -- mutation -----------------------------------------------------------
 
     def insert(self, t: Tup) -> None:
-        """Add one candidate, as admit((t,), None) does: the caller has
-        already filtered tuples conflicting with the chosen table."""
-        self.admit((t,), None)
+        """Add one candidate, as admit((t,)) does."""
+        self.admit((t,))
 
-    def admit(self, ts: Collection[Tup], chosen: Optional[ChosenTable]) -> None:
-        """Add each candidate of ts that is not in the table and, when chosen
-        is given, does not conflict with it (as chosen.conflicts(t) decides);
-        with chosen, every tuple of ts counts as one conflict check.  An added
-        candidate counts as a theta insert, and its order key surfaces a
-        non-integer cost.  Under a unique key only the better-cost tuple per
-        key value is retained."""
+    def admit(self, ts: Collection[Tup]) -> None:
+        """Add each candidate of ts that is neither in the table nor in
+        conflict with the chosen side (as self.chosen.conflicts(t) decides).
+        When the rule has an FD, every tuple of ts counts as one conflict
+        check; a table without one (the factorized domain table, from which
+        nothing is chosen) counts none.  An added candidate counts as a theta
+        insert, and its order key surfaces a non-integer cost.  Under a
+        unique key only the better-cost tuple per key value is retained."""
         if not ts:
             return
         counters = self.counters
         entries = self._entries
-        cfds, crows = (chosen._fds, chosen._rows) if chosen is not None else ((), ())
+        cfds, crows = self.chosen._fds, self.chosen.rows
         fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
         ordered, greedy, okey = self._ordered, self.greedy, self._key
         cost_pos, most = self.info.cost_pos, self._most
         staged, best = self._staged, self._staged_best
         fifo, rand_list, rand_pos = self._fifo, self._rand_list, self._rand_pos
         randomized = self._random
-        if chosen is not None:
+        if cfds:
             counters.conflict_checks += len(ts)
         added = 0
         try:
@@ -669,6 +670,13 @@ class ThetaTable:
             del entries[t]
             counters.theta_deletes += 1
             yield t
+
+    def choose(self, delta: Tup) -> int:
+        """Record delta, the selected candidate, on the chosen side (a tuple
+        that violates an FD there raises FDViolation) and purge the
+        candidates it conflicts with; returns how many were purged."""
+        self.chosen.insert(delta)
+        return self.purge_conflicting(delta)
 
     def _least_settled(self) -> Optional[tuple]:
         if self._heap is not None:

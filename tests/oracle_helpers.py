@@ -1,13 +1,16 @@
 """Checkers that only the tests use: a second stable-model checker, built
 differently from gdlog.oracle.check_stable_model so the two can be
-cross-checked, a plain graph search over arc lists, and two independent
-minimum-spanning-tree weights (Kruskal and Prim)."""
+cross-checked, the FDs of a model's chosen tables, a plain graph search over
+arc lists, and two independent minimum-spanning-tree weights (Kruskal and
+Prim)."""
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
+from gdlog.analysis import choice_info
+from gdlog.lang import Program
 from gdlog.oracle import GAtom, GroundProgram, complete_with_diffchoice
 
 
@@ -55,6 +58,23 @@ def audit_stable_model(g: GroundProgram, m: Iterable[GAtom], *, complete_diffcho
                 queue.append(heads[ri])
                 seenq.add(heads[ri])
     return m_set <= derived
+
+
+def assert_fds_hold(prog: Program, model: Mapping[str, Iterable[tuple]]) -> None:
+    """Every declared FD of every choice rule holds on its chosen_<rule>
+    table in model ({predicate: tuples}): no two chosen tuples agree on an
+    FD's left side and differ on its right side."""
+    for r in prog.rules:
+        if not r.choice_goals:
+            continue
+        info = choice_info(r)
+        rows = list(model.get(info.chosen_pred, ()))
+        for fd in info.fds:
+            seen: dict[tuple, tuple] = {}
+            for t in rows:
+                key = tuple(t[i] for i in fd.left)
+                val = tuple(t[i] for i in fd.right)
+                assert seen.setdefault(key, val) == val, (info.chosen_pred, fd, t)
 
 
 def reachable(arcs: Iterable[tuple], src) -> set:

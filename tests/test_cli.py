@@ -256,6 +256,23 @@ def test_enumerate_max_models_truncates(advisor_file, capsys):
     assert out.endswith("% 1 model(s) (truncated)\n")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-models", "0", "--max-models must be at least 1, not 0"),
+        ("--max-models", "-3", "--max-models must be at least 1, not -3"),
+        ("--candidate-cap", "-1", "--candidate-cap must be at least 0, not -1"),
+    ],
+)
+def test_enumerate_rejects_a_cap_below_its_least(advisor_file, capsys, flag, value, message):
+    # a cap no model count could meet is a usage error (exit 1), not a
+    # truncated enumeration or a cap error (exit 2)
+    assert main(["enumerate", advisor_file, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--facts"])
 def test_explain_has_no_run_options(advisor_file, tmp_path, capsys, flag):
     # explain never runs the program; gdlog run --trace writes the trace
@@ -272,9 +289,9 @@ def test_run_trace_factorized_sort(tmp_path):
     trace, model = tmp_path / "trace.tsv", tmp_path / "m.tsv"
     assert main(["run", str(prog), "--factorize", "--trace", str(trace), "-o", str(model)]) == 0
     assert trace.read_text().splitlines() == [
-        "1\tr1\t2\troot,3\t0\t6",
-        "2\tr1\t1\t3,2\t0\t8",
-        "3\tr1\t0\t2,1\t0\t10",
+        "1\tr1\t2\troot,3\t0\t5",
+        "2\tr1\t1\t3,2\t0\t7",
+        "3\tr1\t0\t2,1\t0\t9",
     ]
     assert "chosen_r1\t3\t2" in model.read_text().splitlines()
 

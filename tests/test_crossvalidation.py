@@ -19,6 +19,7 @@ from gdlog.analysis import choice_info, foe_transform
 from gdlog.engine import run_with_counters
 from gdlog.lang import parse_program
 from gdlog.oracle import check_stable_model, enumerate_choice_models, ground, run_lico_reference
+from oracle_helpers import assert_fds_hold
 
 SHAPES = {
     "single-fd": "h(X,Y) :- e2(X,Y), choice((X),(Y)).",
@@ -79,19 +80,6 @@ def _atoms(interp):
     return {(pred, t) for pred, ts in interp.as_sets().items() for t in ts}
 
 
-def _check_fds(prog, interp):
-    for r in prog.rules:
-        if not r.choice_goals:
-            continue
-        info = choice_info(r)
-        for fd in info.fds:
-            seen = {}
-            for t in interp.rel(info.chosen_pred).rows:
-                key = tuple(t[i] for i in fd.left)
-                val = tuple(t[i] for i in fd.right)
-                assert seen.setdefault(key, val) == val, (info.chosen_pred, fd)
-
-
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_engine_against_oracle_and_reference(shape):
     prog = parse_program(SHAPES[shape])
@@ -107,7 +95,7 @@ def test_engine_against_oracle_and_reference(shape):
 
         # nondeterministic fixpoint: stable and enumerable
         interp, _ = run_with_counters(prog, mode="choice", ties="random", seed=trial, edb=edb)
-        _check_fds(prog, interp)
+        assert_fds_hold(prog, interp.as_sets())
         assert check_stable_model(g, _atoms(interp)).is_stable, (shape, trial)
         assert frozenset(_atoms(interp)) in model_keys, (shape, trial)
 
@@ -117,7 +105,7 @@ def test_engine_against_oracle_and_reference(shape):
 
         if shape in GREEDY_SHAPES:
             greedy, _ = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)
-            _check_fds(prog, greedy)
+            assert_fds_hold(prog, greedy.as_sets())
             assert check_stable_model(g, _atoms(greedy)).is_stable, (shape, trial)
             assert frozenset(_atoms(greedy)) in model_keys, (shape, trial)
             ref = run_lico_reference(prog, "least", edb=edb, ties="lex")

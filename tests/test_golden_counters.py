@@ -5,7 +5,9 @@ instances, under lex, fifo and random(7) ties, pq auto and off, mode auto
 and choice, and with and without factorize for sort and sequence) has its
 model's SHA-256, its --trace rows' SHA-256 and its eleven counters recorded in
 golden_counters.json.  A storage or engine change that moves any of them
-shows here, whichever program, knob or tie policy it touches.
+shows here, whichever program, knob or tie policy it touches.  Every run
+also checks the declared FDs on each chosen table of its model, the
+factorized chain's included.
 
 To record the file again after a change that means to move a counter:
 
@@ -22,6 +24,7 @@ import pytest
 from gdlog import bench
 from gdlog.corpus import PROGRAMS, get_program
 from gdlog.engine import run_with_counters
+from oracle_helpers import assert_fds_hold
 
 GOLDEN_PATH = Path(__file__).with_name("golden_counters.json")
 COUNTERS = (
@@ -61,6 +64,7 @@ def measure(run_id: str) -> dict:
     model, c = run_with_counters(
         get_program(name), edb=edb, pq=pq[3:], mode=mode, factorize=bool(fac), trace=trace, **TIES[ties]
     )
+    assert_fds_hold(get_program(name), model.as_sets())
     text = "".join(line + "\n" for line in model.sorted_lines())
     return {
         "model_sha256": hashlib.sha256(text.encode()).hexdigest(),

@@ -167,10 +167,10 @@ def test_relation_insert_amortized_constant():
 # conflicts -------------------------------------------------------------------
 
 
-def _chosen(against, rel=None):
-    # the chosen table the engine would build from `against`: each tuple that
+def _chosen(against):
+    # the chosen side the engine would build from `against`: each tuple that
     # conflicts with none before it
-    chosen = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2) if rel is None else rel)
+    chosen = ChosenTable(PAIR)
     for t in against:
         if not chosen.conflicts(t):
             chosen.insert(t)
@@ -195,11 +195,15 @@ def test_conflict_tuple_conflicts_with_itself():
 
 
 def test_conflict_against_chosen_table():
-    # over a relation it shares, as the engine's chosen_r relation is shared
-    rel = Relation(PAIR.chosen_pred, 2)
-    chosen = _chosen([("a", "b")], rel)
-    assert list(rel) == [("a", "b")]
-    assert _conflicting([("a", "c"), ("x", "y")], chosen) == [("a", "c")]
+    # the theta table's own chosen side, which choose fills and admit reads
+    th = ThetaTable(PAIR)
+    th.admit([("a", "b"), ("x", "y")])
+    assert th.select_extreme() == ("a", "b")
+    assert th.choose(("a", "b")) == 0
+    assert th.chosen.rows == {("a", "b")}
+    assert _conflicting([("a", "c"), ("x", "y")], th.chosen) == [("a", "c")]
+    th.admit([("a", "b"), ("a", "c"), ("z", "b"), ("x", "z")])
+    assert list(th) == [("x", "y"), ("x", "z")]
 
 
 @given(
@@ -212,7 +216,7 @@ def test_conflict_matches_bruteforce(s, against):
         if not any(u[0] == v[0] or u[1] == v[1] for v in kept):
             kept.append(u)
     chosen = _chosen(against)
-    assert chosen.rel.rows == kept
+    assert chosen.rows == set(kept)
     brute = [t for t in s if any(t[0] == u[0] or t[1] == u[1] for u in kept)]
     assert _conflicting(s, chosen) == brute
 
@@ -238,13 +242,13 @@ def test_conflicts_and_purge_follow_the_declared_fd_rule(case):
     # (oracle._fd_conflict); a chosen tuple conflicts with itself, and a
     # purge drops delta itself
     info, offered, cands, delta = case
-    chosen = ChosenTable(info, Relation(info.chosen_pred, len(info.w_vars)))
+    chosen = ChosenTable(info)
     kept = []
     for u in offered:
         if not chosen.conflicts(u):
             chosen.insert(u)  # raises FDViolation if the check let a conflict through
             kept.append(u)
-    assert chosen.rel.rows == kept
+    assert chosen.rows == set(kept)
     declared = [t for t in cands if t in kept or any(_fd_conflict(info.fds, t, u) for u in kept)]
     assert _conflicting(cands, chosen) == declared
     th = ThetaTable(info)
@@ -261,7 +265,7 @@ def test_purge_removes_victims_fd_by_fd_in_declared_order(case):
     # them one at a time, so heap upkeep and random ties see the same order
     info, _, cands, delta = case
     th = ThetaTable(info)
-    th.admit(cands, None)
+    th.admit(cands)
     removed = []
     remove_all = th._remove_all
 
@@ -286,31 +290,31 @@ def test_purge_removes_victims_fd_by_fd_in_declared_order(case):
 
 
 def test_chosen_table_enforces_fds():
-    c = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2))
+    c = ChosenTable(PAIR)
     c.insert(("a", "b"))
     c.insert(("a", "b"))  # duplicate is fine
     with pytest.raises(FDViolation):
         c.insert(("a", "c"))
     with pytest.raises(FDViolation):
         c.insert(("z", "b"))
-    assert c.rel.rows == [("a", "b")]
+    assert c.rows == {("a", "b")}
 
 
 def test_a_violating_insert_changes_no_fd_index():
-    c = ChosenTable(PAIR, Relation(PAIR.chosen_pred, 2))
+    c = ChosenTable(PAIR)
     c.insert(("a", "b"))
     # ("z", "b") passes X -> Y, whose index has no "z", and violates Y -> X
     with pytest.raises(FDViolation):
         c.insert(("z", "b"))
     assert not c.conflicts(("z", "c"))
     c.insert(("z", "c"))
-    assert c.rel.rows == [("a", "b"), ("z", "c")]
+    assert c.rows == {("a", "b"), ("z", "c")}
 
 
 def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
     # X -> Y and X -> C share one index on X, whose right side is (Y, C)
     info = _info("p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((X),(C)).")
-    c = ChosenTable(info, Relation(info.chosen_pred, 3))
+    c = ChosenTable(info)
     assert len(info.fds) == 2 and len(c._fds) == 1
     c.insert(("a", "b", 1))
     with pytest.raises(FDViolation, match=r"FD \(0,\)->\(2,\) violated by \('a', 'b', 2\), .* right side \(1,\)$"):
@@ -320,14 +324,15 @@ def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
     # both violated: the first declared one is named
     with pytest.raises(FDViolation, match=r"FD \(0,\)->\(1,\) violated by \('a', 'c', 2\)"):
         c.insert(("a", "c", 2))
-    assert c.rel.rows == [("a", "b", 1)]
+    assert c.rows == {("a", "b", 1)}
 
 
 def test_tables_keep_one_fd_index_per_left_side():
     # the matching rule declares Y -> X, X -> Y and X -> C: two left sides
     info = choice_info(get_program("matching").rules[0])
     assert [fd.left for fd in info.fds] == [(1,), (0,), (0,)]
-    assert len(ThetaTable(info)._fd_index) == len(ChosenTable(info, Relation(info.chosen_pred, 3))._fds) == 2
+    th = ThetaTable(info)
+    assert len(th._fd_index) == len(th.chosen._fds) == 2
 
 
 # ThetaTable ------------------------------------------------------------------
@@ -477,11 +482,14 @@ def test_scan_visits_only_settled_candidates():
         th.insert(t)
     assert th.select_extreme() == ("a", "c", 3)  # the staged best, no scan
     assert th.purge_conflicting(("a", "c", 3)) == 1  # ("a", "b", 5), staged
-    assert th.counters.work == 3 + 1 + 1  # inserts, the selected, the purged
+    # inserts and their checks against the chosen side, the selected, the
+    # purged
+    assert th.counters.work == 3 + 3 + 1 + 1
     th.insert(("e", "f", 1))  # settles ("d", "b", 4)
     assert audit_theta(th)
     assert th.select_extreme() == ("e", "f", 1)  # scans the one settled candidate
-    assert th.counters.work == 5 + 1 + 1 + 1
+    assert th.counters.work == 8 + 2 + 1 + 1
+    assert th.counters.scan_steps == 1
     assert th.select_extreme() == ("d", "b", 4)
     assert th.counters.pq_ops == 0
 
@@ -602,11 +610,14 @@ ADMISSION_INFOS = [_info(src) for src in ADMISSION_RULES]
 TRIPLE = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(0, 3))
 
 
-def _reference_admit(theta, chosen, ts):
-    # the per-candidate path: one conflict check per candidate, then insert
-    theta.counters.conflict_checks += len(ts)
+def _reference_admit(theta, ts):
+    # the per-candidate path: each candidate checked against the chosen side
+    # by ChosenTable.conflicts, and a survivor admitted alone (one conflict
+    # check each way: every rule here has an FD)
     for t in ts:
-        if t not in theta and not chosen.conflicts(t):
+        if theta.chosen.conflicts(t):
+            theta.counters.conflict_checks += 1
+        else:
             theta.insert(t)
 
 
@@ -629,26 +640,23 @@ def test_admission_cases_cover_the_table_shapes():
 def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq, ops):
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
-    sides = []
-    for _ in range(2):
-        counters = Counters()
-        theta = ThetaTable(info, counters=counters, use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
-        sides.append((theta, ChosenTable(info, Relation(info.chosen_pred, 3))))
-    (batch, batch_chosen), (ref, ref_chosen) = sides
+    batch, ref = (
+        ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
+        for _ in range(2)
+    )
     for op in ops:
         if op is not None:
-            batch.admit(op, batch_chosen)
-            _reference_admit(ref, ref_chosen, op)
+            batch.admit(op)
+            _reference_admit(ref, op)
         else:
-            for theta, chosen in sides:
+            for theta in (batch, ref):
                 delta = theta.select_extreme()
                 if delta is not None:
-                    chosen.insert(delta)
-                    theta.purge_conflicting(delta)
+                    theta.choose(delta)
         assert list(batch._entries.items()) == list(ref._entries.items())
         assert audit_theta(batch) and audit_theta(ref)
         assert batch.counters == ref.counters
-        assert batch_chosen.rel.rows == ref_chosen.rel.rows
+        assert batch.chosen.rows == ref.chosen.rows
         if use_pq and batch._heap is not None:
             assert batch._heap.items == ref._heap.items
 
@@ -696,13 +704,11 @@ def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, lat
     sides = []
     for _ in range(2):
         theta = ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
-        chosen = ChosenTable(info, Relation(info.chosen_pred, 3))
         for op in ops:
             if op is not None:
-                theta.admit(op, chosen)
+                theta.admit(op)
             elif (delta := theta.select_extreme()) is not None:
-                chosen.insert(delta)
-                theta.purge_conflicting(delta)
+                theta.choose(delta)
         sides.append(theta)
     drained, called = sides
     assert _run_out(drained, drained.drain(), late) == _run_out(called, _select_all(called), late)
@@ -718,7 +724,7 @@ def test_drain_pops_a_heap_without_positions_and_takes_late_candidates():
     late = {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]}  # early, into the heap phase
     sides = [ThetaTable(info, use_pq=True) for _ in range(2)]
     for theta in sides:
-        theta.admit(cands, None)
+        theta.admit(cands)
     drained, called = sides
     assert drained._heap.pos is None
     got = _run_out(drained, drained.drain(), late)
