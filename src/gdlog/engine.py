@@ -4,29 +4,24 @@ The engine computes stable models of choice programs bottom-up: strata are
 evaluated in dependency order; within a stratum the non-choice rules are
 closed by semi-naive iteration, and choice rules run the candidate/selection
 loop: derive new candidate tuples differentially, buffer them in per-rule
-theta tables, select one tuple per iteration, record it on its theta
-table's chosen side and purge the candidates it conflicts with (choose),
-commit it, and re-close the non-choice rules.  Both modes run this one loop
-and insert every fresh candidate; when a candidate enters the priority
-queue is the theta table's decision alone.
-
-The commit step (Engine._commit) is where a chosen tuple reaches the model:
-it goes to chosen_r, the trace row is written, and then, when W binds every
-head variable, the head tuple projected from it goes to the head.  That is
-what the rewritten rule head <- B(Z), chosen_r(W) would derive from it,
-since every chosen tuple is a candidate B(Z) derived, so such a rule is not
-compiled and a selection re-joins nothing.  A rule with a head variable
-outside W keeps its rewritten rule in the closure.
+theta tables, select one tuple per iteration, record it on the table's
+chosen side and purge the candidates it conflicts with (ThetaTable.choose),
+commit it (Engine._commit), and re-close the non-choice rules.  Both modes
+run this one loop and insert every fresh candidate; when a candidate enters
+the priority queue is the theta table's decision alone.  A commit writes
+the chosen tuple to chosen_r and, when W binds every head variable, its
+head tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
+compiled only for a rule with a head variable outside W.
 
 With factorize, a stratum whose one choice rule chains a frontier value X to
 a fresh database domain value Y (sort, sequence) keeps only the domain
 column of theta: a ThetaTable over the domain values, filled once and
-emptied by ThetaTable.drain.  Each step takes the next Y from it and
-commits (X, Y), then moves the frontier to Y, so selection, ties, counters
-and trace rows are those of select_extreme called once per step.  Nothing
-is chosen through the domain table, and no FD is checked: the pattern's one
-start value is not a domain value and the domain rows are distinct, so the
-chain repeats no X and no Y, and both FDs X -> Y and Y -> X hold.
+emptied by ThetaTable.drain.  Each step takes the next Y from it, commits
+(X, Y) and moves the frontier to Y, so selection, ties, counters and trace
+rows are those of select_extreme called once per step.  No FD is checked:
+the pattern's one start value is not a domain value and the domain rows are
+distinct, so the chain repeats no X and no Y, and both FDs X -> Y and
+Y -> X hold.
 
 Each rule compiles to one full plan and one delta plan per body atom, all
 ordered bound-first: a delta plan starts from its delta atom, the full plan
@@ -393,12 +388,12 @@ class _Closure:
 
 def _rewritten_goals(rule: Rule, info: ChoiceInfo) -> Optional[tuple]:
     """The goals of a choice rule's rewritten rule head <- B(Z), chosen_r(W)
-    for the closure to evaluate, or None when W binds every head variable.
-    Then the commit step writes the head tuple projected from each chosen
-    tuple: every chosen_r row is a candidate B(Z) derived, and relations
-    only grow within a run, so that is the one head tuple the rewritten rule
-    would derive from it.  A head variable outside W keeps the full body,
-    since each chosen W then gives the head tuples of every body match."""
+    for the closure, or None when W binds every head variable: every
+    chosen_r row is a candidate B(Z) derived, and relations only grow within
+    a run, so the rule would derive exactly the head tuple projected from
+    each chosen tuple, which the commit step writes instead.  With a head
+    variable outside W, each chosen W gives the head tuples of every body
+    match."""
     if set(rule.head.vars()) <= set(info.w_vars):
         return None
     return rule.body + (Atom(info.chosen_pred, info.w_vars),)
@@ -588,11 +583,10 @@ class Engine:
         )
 
     def _commit(self, st: _ChoiceState, delta: Tup, purged: int) -> None:
-        """The one step that stores a selection, in both loops: delta goes to
-        chosen_r, iterations ticks and the trace row is written; then the
-        head tuple, when this step writes it, goes to the head, and derived
-        ticks when it is new.  The row's model size thus counts the chosen
-        tuple and not yet the head tuple."""
+        """Store a selection, in both loops: delta goes to chosen_r, the
+        trace row is written (its model size counts delta, not yet the head
+        tuple), and then the head tuple goes to the head if this step writes
+        it."""
         st.chosen_r.insert(delta)
         c = self.counters
         c.iterations += 1
@@ -638,12 +632,11 @@ class Engine:
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
         values, filled once and drained, from which each step takes the next
-        y and commits (x, y) as the generic loop commits a selection, y
-        becoming the next x.  The domain table has no FD and nothing is
-        chosen through it, so no FD is checked: _factorize_pattern admits
-        only FDs {X -> Y, Y -> X}, one start tuple whose frontier value is
-        not a domain value, and a database domain, whose rows are distinct.
-        So the x values (the start, then each y but the last) are pairwise
+        y and commits (x, y), y becoming the next x.  The domain table has
+        no FD, so no FD is checked: _factorize_pattern admits only FDs
+        {X -> Y, Y -> X}, one start tuple whose frontier value is not a
+        domain value, and a database domain, whose rows are distinct.  So
+        the x values (the start, then each y but the last) are pairwise
         distinct, and so are the y values: both FDs hold."""
         self.factorized_strata.append(rule.rule_id)
         dom_info = dataclasses.replace(
