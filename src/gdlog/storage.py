@@ -17,7 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache
-from heapq import heappop, heappush
+from heapq import heappush
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
@@ -327,24 +327,38 @@ class _Heap:
 
     def pop(self) -> tuple:
         """Remove and return the least key of a non-empty heap without
-        positions: one operation, plus one per level the last key sinks."""
+        positions: heappop written out, so that one pass both moves and
+        counts.  The hole left at the root descends along the lesser child
+        to a leaf, and the last key rises from there while it is less than
+        its parent.  It stops in the slot where the indexed sink would put
+        it, so the pop counts one operation plus the depth of that slot."""
         items = self.items
-        n = len(items) - 1  # the size after this pop
-        key = items[n]
-        i = moved = 0
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
+        key = items.pop()
+        if not items:
+            self.counters.pq_ops += 1
+            return key
+        least = items[0]
+        n = len(items)  # the size after this pop
+        i, child = 0, 1
+        while child < n:
+            below = items[child]
             right = child + 1
-            if right < n and items[right] < items[child]:
+            if right < n and items[right] < below:
                 child = right
-            if not items[child] < key:
-                break
+                below = items[right]
+            items[i] = below
             i = child
-            moved += 1
-        self.counters.pq_ops += 1 + moved
-        return heappop(items)
+            child = 2 * i + 1
+        while i:
+            parent = (i - 1) // 2
+            above = items[parent]
+            if not key < above:
+                break
+            items[i] = above
+            i = parent
+        items[i] = key
+        self.counters.pq_ops += (i + 1).bit_length()
+        return least
 
     def delete_all(self, ts: Iterable[Tup]) -> None:
         """Delete the key of each tuple t, in order."""

@@ -5,7 +5,7 @@ look like identifiers and single-quoted otherwise, so files round-trip."""
 from __future__ import annotations
 
 import os
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from .lang import MAX_INT, RESERVED_PREFIXES, Const, GdlogError, format_const, int_in_range
@@ -33,27 +33,39 @@ def parse_cell(cell: str) -> Const:
 def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
     """One `predicate<TAB>args...` line per tuple, predicates in name order
     and tuples in storage.order_key order: integers before symbols in each
-    column, column by column.  Each predicate has one arity.  Integer cells
-    are written by str, and each distinct symbol is formatted by format_const
-    once per call."""
-    out = []
-    append = out.append
-    cells: dict[str, str] = {}
+    column, column by column.  Each predicate has one arity.
+
+    A relation is first sorted by plain tuple comparison.  Two distinct
+    tuples compare at the first column where they differ; when both cells
+    there have one type, plain comparison and order_key agree, and when
+    they do not, plain comparison raises TypeError.  So a sort that
+    finishes made only the comparisons order_key would have and gives its
+    order, which always happens when no column holds both integers and
+    symbols; a sort that raises is redone with order_key.  Each line is
+    then one `%` format of its tuple, after the symbols that format_const
+    quotes are replaced by their quoted cells; each distinct symbol goes
+    through format_const once per call."""
+    out: list[str] = []
+    cells: dict[str, str] = {}  # symbol -> format_const(symbol)
+    quoted: dict[str, str] = {}  # the symbols whose cells differ from them
     for pred in sorted(relations):
         rows = relations[pred]
         if not rows:
             continue
-        for t in sorted(rows, key=order_key(len(next(iter(rows))))):
-            line = [pred]
-            for c in t:
-                if c.__class__ is int:
-                    line.append(str(c))
-                else:
-                    cell = cells.get(c)
-                    if cell is None:
-                        cell = cells[c] = format_const(c)
-                    line.append(cell)
-            append("\t".join(line))
+        symbols = set(filter(str.__instancecheck__, chain.from_iterable(rows)))
+        for c in symbols.difference(cells):
+            cell = cells[c] = format_const(c)
+            if cell != c:
+                quoted[c] = cell
+        arity = len(next(iter(rows)))
+        try:
+            rows = sorted(rows)
+        except TypeError:
+            rows = sorted(rows, key=order_key(arity))
+        if not quoted.keys().isdisjoint(symbols):
+            get = quoted.get
+            rows = [tuple(map(get, t, t)) for t in rows]
+        out += map((pred.replace("%", "%%") + "\t%s" * arity).__mod__, rows)
     return out
 
 

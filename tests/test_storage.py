@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import math
 import random
 import time
 
@@ -21,6 +23,7 @@ from gdlog.storage import (
     order_key,
     projector,
 )
+from gdlog import tsvio
 from gdlog.tsvio import model_lines
 
 
@@ -517,8 +520,9 @@ def test_heap_handle_deletion_is_logarithmic_shape():
 # None deletes the least key
 @given(st.lists(st.one_of(st.integers(0, 20), st.lists(st.integers(0, 20), max_size=6), st.none()), max_size=120))
 def test_heap_without_positions_matches_the_indexed_heap(ops):
-    # heapq leaves the array the indexed sifts leave, and the counted sift
-    # levels are the levels those sifts move; push_all leaves the array, the
+    # heappush and the written-out heappop of the heap without positions
+    # leave the array the indexed sifts leave, and the counted sift levels
+    # are the levels those sifts move; push_all leaves the array, the
     # positions and the counts of one push per key
     a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
     c, d = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
@@ -572,6 +576,72 @@ def test_heap_without_positions_deletes_only_its_least_key():
     assert [k for k, _ in h.items] == [1, 3, 2]
     h.delete_all(((1,),))
     assert h.items[0] == (2, (2,))
+
+
+def _sink_walk_ops(items):
+    """The pq_ops of popping a heap without positions as the indexed sink
+    counts them: one, plus one per level the last key sinks from the root
+    along the lesser child, walked with the sink's comparisons and no
+    writes."""
+    n = len(items) - 1  # the size after the pop
+    key = items[n]
+    i = moved = 0
+    while True:
+        child = 2 * i + 1
+        if child >= n:
+            break
+        right = child + 1
+        if right < n and items[right] < items[child]:
+            child = right
+        if not items[child] < key:
+            break
+        i = child
+        moved += 1
+    return 1 + moved
+
+
+def _pop_both(h: _Heap, ref: list) -> None:
+    """Pop h and the heapq list ref, which hold the same array: the same key
+    comes out, the arrays stay equal, and the pop counts the sink walk,
+    within 1 + floor(log2(size after)) for a non-empty heap after it."""
+    expected = _sink_walk_ops(ref)
+    before = h.counters.pq_ops
+    assert h.pop() == heapq.heappop(ref)
+    assert h.items == ref
+    delta = h.counters.pq_ops - before
+    assert delta == expected
+    assert delta <= 1 + (math.floor(math.log2(len(ref))) if ref else 0)
+
+
+@settings(max_examples=300)
+# an integer pushes a key with that cost, None pops
+@given(st.lists(st.one_of(st.integers(0, 30), st.none()), max_size=150))
+def test_heap_pop_equals_heappop_and_counts_the_sink_walk(ops):
+    h, ref = _Heap(Counters(), indexed=False), []
+    for seq, op in enumerate(ops):
+        if op is not None:
+            key = (op, (seq,))
+            h.push_all((key,))
+            heapq.heappush(ref, key)
+        elif ref:
+            _pop_both(h, ref)
+        assert h.items == ref
+    while ref:
+        _pop_both(h, ref)
+    assert not h.items
+
+
+@pytest.mark.parametrize("size", [1, 2, 5000])
+def test_heap_pop_drains_like_heappop(size):
+    keys = [(cost, (i,)) for i, cost in enumerate(random.Random(size).choices(range(size), k=size))]
+    h, ref = _Heap(Counters(), indexed=False), []
+    h.push_all(keys)
+    for key in keys:
+        heapq.heappush(ref, key)
+    assert h.items == ref
+    while ref:
+        _pop_both(h, ref)
+    assert not h.items
 
 
 def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypatch):
@@ -878,17 +948,35 @@ def _reference_model_lines(relations):
     ]
 
 
-@settings(max_examples=200)
-@given(
-    st.dictionaries(
-        st.sampled_from(["p", "q", "r_s", "t"]),
-        st.integers(0, 3).flatmap(lambda n: st.sets(st.tuples(*[CONSTS] * n), max_size=12)),
-        max_size=4,
-    ),
+# symbols that print bare and symbols that print quoted, '%' included
+SYMBOLS = st.one_of(st.sampled_from(["", "a", "b_c", "Abc", "a b", "it's", "12", "%s", "x%d"]), st.text(max_size=4))
+INTS = st.one_of(st.integers(MIN_INT, MAX_INT), st.sampled_from([MIN_INT, MAX_INT, -1, 0, 1, 12]))
+# a relation's rows: each column holds integers, symbols or both
+RELATION = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.sampled_from([INTS, SYMBOLS, CONSTS]), min_size=n, max_size=n).flatmap(
+        lambda cols: st.sets(st.tuples(*cols), max_size=12)
+    )
 )
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from(["p", "q", "r_s", "t", "%", "a%sb", "100%", "%%d"]), RELATION, max_size=4))
+@example({"p": {(1, "a"), (2, "A b")}, "q": {(1, "a"), ("a", 1)}})
 def test_model_lines_match_the_reference_formula(relations):
     relations["flag"] = {()}  # a 0-arity predicate
     assert model_lines(relations) == _reference_model_lines(relations)
+
+
+def test_model_lines_sorts_by_order_key_only_when_plain_comparison_fails(monkeypatch):
+    keyed = []
+    monkeypatch.setattr(tsvio, "order_key", lambda arity: keyed.append(arity) or order_key(arity))
+    one_type_per_column = {(2, "a b"), (1, "Abc"), (1, "")}
+    assert model_lines({"p": one_type_per_column}) == _reference_model_lines({"p": one_type_per_column})
+    assert keyed == []
+    # integers and symbols meet in the first column
+    mixed = {(2, "a"), ("b", 1), (1, "c")}
+    assert model_lines({"p": mixed}) == ["p\t1\tc", "p\t2\ta", "p\tb\t1"]
+    assert keyed == [2]
 
 
 def test_random_policy_is_seeded():
