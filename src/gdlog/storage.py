@@ -277,15 +277,16 @@ class _Heap:
     key once at the end.  A delete fills the hole with the last key, which
     rises while it is less than its parent and otherwise sinks while a child
     is less than it.  A table with neither an FD index nor a unique key only
-    ever deletes its least key, so its heap keeps no positions and runs on
-    heapq: delete accepts only the least key, and pop removes it.  The
-    counts stay the same because the arrays do: keys are distinct, heappush
-    sifts up as the indexed push does, and heappop moves the sifted key to
-    the same place as the indexed sink, since both take the right child only
-    when it is strictly smaller.  A push counts the levels its key rose by
-    finding it on the path up from the last slot; pop, which delete_all calls,
-    counts the levels the last key will sink by walking the min-child path
-    first, with the indexed sink's comparisons but no writes."""
+    ever deletes its least key, so its heap keeps no positions: delete
+    accepts only the least key, and pop removes it.  The counts stay the
+    same because the arrays do: keys are distinct, a push is heappush, which
+    sifts up as the indexed push does, and pop is heappop written out
+    (Wegener's bottom-up sift, as heapq does it), which moves the last key
+    to the same slot as the indexed sink, since both take the right child
+    only when it is strictly smaller.  A push counts the levels its key rose
+    by finding it on the path up from the last slot; pop, which delete_all
+    calls, counts one plus the depth of the slot where the last key stops,
+    which is the levels the indexed sink would move it."""
 
     __slots__ = ("items", "pos", "counters")
 
