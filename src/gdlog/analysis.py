@@ -19,6 +19,7 @@ from .lang import (
     Rule,
     Var,
     format_atom,
+    format_const,
     format_goal,
 )
 
@@ -327,7 +328,7 @@ def format_foe_program(foe: FoeProgram) -> str:
 def format_plan(strata: tuple[Stratum, ...]) -> str:
     lines = []
     for i, s in enumerate(strata, 1):
-        preds = ", ".join(sorted(s.preds))
+        preds = ", ".join(format_const(p) for p in sorted(s.preds))
         kinds = {r.rule_id: classify_rule(r).value for r in s.rules}
         tag = " recursive" if s.is_recursive_clique() else ""
         lines.append(f"stratum {i}{tag}: {preds} rules={kinds if kinds else '{}'}")

@@ -13,10 +13,11 @@ the chosen tuple to chosen_r and, when W binds every head variable, its
 head tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
 compiled only for a rule with a head variable outside W.
 
-With factorize, a stratum whose one choice rule chains a frontier value X to
-a fresh database domain value Y (sort, sequence) keeps only the domain
-column of theta: a ThetaTable over the domain values, filled once and
-emptied by ThetaTable.drain.  Each step takes the next Y from it, commits
+With factorize, a stratum whose one choice rule is exactly
+h(X, Y) :- h(_, X), dom(Y) (sort, sequence), which chains a frontier value
+X to a fresh database domain value Y, keeps only the domain column of
+theta: a ThetaTable over the domain values, filled once and emptied by
+ThetaTable.drain.  Each step takes the next Y from it, commits
 (X, Y) and moves the frontier to Y, so selection, ties, counters and trace
 rows are those of select_extreme called once per step.  No FD is checked:
 the pattern's one start value is not a domain value and the domain rows are
@@ -601,7 +602,7 @@ class Engine:
     # -- factorized evaluation (candidates form a Cartesian product) --------
 
     def _factorize_pattern(self, stratum: Stratum):
-        # one rule head(X, Y) :- head(.., X, ..), dom(Y), dom from the database,
+        # one rule head(X, Y) :- head(_, X), dom(Y), dom from the database,
         # with W = (X, Y), FDs X -> Y and Y -> X, and no cost or a cost on Y
         if len(stratum.rules) != 1:
             return None
@@ -615,8 +616,12 @@ class Engine:
             return None
         x, y = info.w_vars
         rec, dom = r.body  # type: ignore[misc]
-        named = [a for a in rec.args if isinstance(a, Var) and not a.name.startswith("_#")]
-        if rec.pred != r.head.pred or named != [x] or dom.args != (y,):
+        if rec.pred != r.head.pred or dom.args != (y,):
+            return None
+        # the chain continues from every chosen Y only through head(_, X): a
+        # constant or X in the first column matches just some chosen tuples
+        first, frontier = rec.args
+        if not (isinstance(first, Var) and first.name.startswith("_#")) or frontier != x:
             return None
         if any(o.head.pred == dom.pred for o in self.program.rules):
             return None

@@ -552,9 +552,10 @@ def format_const(c: Const) -> str:
 
 
 def format_atom(a: Atom) -> str:
+    # a predicate name is quoted as a symbol constant would be
     if not a.args:
-        return a.pred
-    return f"{a.pred}({', '.join(format_term(t) for t in a.args)})"
+        return format_const(a.pred)
+    return f"{format_const(a.pred)}({', '.join(format_term(t) for t in a.args)})"
 
 
 def format_goal(g: Union[BodyGoal, ChoiceGoal]) -> str:

@@ -17,7 +17,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache
-from heapq import heappush
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
@@ -262,31 +261,30 @@ class ChosenTable:
 
 
 # ---------------------------------------------------------------------------
-# Binary heaps: with positions for deletion from the middle, or on heapq
+# Binary heaps, with or without positions
 
 
 class _Heap:
     """Min-heap over order keys whose last element is the keyed tuple (two
     keys of distinct tuples differ before it, so the tuple itself is never
-    compared).  A push or delete counts as one priority-queue operation, and
-    each level a sift moves one more.
+    compared).  A push counts one priority-queue operation plus one per
+    level its key rises.
 
-    Indexed, the heap keeps each stored tuple's position, so conflicting
-    candidates can be deleted from the middle in O(log m); its sifts move a
-    hole, rewrite the position of every key they pass and write the sifted
-    key once at the end.  A delete fills the hole with the last key, which
-    rises while it is less than its parent and otherwise sinks while a child
-    is less than it.  A table with neither an FD index nor a unique key only
-    ever deletes its least key, so its heap keeps no positions: delete
-    accepts only the least key, and pop removes it.  The counts stay the
-    same because the arrays do: keys are distinct, a push is heappush, which
-    sifts up as the indexed push does, and pop is heappop written out
-    (Wegener's bottom-up sift, as heapq does it), which moves the last key
-    to the same slot as the indexed sink, since both take the right child
-    only when it is strictly smaller.  A push counts the levels its key rose
-    by finding it on the path up from the last slot; pop, which delete_all
-    calls, counts one plus the depth of the slot where the last key stops,
-    which is the levels the indexed sink would move it."""
+    pop and delete_all share one sift, _fill, which fills the slot of a
+    removed key with the last key (Wegener's bottom-up sift, the one heapq's
+    heappop uses): the hole descends along the lesser child to a leaf,
+    taking the right child only when it is strictly less, and the key then
+    rises while it is less than its parent.  Keys are distinct, so the key
+    stops where a rise-or-sink from that slot would put it, and the fill
+    counts one operation plus the levels between the two slots.
+
+    A heap with positions maps each stored tuple to its slot, so conflicting
+    candidates can be deleted from the middle in O(log m).  A table with
+    neither an FD index nor a unique key only ever deletes its least key, so
+    its heap keeps no positions, which would cost a tuple hash per level a
+    key moves; its delete accepts only the least key.  The sifts write
+    positions only when the heap keeps them, so both kinds of heap leave the
+    same arrays and counts."""
 
     __slots__ = ("items", "pos", "counters")
 
@@ -302,45 +300,54 @@ class _Heap:
         """Push each key, in order."""
         items, pos = self.items, self.pos
         moved = 0
-        if pos is None:
-            for key in keys:
-                heappush(items, key)
-                i = len(items) - 1
-                while items[i] is not key:
-                    i = (i - 1) // 2
-                    moved += 1
-        else:
-            for key in keys:
-                i = len(items)
-                items.append(key)
-                while i > 0:
-                    parent = (i - 1) // 2
-                    above = items[parent]
-                    if not key < above:
-                        break
-                    items[i] = above
+        for key in keys:
+            i = len(items)
+            items.append(key)
+            while i:
+                parent = (i - 1) // 2
+                above = items[parent]
+                if not key < above:
+                    break
+                items[i] = above
+                if pos is not None:
                     pos[above[-1]] = i
-                    i = parent
-                    moved += 1
-                items[i] = key
+                i = parent
+                moved += 1
+            items[i] = key
+            if pos is not None:
                 pos[key[-1]] = i
         self.counters.pq_ops += len(keys) + moved
 
     def pop(self) -> tuple:
-        """Remove and return the least key of a non-empty heap without
-        positions: heappop written out, so that one pass both moves and
-        counts.  The hole left at the root descends along the lesser child
-        to a leaf, and the last key rises from there while it is less than
-        its parent.  It stops in the slot where the indexed sink would put
-        it, so the pop counts one operation plus the depth of that slot."""
-        items = self.items
+        """Remove and return the least key of a non-empty heap."""
+        least = self.items[0]
+        if self.pos is not None:
+            del self.pos[least[-1]]
+        self._fill(0)
+        return least
+
+    def delete_all(self, ts: Iterable[Tup]) -> None:
+        """Delete the key of each tuple t, in order."""
+        items, pos, fill = self.items, self.pos, self._fill
+        for t in ts:
+            if pos is not None:
+                i = pos.pop(t)
+            elif items and items[0][-1] == t:
+                i = 0
+            else:
+                raise StorageError(f"heap without positions can only delete its least key, not {t}")
+            fill(i)
+
+    def _fill(self, i: int) -> None:
+        """Move the last key into slot i, whose key was removed."""
+        items, pos = self.items, self.pos
         key = items.pop()
-        if not items:
+        n = len(items)
+        if i == n:  # the removed key was the last
             self.counters.pq_ops += 1
-            return key
-        least = items[0]
-        n = len(items)  # the size after this pop
-        i, child = 0, 1
+            return
+        depth = (i + 1).bit_length()  # slot i's depth, plus one
+        child = 2 * i + 1
         while child < n:
             below = items[child]
             right = child + 1
@@ -348,6 +355,8 @@ class _Heap:
                 child = right
                 below = items[right]
             items[i] = below
+            if pos is not None:
+                pos[below[-1]] = i
             i = child
             child = 2 * i + 1
         while i:
@@ -356,58 +365,13 @@ class _Heap:
             if not key < above:
                 break
             items[i] = above
+            if pos is not None:
+                pos[above[-1]] = i
             i = parent
         items[i] = key
-        self.counters.pq_ops += (i + 1).bit_length()
-        return least
-
-    def delete_all(self, ts: Iterable[Tup]) -> None:
-        """Delete the key of each tuple t, in order."""
-        items, pos = self.items, self.pos
-        if pos is None:
-            for t in ts:
-                if not items or items[0][-1] != t:
-                    raise StorageError(f"heap without positions can only delete its least key, not {t}")
-                self.pop()
-            return
-        deleted = moved = 0
-        try:
-            for t in ts:
-                n = len(items) - 1  # the size after this delete
-                i = pos.pop(t)
-                key = items.pop()
-                if i < n:
-                    # the last key fills the hole: it rises past greater
-                    # parents, or else sinks past lesser children (one that
-                    # rose has only greater children)
-                    while i > 0:
-                        parent = (i - 1) // 2
-                        above = items[parent]
-                        if not key < above:
-                            break
-                        items[i] = above
-                        pos[above[-1]] = i
-                        i = parent
-                        moved += 1
-                    while True:
-                        child = 2 * i + 1
-                        if child >= n:
-                            break
-                        right = child + 1
-                        if right < n and items[right] < items[child]:
-                            child = right
-                        below = items[child]
-                        if not below < key:
-                            break
-                        items[i] = below
-                        pos[below[-1]] = i
-                        i = child
-                        moved += 1
-                    items[i] = key
-                    pos[key[-1]] = i
-                deleted += 1
-        finally:
-            self.counters.pq_ops += deleted + moved
+        if pos is not None:
+            pos[key[-1]] = i
+        self.counters.pq_ops += 1 + abs((i + 1).bit_length() - depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gdlog
-from gdlog.cli import main
+from gdlog.cli import build_parser, main
 from gdlog.corpus import PROGRAMS
+from gdlog.lang import parse_program
 from gdlog.oracle import ref_dijkstra
 from gdlog.tsvio import FactFileError, read_facts_dir, read_model, write_facts_dir
 from oracle_helpers import reachable
@@ -241,6 +245,17 @@ def test_explain_outputs(advisor_file, capsys):
     assert main(["explain", advisor_file]) == 0
     out = capsys.readouterr().out
     assert "chosen_r1" in out and "diffchoice_r1" in out and "stratum" in out
+
+
+def test_explain_quotes_predicate_names(tmp_path, capsys):
+    p = tmp_path / "quoted.dl"
+    p.write_text("'a b'(X) :- q(X).\nq(1).\n")
+    assert main(["explain", str(p), "--foe"]) == 0
+    out = capsys.readouterr().out
+    assert out == "q(1).\n'a b'(X) :- q(X).\n"
+    assert parse_program(out).rules == parse_program(p.read_text()).rules
+    assert main(["explain", str(p), "--plan"]) == 0
+    assert "stratum 2: 'a b' rules=" in capsys.readouterr().out
 
 
 def test_explain_classify_prints_only_the_rule_kinds(advisor_file, capsys):
@@ -646,3 +661,27 @@ def test_facts_naming_a_file_says_it_is_not_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: facts path {facts} is not a directory\n"
     assert main(["run", str(prog), "--facts", str(tmp_path / "missing")]) == 1
     assert capsys.readouterr().err == f"error: facts directory {tmp_path / 'missing'} does not exist\n"
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The options README's CLI synopsis names, per subcommand."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("gdlog "):
+            command = options.setdefault(line.split()[1], set())
+        command.update(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", line))
+    return options
+
+
+def test_readme_synopsis_names_every_option_of_each_subcommand():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        # each option by one of its names, and no name the parser lacks
+        names = [set(a.option_strings) for a in parser._actions if a.option_strings and a.dest != "help"]
+        named = synopsis[command]
+        assert all(group & named for group in names), command
+        assert named <= set().union(*names), command

@@ -388,6 +388,23 @@ def test_factorize_rejects_other_shapes(src, edb):
     assert eng.factorized_strata == []
 
 
+# the recursive atom must be exactly succ(_, X): succ(root, X) continues only
+# from root's successor, and succ(X, _) only from a value that already has
+# one, so neither derives the chain
+@pytest.mark.parametrize("ties", ["lex", "fifo"])
+@pytest.mark.parametrize(
+    "recursive, factorized", [("succ(_, X)", True), ("succ(root, X)", False), ("succ(X, _)", False)]
+)
+def test_factorize_requires_the_recursive_atom_h_any_x(recursive, factorized, ties):
+    prog = parse_program(
+        f"succ(root, root).\nsucc(X, Y) :- {recursive}, d(Y), choice((X), (Y)), choice((Y), (X)).\n"
+    )
+    edb = {"d": [(1,), (2,), (3,)]}
+    eng = Engine(prog, edb=edb, ties=ties, factorize=True)
+    assert _model(eng.run()) == _model(run_with_counters(prog, edb=edb, ties=ties)[0])
+    assert bool(eng.factorized_strata) == factorized
+
+
 def test_factorized_sort_counters():
     # n = 1000 theta inserts and deletes; the first selection takes the
     # staged best with no heap operation, the other n - 1 = 999 candidates

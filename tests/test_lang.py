@@ -170,9 +170,22 @@ def test_roundtrip_corpus(name):
     assert format_program(p2) == text
 
 
+@pytest.mark.parametrize("name", ["a b", "Foo", "12", ""])
+def test_roundtrip_quoted_predicate_names(name):
+    quoted = "'" + name + "'"
+    for src in (f"{quoted}(X) :- q(X).\nq(1).\nr :- {quoted}(1).\n", f"{quoted}.\n"):
+        p1 = parse_program(src)
+        text = format_program(p1)
+        assert text.count(quoted) == src.count(quoted)
+        p2 = parse_program(text)
+        assert p1.rules == p2.rules and p1.facts == p2.facts
+
+
 # hypothesis round-trip over generated programs ------------------------------
 
 _sym = st.sampled_from(["p", "q", "edge", "node", "cost_1", "a", "b", "x9"])
+# predicate names include ones that only parse back quoted
+_pred = st.one_of(_sym, st.sampled_from(["a b", "Foo", "12", ""]))
 _varname = st.sampled_from(["X", "Y", "Z", "C", "C1", "Node"])
 _const = st.one_of(st.integers(-(10**6), 10**6), _sym, st.just("Jim Black"))
 _term = st.one_of(_varname.map(Var), _const)
@@ -183,7 +196,7 @@ def _programs(draw):
     rules = []
     facts = []
     for _ in range(draw(st.integers(0, 3))):
-        pred = draw(_sym)
+        pred = draw(_pred)
         args = tuple(draw(st.lists(_const, min_size=0, max_size=3)))
         facts.append(Atom(pred, args))
     for _ in range(draw(st.integers(0, 3))):
@@ -192,13 +205,13 @@ def _programs(draw):
         for _ in range(draw(st.integers(1, 3))):
             args = tuple(draw(st.lists(_term, min_size=1, max_size=3)))
             vars_seen += [a for a in args if isinstance(a, Var)]
-            body_atoms.append(Atom(draw(_sym), args))
+            body_atoms.append(Atom(draw(_pred), args))
         head_args = tuple(draw(st.lists(st.sampled_from(vars_seen), max_size=3))) if vars_seen else ()
         choice_goals = ()
         if len(set(vars_seen)) >= 2 and draw(st.booleans()):
             vs = sorted(set(vars_seen), key=lambda v: v.name)
             choice_goals = (ChoiceGoal("choice", (vs[0],), (vs[1],)),)
-        rules.append(Rule(Atom(draw(_sym), head_args), tuple(body_atoms), choice_goals))
+        rules.append(Rule(Atom(draw(_pred), head_args), tuple(body_atoms), choice_goals))
     return Program(tuple(rules), tuple(facts))
 
 

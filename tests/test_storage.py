@@ -600,6 +600,119 @@ def _sink_walk_ops(items):
     return 1 + moved
 
 
+class _ReferenceHeap:
+    """The sifts that _Heap's one hole-filling sift replaced, kept as the
+    reference for its arrays, positions and pq_ops.  Without positions, a
+    push is heappush, counted by finding the key on the path up from the
+    last slot, and a delete (of the least key only) is heappop, counted by
+    _sink_walk_ops.  With positions, a push is a rise loop, and a delete
+    fills the hole with the last key, which rises while it is less than its
+    parent and otherwise sinks while a child is less than it.  Each
+    operation counts one plus the levels its key moved."""
+
+    def __init__(self, indexed: bool):
+        self.items: list[tuple] = []
+        self.pos = {} if indexed else None
+        self.pq_ops = 0
+
+    def push(self, key: tuple) -> None:
+        items, pos = self.items, self.pos
+        self.pq_ops += 1
+        if pos is None:
+            heapq.heappush(items, key)
+            i = len(items) - 1
+            while items[i] is not key:
+                i = (i - 1) // 2
+                self.pq_ops += 1
+            return
+        i = len(items)
+        items.append(key)
+        while i > 0:
+            parent = (i - 1) // 2
+            above = items[parent]
+            if not key < above:
+                break
+            items[i] = above
+            pos[above[-1]] = i
+            i = parent
+            self.pq_ops += 1
+        items[i] = key
+        pos[key[-1]] = i
+
+    def delete(self, t: tuple) -> None:
+        items, pos = self.items, self.pos
+        if pos is None:
+            assert items[0][-1] == t
+            self.pq_ops += _sink_walk_ops(items)
+            heapq.heappop(items)
+            return
+        self.pq_ops += 1
+        n = len(items) - 1  # the size after this delete
+        i = pos.pop(t)
+        key = items.pop()
+        if i == n:
+            return
+        while i > 0:
+            parent = (i - 1) // 2
+            above = items[parent]
+            if not key < above:
+                break
+            items[i] = above
+            pos[above[-1]] = i
+            i = parent
+            self.pq_ops += 1
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            right = child + 1
+            if right < n and items[right] < items[child]:
+                child = right
+            below = items[child]
+            if not below < key:
+                break
+            items[i] = below
+            pos[below[-1]] = i
+            i = child
+            self.pq_ops += 1
+        items[i] = key
+        pos[key[-1]] = i
+
+
+@settings(max_examples=300)
+# an integer pushes a key with that cost, ("delete", k) deletes the key in
+# slot k modulo the size (slot 0 on a heap without positions), None pops
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 30), st.tuples(st.just("delete"), st.integers(0, 99)), st.none()),
+        max_size=150,
+    )
+)
+# the pushes leave [0, 10, 1, 11, 12, 2, 3]; deleting 11 from slot 3 moves
+# the last key, 3, there, and it rises past 10 to slot 1
+@example([0, 10, 1, 11, 12, 2, 3, ("delete", 3)])
+def test_heap_sift_equals_the_reference_sifts(ops):
+    for indexed in (True, False):
+        h, ref = _Heap(Counters(), indexed=indexed), _ReferenceHeap(indexed)
+        for seq, op in enumerate(ops):
+            if isinstance(op, int):
+                key = (op, (seq,))
+                h.push_all((key,))
+                ref.push(key)
+            elif not ref.items:
+                continue
+            elif op is None:
+                least = ref.items[0]
+                assert h.pop() == least
+                ref.delete(least[-1])
+            else:
+                t = ref.items[op[1] % len(ref.items) if indexed else 0][-1]
+                h.delete_all((t,))
+                ref.delete(t)
+            assert h.items == ref.items and h.pos == ref.pos
+            assert h.counters.pq_ops == h.counters.work == ref.pq_ops
+
+
 def _pop_both(h: _Heap, ref: list) -> None:
     """Pop h and the heapq list ref, which hold the same array: the same key
     comes out, the arrays stay equal, and the pop counts the sink walk,
