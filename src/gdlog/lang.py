@@ -552,7 +552,6 @@ def format_const(c: Const) -> str:
 
 
 def format_atom(a: Atom) -> str:
-    # a predicate name is quoted as a symbol constant would be
     if not a.args:
         return format_const(a.pred)
     return f"{format_const(a.pred)}({', '.join(format_term(t) for t in a.args)})"

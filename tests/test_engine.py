@@ -389,8 +389,8 @@ def test_factorize_rejects_other_shapes(src, edb):
 
 
 # the recursive atom must be exactly succ(_, X): succ(root, X) continues only
-# from root's successor, and succ(X, _) only from a value that already has
-# one, so neither derives the chain
+# from root and root's successor, and succ(X, _) only from values that
+# already have a successor, so neither derives the chain
 @pytest.mark.parametrize("ties", ["lex", "fifo"])
 @pytest.mark.parametrize(
     "recursive, factorized", [("succ(_, X)", True), ("succ(root, X)", False), ("succ(X, _)", False)]

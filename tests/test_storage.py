@@ -520,10 +520,9 @@ def test_heap_handle_deletion_is_logarithmic_shape():
 # None deletes the least key
 @given(st.lists(st.one_of(st.integers(0, 20), st.lists(st.integers(0, 20), max_size=6), st.none()), max_size=120))
 def test_heap_without_positions_matches_the_indexed_heap(ops):
-    # heappush and the written-out heappop of the heap without positions
-    # leave the array the indexed sifts leave, and the counted sift levels
-    # are the levels those sifts move; push_all leaves the array, the
-    # positions and the counts of one push per key
+    # the heap without positions leaves the arrays and counts of the heap
+    # with them; push_all leaves the array, the positions and the counts of
+    # one push per key
     a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
     c, d = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
     for seq, op in enumerate(ops):
@@ -579,10 +578,9 @@ def test_heap_without_positions_deletes_only_its_least_key():
 
 
 def _sink_walk_ops(items):
-    """The pq_ops of popping a heap without positions as the indexed sink
-    counts them: one, plus one per level the last key sinks from the root
-    along the lesser child, walked with the sink's comparisons and no
-    writes."""
+    """The pq_ops of popping a heap as _ReferenceHeap's sink counts them:
+    one, plus one per level the last key sinks from the root along the
+    lesser child, walked with the sink's comparisons and no writes."""
     n = len(items) - 1  # the size after the pop
     key = items[n]
     i = moved = 0
