@@ -12,9 +12,7 @@ from typing import Union
 from .lang import (
     Atom,
     BodyGoal,
-    ChoiceGoal,
     Comparison,
-    PlusBinding,
     Program,
     Rule,
     Var,

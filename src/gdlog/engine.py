@@ -17,12 +17,11 @@ With factorize, a stratum whose one choice rule is exactly
 h(X, Y) :- h(_, X), dom(Y) (sort, sequence), which chains a frontier value
 X to a fresh database domain value Y, keeps only the domain column of
 theta: a ThetaTable over the domain values, filled once and emptied by
-ThetaTable.drain.  Each step takes the next Y from it, commits
-(X, Y) and moves the frontier to Y, so selection, ties, counters and trace
-rows are those of select_extreme called once per step.  No FD is checked:
-the pattern's one start value is not a domain value and the domain rows are
-distinct, so the chain repeats no X and no Y, and both FDs X -> Y and
-Y -> X hold.
+select_extreme, called once per step as in the generic loop.  Each step
+takes the next Y from it, commits (X, Y) and moves the frontier to Y.  No
+FD is checked: the pattern's one start value is not a domain value and the
+domain rows are distinct, so the chain repeats no X and no Y, and both FDs
+X -> Y and Y -> X hold.
 
 Each rule compiles to one full plan and one delta plan per body atom, all
 ordered bound-first: a delta plan starts from its delta atom, the full plan
@@ -636,7 +635,7 @@ class Engine:
 
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
-        values, filled once and drained, from which each step takes the next
+        values, filled once and emptied, from which each step takes the next
         y and commits (x, y), y becoming the next x.  The domain table has
         no FD, so no FD is checked: _factorize_pattern admits only FDs
         {X -> Y, Y -> X}, one start tuple whose frontier value is not a
@@ -655,8 +654,9 @@ class Engine:
         theta.admit(self.interp.rel(dom_pred, 1).rows)
         chosen_r, head_rel = self._rel(info.chosen_pred), self._rel(rule.head.pred)
         st = _ChoiceState(rule, info, None, theta, chosen_r, head_rel, _head_projection(rule.head, info.w_vars))
-        x = start
-        for (y,) in theta.drain():
+        x, select = start, theta.select_extreme
+        while (t := select()) is not None:
+            (y,) = t
             self._commit(st, (x, y), 0)
             x = y
 

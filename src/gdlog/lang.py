@@ -191,6 +191,7 @@ class _Tok:
     value: object
     line: int
     col: int
+    quoted: bool  # an ident written between quotes
 
 
 _DIGITS = "0123456789"  # str.isdigit would also take '²' and other scripts' digits
@@ -227,7 +228,7 @@ def _tokenize(text: str) -> list[_Tok]:
                 j += 1
             if j >= n:
                 raise DialectSyntaxError("unterminated quoted symbol", start_line, start_col)
-            toks.append(_Tok("ident", text[i + 1 : j], start_line, start_col))
+            toks.append(_Tok("ident", text[i + 1 : j], start_line, start_col, True))
             col += j + 1 - i
             i = j + 1
             continue
@@ -238,7 +239,7 @@ def _tokenize(text: str) -> list[_Tok]:
             value = int_in_range(text[i:j])
             if value is None:
                 raise DialectSyntaxError("integer literal outside 64-bit range", start_line, start_col)
-            toks.append(_Tok("int", value, start_line, start_col))
+            toks.append(_Tok("int", value, start_line, start_col, False))
             col += j - i
             i = j
             continue
@@ -248,19 +249,19 @@ def _tokenize(text: str) -> list[_Tok]:
                 j += 1
             word = text[i:j]
             kind = "var" if (c == "_" or c.isupper()) else "ident"
-            toks.append(_Tok(kind, word, start_line, start_col))
+            toks.append(_Tok(kind, word, start_line, start_col, False))
             col += j - i
             i = j
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
-                toks.append(_Tok("punct", sym, start_line, start_col))
+                toks.append(_Tok("punct", sym, start_line, start_col, False))
                 i += len(sym)
                 col += len(sym)
                 break
         else:
             raise DialectSyntaxError(f"unexpected character {c!r}", start_line, start_col)
-    toks.append(_Tok("eof", None, line, col))
+    toks.append(_Tok("eof", None, line, col, False))
     return toks
 
 
@@ -336,7 +337,9 @@ class _Parser:
 
     def goal(self) -> Union[BodyGoal, ChoiceGoal]:
         t = self.peek()
-        if t.kind == "ident" and t.value in CHOICE_KINDS and self._is_punct(1, "("):
+        # a quoted 'choice' names a predicate; only the bare keyword starts
+        # a choice goal
+        if t.kind == "ident" and not t.quoted and t.value in CHOICE_KINDS and self._is_punct(1, "("):
             return self.choice_goal()
         if t.kind == "ident" and self._is_punct(1, "("):
             return self.atom()
@@ -463,6 +466,7 @@ def validate(program: Program) -> list[Diagnostic]:
             diags.append(Diagnostic(rid, f"{r.head.pred} cannot be used as a predicate", r.line))
         for a in r.body_atoms():
             check_arity(a, rid, r.line)
+            _check_reserved(a.pred, rid, r.line, diags)
 
         # left-to-right binding discipline
         bound: set[Var] = set()
@@ -552,9 +556,11 @@ def format_const(c: Const) -> str:
 
 
 def format_atom(a: Atom) -> str:
+    # a bare choice keyword in a body would read back as a choice goal
+    pred = f"'{a.pred}'" if a.pred in CHOICE_KINDS else format_const(a.pred)
     if not a.args:
-        return format_const(a.pred)
-    return f"{format_const(a.pred)}({', '.join(format_term(t) for t in a.args)})"
+        return pred
+    return f"{pred}({', '.join(format_term(t) for t in a.args)})"
 
 
 def format_goal(g: Union[BodyGoal, ChoiceGoal]) -> str:

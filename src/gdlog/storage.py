@@ -14,7 +14,7 @@ concatenation: the index sees the declared conflicts and no others.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import itemgetter
@@ -386,30 +386,28 @@ class ThetaTable:
     choose records each selected one.  The info alone shapes the table: a
     cost position makes it greedy (choice_least or choice_most by its kind),
     and with a unique key only the best-cost tuple per key value is
-    retained; the plain choice fixpoint passes a pure view of the info.  A
-    table with a fixed order (greedy, or pure under lex ties) stores each
-    candidate's order key at insert.
+    retained; the plain choice fixpoint passes a pure view of the info.
 
-    An ordered table stages fresh candidates, together with their least key.
-    A selection takes the better of that key and the least settled key, and
-    a purge drops staged victims at no further cost.  Once the least staged
-    key is lost (its tuple was selected, purged or replaced), the staged
-    survivors settle at the next insert or selection: with the priority queue
-    they are pushed in insertion order onto a heap, found in O(log m) at
-    selection; without it they move to a dict that each selection scans, one
-    tick per settled candidate.  A candidate purged while still staged never
-    settles.  drain() yields the selections of a table that is emptied
-    without purges (the factorized domain table): it makes the calls of
-    select_extreme, except that a heap without positions, once everything is
-    settled, is popped in one loop with the same counts.
+    Each candidate has one record, its entry, whose value is what the
+    table's policy keeps of it.  A table with a fixed order (greedy, or pure
+    under lex ties) keeps the candidate's order key and stages fresh
+    candidates, together with their least key.  A selection takes the
+    better of that key and the least settled key, and a purge drops staged
+    victims at no further cost.  Once the least staged key is lost (its
+    tuple was selected, purged or replaced), the staged survivors settle at
+    the next insert or selection: with the priority queue they are pushed in
+    insertion order onto a heap, found in O(log m) at selection; without it
+    they stay in the entries, which each selection scans, one tick per
+    settled candidate.  A candidate purged while still staged never settles.
 
     The order key is order_key's generated function for the table's arity:
     integers before symbols in each column, column by column, behind the
     extreme cost for a greedy table.  tie_policy governs selection among
     pure-choice candidates (equal costs always break in that order):
       lex    deterministic, lexicographically least tuple
-      fifo   oldest surviving candidate, amortised constant time
-      random seeded uniform choice, constant time
+      fifo   oldest surviving candidate, the first entry, in constant time
+      random seeded uniform choice, constant time: the entry is the
+             candidate's slot in a list of the candidates
     """
 
     def __init__(
@@ -431,10 +429,11 @@ class ThetaTable:
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = self.greedy or tie_policy == "lex"
         self._key = order_key(len(info.w_vars))
-        self._random = tie_policy == "random" and not self.greedy
-        # tuple -> its order key (ordered) or its insertion sequence number
-        self._entries: dict[Tup, object] = {}
-        self._seq = 0
+        self._random = tie_policy == "random" and not self._ordered
+        # tuple -> its order key (ordered), its slot in _rand_list (random)
+        # or None (fifo, whose OrderedDict finds its first key in O(1) after
+        # deletes at the front)
+        self._entries: dict[Tup, object] = {} if self._ordered or self._random else OrderedDict()
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
         groups = _fd_groups(info.fds)
@@ -449,7 +448,7 @@ class ThetaTable:
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
         # since that key's tuple was removed); settled candidates live in the
-        # heap with the queue, in _settled without it
+        # heap with the queue, and only in the entries without it
         self._staged: dict[Tup, tuple] = {}
         self._staged_best: Optional[tuple] = None
         # only purge_conflicting (through an FD index) and unique-key
@@ -459,12 +458,7 @@ class ThetaTable:
             if use_pq and self._ordered
             else None
         )
-        self._settled: dict[Tup, tuple] = {}
-        # fifo: (sequence number, tuple) per insert, oldest first; a record
-        # whose tuple was removed since is skipped when it reaches the front
-        self._fifo: Optional[deque] = deque() if tie_policy == "fifo" and not self.greedy else None
         self._rand_list: list[Tup] = []
-        self._rand_pos: dict[Tup, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -498,8 +492,7 @@ class ThetaTable:
         ordered, greedy, okey = self._ordered, self.greedy, self._key
         cost_pos, most = self.info.cost_pos, self._most
         staged, best = self._staged, self._staged_best
-        fifo, rand_list, rand_pos = self._fifo, self._rand_list, self._rand_pos
-        randomized = self._random
+        rand_list = self._rand_list if self._random else None
         if cfds:
             counters.conflict_checks += len(ts)
         added = 0
@@ -517,8 +510,7 @@ class ThetaTable:
                     continue
                 added += 1
                 if not ordered:
-                    key = self._seq
-                    self._seq += 1
+                    key = None
                 elif greedy:
                     c = t[cost_pos]
                     if not isinstance(c, int):
@@ -540,7 +532,6 @@ class ThetaTable:
                         self._remove_all((cur,))
                         best = self._staged_best
                     ukey_index[u] = t
-                entries[t] = key
                 for left, _, index in fd_index:
                     index.setdefault(left(t), {})[t] = None
                 if ordered:
@@ -550,11 +541,10 @@ class ThetaTable:
                     elif key < best:
                         best = key
                     staged[t] = key
-                if fifo is not None:
-                    fifo.append((key, t))
-                if randomized:
-                    rand_pos[t] = len(rand_list)
+                elif rand_list is not None:
+                    key = len(rand_list)
                     rand_list.append(t)
+                entries[t] = key
         finally:
             self._staged_best = best
             counters.theta_inserts += added
@@ -563,13 +553,13 @@ class ThetaTable:
         counters = self.counters
         entries = self._entries
         fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
-        staged, heap, settled = self._staged, self._heap, self._settled
-        ordered, randomized = self._ordered, self._random
-        rand_list, rand_pos = self._rand_list, self._rand_pos
+        staged, heap = self._staged, self._heap
+        ordered = self._ordered
+        rand_list = self._rand_list if self._random else None
         removed = 0
         heaped = []  # the removed candidates the heap holds, in order
         for t in ts:
-            del entries[t]
+            entry = entries.pop(t)
             removed += 1
             for left, _, index in fd_index:
                 key = left(t)
@@ -582,20 +572,17 @@ class ThetaTable:
                 if ukey_index.get(key) == t:
                     del ukey_index[key]
             if ordered:
-                key = staged.pop(t, None)
-                if key is None:
+                if staged.pop(t, None) is None:
                     if heap is not None:
                         heaped.append(t)
-                    else:
-                        del settled[t]
-                elif key is self._staged_best:
+                elif entry is self._staged_best:
                     self._staged_best = None
-            if randomized:
-                i = rand_pos.pop(t)
+            elif rand_list is not None:
+                # the last candidate moves into the freed slot
                 last = rand_list.pop()
                 if last != t:
-                    rand_list[i] = last
-                    rand_pos[last] = i
+                    rand_list[entry] = last
+                    entries[last] = entry
         if heaped:
             heap.delete_all(heaped)
         counters.theta_deletes += removed
@@ -609,46 +596,35 @@ class ThetaTable:
         pure choice the tie policy's pick.  Greedy and lex tables take the
         least order key, settled candidates in O(log m) with the priority
         queue and by a linear scan without it."""
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             return None
         if self._ordered:
-            if self._staged_best is None and self._staged:
+            staged, heap = self._staged, self._heap
+            if heap is not None and heap.pos is None and not staged:
+                # the least key of a table with no FD index and no unique
+                # key: what _remove_all does for it, with one pop
+                t = heap.pop()[-1]
+                del entries[t]
+                self.counters.theta_deletes += 1
+                return t
+            if self._staged_best is None and staged:
                 self._flush()
             best = self._staged_best
-            settled = self._least_settled()
+            if heap is not None:
+                settled = heap.items[0] if heap else None
+            else:
+                self.counters.scan_steps += len(entries) - len(staged)
+                settled = min((key for t, key in entries.items() if t not in staged), default=None)
             if best is None or (settled is not None and settled < best):
                 best = settled
             t = best[-1]
-        elif self._fifo is not None:
-            while True:
-                seq, t = self._fifo.popleft()
-                if self._entries.get(t) == seq:
-                    break
-        else:
+        elif self._random:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
+        else:
+            t = next(iter(entries))
         self._remove_all((t,))
         return t
-
-    def drain(self) -> Iterator[Tup]:
-        """Yield what select_extreme would return, call after call, until the
-        table is empty, each tuple removed before it is yielded; the counters
-        and random draws are those of the calls.  A heap without positions
-        pops its least key in one loop once every candidate is settled; any
-        other table, and a candidate inserted between yields, goes through
-        select_extreme."""
-        entries, staged, counters = self._entries, self._staged, self.counters
-        heap = self._heap
-        pop = heap.pop if heap is not None and heap.pos is None else None
-        while entries:
-            if pop is None or staged:
-                yield self.select_extreme()
-                continue
-            # what select_extreme and _remove_all do for a settled least key
-            # of a table with no FD index and no unique key
-            t = pop()[-1]
-            del entries[t]
-            counters.theta_deletes += 1
-            yield t
 
     def choose(self, delta: Tup) -> int:
         """Record delta, the selected candidate, on the chosen side (a tuple
@@ -656,12 +632,6 @@ class ThetaTable:
         candidates it conflicts with; returns how many were purged."""
         self.chosen.insert(delta)
         return self.purge_conflicting(delta)
-
-    def _least_settled(self) -> Optional[tuple]:
-        if self._heap is not None:
-            return self._heap.items[0] if self._heap else None
-        self.counters.scan_steps += len(self._settled)
-        return min(self._settled.values(), default=None)
 
     def purge_conflicting(self, delta: Tup) -> int:
         """Drop delta and every candidate that agrees with it on the left side
@@ -680,6 +650,4 @@ class ThetaTable:
     def _flush(self) -> None:
         if self._heap is not None:
             self._heap.push_all(self._staged.values())
-        else:
-            self._settled.update(self._staged)
         self._staged.clear()

@@ -92,6 +92,15 @@ def test_reserved_prefix_rejected():
     assert any("reserved prefix" in m for m in msgs)
 
 
+@pytest.mark.parametrize("prefix", ["chosen_", "diffchoice_"])
+def test_reserved_prefix_rejected_in_a_body(prefix):
+    # a body atom over chosen_r2 would be planned before r2 selects anything
+    msgs = _diagnostics(
+        f"e(a,b).\np(X,Y) :- {prefix}r2(X,Y).\nq(X,Y) :- e(X,Y), choice((X),(Y)).\n"
+    )
+    assert msgs == [f"predicate name {prefix}r2 uses a reserved prefix"]
+
+
 def test_spanning_tree_program_validates_cleanly():
     assert validate(parse_program(PROGRAMS["spantree"])) == []
 
@@ -179,6 +188,26 @@ def test_roundtrip_quoted_predicate_names(name):
         assert text.count(quoted) == src.count(quoted)
         p2 = parse_program(text)
         assert p1.rules == p2.rules and p1.facts == p2.facts
+
+
+@pytest.mark.parametrize("kind", ["choice", "choice_least", "choice_most"])
+def test_quoted_choice_keyword_is_a_body_atom(kind):
+    p1 = parse_program(f"q(1).\n{kind}(1).\np(X) :- q(X), '{kind}'(X).\n")
+    (rule,) = p1.rules
+    assert rule.body == (Atom("q", (Var("X"),)), Atom(kind, (Var("X"),))) and not rule.choice_goals
+    text = format_program(p1)
+    assert f"'{kind}'(X)" in text
+    p2 = parse_program(text)
+    assert p1.rules == p2.rules and p1.facts == p2.facts
+
+
+@pytest.mark.parametrize("kind", ["choice", "choice_least", "choice_most"])
+def test_a_body_atom_named_by_a_choice_keyword_round_trips(kind):
+    # built in Python: printed bare, the atom would parse as a choice goal
+    x = Var("X")
+    p1 = Program((Rule(Atom("p", (x,)), (Atom("q", (x,)), Atom(kind, (x,))), (), rule_id="r1"),), ())
+    p2 = parse_program(format_program(p1))
+    assert p1.rules == p2.rules
 
 
 # hypothesis round-trip over generated programs ------------------------------

@@ -3,6 +3,7 @@ import heapq
 import math
 import random
 import time
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,15 +44,24 @@ def audit_heap(h: _Heap) -> bool:
 def audit_theta(th: ThetaTable) -> bool:
     """For an ordered table: the heap, if any, is well formed; the settled
     and the staged candidates hold every entry exactly once under its order
-    key; and the staged best is None or the least staged key."""
+    key; and the staged best is None or the least staged key.  For a random
+    table: each entry is its candidate's slot in the list of candidates,
+    and the two are the same size.  A fifo table's entries are an
+    OrderedDict."""
+    if th._random:
+        return len(th._rand_list) == len(th._entries) and all(
+            th._rand_list[i] == t for t, i in th._entries.items()
+        )
     if not th._ordered:
-        return True
+        return isinstance(th._entries, OrderedDict)
+    if not th._staged.keys() <= th._entries.keys():
+        return False
     if th._heap is not None:
         if not audit_heap(th._heap):
             return False
         settled = {key[-1]: key for key in th._heap.items}
     else:
-        settled = th._settled
+        settled = {t: key for t, key in th._entries.items() if t not in th._staged}
     return (
         not settled.keys() & th._staged.keys()
         and {**settled, **th._staged} == th._entries
@@ -850,19 +860,16 @@ DRAIN_INFOS = ADMISSION_INFOS + [
 ]
 
 
-def _select_all(theta):
-    # the per-call path: select_extreme until the table is empty
-    while len(theta):
-        yield theta.select_extreme()
-
-
-def _run_out(theta, selections, late):
-    """Each selection with the table's size and counters right after it;
-    the candidates of late[k] are inserted after the k-th selection."""
+def _run_out(theta, late):
+    """select_extreme until the table is empty, each selection with the
+    table's size, counters and heap array right after it; the candidates
+    of late[k] are inserted after the k-th selection."""
     steps = []
-    for k, t in enumerate(selections):
-        steps.append((t, len(theta), dataclasses.replace(theta.counters)))
-        for u in late.get(k, ()):
+    while len(theta):
+        t = theta.select_extreme()
+        heap = None if theta._heap is None else list(theta._heap.items)
+        steps.append((t, len(theta), dataclasses.replace(theta.counters), heap))
+        for u in late.get(len(steps) - 1, ()):
             theta.insert(u)
     return steps
 
@@ -873,46 +880,40 @@ def _run_out(theta, selections, late):
     st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
     st.sampled_from(["lex", "fifo", "random"]),
     st.booleans(),  # the priority queue
-    # before draining: a list admits a candidate batch, None selects,
+    # before running out: a list admits a candidate batch, None selects,
     # chooses and purges
     st.lists(st.one_of(st.lists(TRIPLE, max_size=8), st.none()), max_size=8),
-    # candidates inserted between yields, by the selection they follow
+    # candidates inserted between selections, by the selection they follow
     st.dictionaries(st.integers(0, 10), st.lists(TRIPLE, min_size=1, max_size=3), max_size=3),
 )
-def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, late):
+@example(
+    # the factorized domain table's shape: a late least key arrives in the
+    # middle of the pops
+    DRAIN_INFOS[-2], False, "lex", True, [[(i % 3, "a", (i * 7) % 11) for i in range(30)]],
+    {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]},
+)
+def test_a_heap_without_positions_selects_as_an_indexed_heap(info, pure, ties, use_pq, ops, late):
+    # the position-free heap pops its least key in select_extreme; the same
+    # table with an indexed heap takes the generic path, through
+    # _remove_all and delete_all
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     sides = []
-    for _ in range(2):
+    for indexed in (False, True):
         theta = ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
+        if indexed and theta._heap is not None:
+            theta._heap = _Heap(theta.counters, indexed=True)
         for op in ops:
             if op is not None:
                 theta.admit(op)
             elif (delta := theta.select_extreme()) is not None:
                 theta.choose(delta)
         sides.append(theta)
-    drained, called = sides
-    assert _run_out(drained, drained.drain(), late) == _run_out(called, _select_all(called), late)
-    assert len(drained) == 0 and audit_theta(drained)
-    assert drained.counters == called.counters
-    assert drained.rng.getstate() == called.rng.getstate()
-
-
-def test_drain_pops_a_heap_without_positions_and_takes_late_candidates():
-    # the factorized domain table's shape: greedy, no FD, no unique key
-    info = dataclasses.replace(ADMISSION_INFOS[2], fds=(), unique_key=None)
-    cands = [(i % 3, "a", (i * 7) % 11) for i in range(30)]
-    late = {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]}  # early, into the heap phase
-    sides = [ThetaTable(info, use_pq=True) for _ in range(2)]
-    for theta in sides:
-        theta.admit(cands)
-    drained, called = sides
-    assert drained._heap.pos is None
-    got = _run_out(drained, drained.drain(), late)
-    assert got == _run_out(called, _select_all(called), late)
-    assert [t for t, _, _ in got][13] == (8, 8, -1)  # the late least key comes next
-    assert len(got) == 33 and len(drained) == 0
-    assert drained.counters == called.counters and drained.counters.pq_ops > 33
+    bare, indexed = sides
+    assert _run_out(bare, late) == _run_out(indexed, late)
+    assert len(bare) == 0 and audit_theta(bare) and audit_theta(indexed)
+    assert bare.counters == indexed.counters
+    assert bare.rng.getstate() == indexed.rng.getstate()
 
 
 def test_fifo_policy_returns_oldest():
@@ -958,6 +959,20 @@ def test_fifo_selection_is_amortised_constant_time():
     # taking the first key of a dict whose front was deleted scans the
     # deleted slots, which is quadratic: tens of seconds at this size
     assert elapsed < 4.0, f"fifo selection of {n} candidates took {elapsed:.2f} s"
+
+
+def test_random_selection_is_constant_time():
+    th = ThetaTable(_info("p(X) :- q(X), choice((),(X))."), tie_policy="random", rng=random.Random(7))
+    n = 200_000
+    for i in range(n):
+        th.insert((i,))
+    t0 = time.perf_counter()
+    picks = [th.select_extreme() for _ in range(n)]
+    elapsed = time.perf_counter() - t0
+    assert sorted(picks) == [(i,) for i in range(n)] and picks != sorted(picks)
+    # a removal moves the last candidate into the freed slot; deleting from
+    # the middle of the list instead shifts its tail, which is quadratic
+    assert elapsed < 4.0, f"random selection of {n} candidates took {elapsed:.2f} s"
 
 
 def _const_order(t):
