@@ -54,8 +54,6 @@ def audit_theta(th: ThetaTable) -> bool:
         )
     if not th._ordered:
         return isinstance(th._entries, OrderedDict)
-    if not th._staged.keys() <= th._entries.keys():
-        return False
     if th._heap is not None:
         if not audit_heap(th._heap):
             return False
