@@ -884,16 +884,10 @@ def _run_out(theta, late):
     # candidates inserted between selections, by the selection they follow
     st.dictionaries(st.integers(0, 10), st.lists(TRIPLE, min_size=1, max_size=3), max_size=3),
 )
-@example(
-    # the factorized domain table's shape: a late least key arrives in the
-    # middle of the pops
-    DRAIN_INFOS[-2], False, "lex", True, [[(i % 3, "a", (i * 7) % 11) for i in range(30)]],
-    {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]},
-)
-def test_a_heap_without_positions_selects_as_an_indexed_heap(info, pure, ties, use_pq, ops, late):
-    # the position-free heap pops its least key in select_extreme; the same
-    # table with an indexed heap takes the generic path, through
-    # _remove_all and delete_all
+def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, late):
+    # draining a table by repeated select_extreme: the position-free heap
+    # pops its least key; the same table with an indexed heap takes the
+    # generic path, through _remove_all and delete_all
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     sides = []
@@ -912,6 +906,24 @@ def test_a_heap_without_positions_selects_as_an_indexed_heap(info, pure, ties, u
     assert len(bare) == 0 and audit_theta(bare) and audit_theta(indexed)
     assert bare.counters == indexed.counters
     assert bare.rng.getstate() == indexed.rng.getstate()
+
+
+def test_drain_pops_a_heap_without_positions_and_takes_late_candidates():
+    # the factorized domain table's shape: greedy, no FD, no unique key
+    info = dataclasses.replace(ADMISSION_INFOS[2], fds=(), unique_key=None)
+    cands = [(i % 3, "a", (i * 7) % 11) for i in range(30)]
+    late = {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]}  # early, into the heap phase
+    sides = [ThetaTable(info, counters=Counters(), use_pq=True) for _ in range(2)]
+    sides[1]._heap = _Heap(sides[1].counters, indexed=True)
+    for theta in sides:
+        theta.admit(cands)
+    bare, indexed = sides
+    assert bare._heap.pos is None
+    got = _run_out(bare, late)
+    assert got == _run_out(indexed, late)
+    assert [t for t, _, _, _ in got][13] == (8, 8, -1)  # the late least key comes next
+    assert len(got) == 33 and len(bare) == 0
+    assert bare.counters == indexed.counters and bare.counters.pq_ops > 33
 
 
 def test_fifo_policy_returns_oldest():
