@@ -303,7 +303,7 @@ class _Parser:
         facts: list[Atom] = []
         while self.peek().kind != "eof":
             self._anon = 0
-            head_line = self.peek().line
+            head_tok = self.peek()
             head = self.atom()
             t = self.next()
             if t.kind == "punct" and t.value == ".":
@@ -312,10 +312,16 @@ class _Parser:
                 else:
                     # keep the clause as a bodyless rule; validation reports
                     # the unbound head variables with a location
-                    rules.append(Rule(head, (), (), rule_id=f"r{len(rules)+1}", line=head_line))
+                    rules.append(Rule(head, (), (), rule_id=f"r{len(rules)+1}", line=head_tok.line))
                 continue
             if not (t.kind == "punct" and t.value == ":-"):
                 raise DialectSyntaxError(f"expected '.' or ':-', found {t.value!r}", t.line, t.col)
+            if head.pred in CHOICE_KINDS and not head_tok.quoted:
+                raise DialectSyntaxError(
+                    f"a bare {head.pred} cannot head a rule; write '{head.pred}' to name a predicate",
+                    head_tok.line,
+                    head_tok.col,
+                )
             body: list[BodyGoal] = []
             choices: list[ChoiceGoal] = []
             while True:
@@ -331,7 +337,7 @@ class _Parser:
                     break
                 raise DialectSyntaxError(f"expected ',' or '.', found {t.value!r}", t.line, t.col)
             rules.append(
-                Rule(head, tuple(body), tuple(choices), rule_id=f"r{len(rules)+1}", line=head_line)
+                Rule(head, tuple(body), tuple(choices), rule_id=f"r{len(rules)+1}", line=head_tok.line)
             )
         return Program(tuple(rules), tuple(facts))
 
@@ -462,8 +468,6 @@ def validate(program: Program) -> list[Diagnostic]:
         rid = r.rule_id
         check_arity(r.head, rid, r.line)
         _check_reserved(r.head.pred, rid, r.line, diags)
-        if r.head.pred in CHOICE_KINDS:
-            diags.append(Diagnostic(rid, f"{r.head.pred} cannot be used as a predicate", r.line))
         for a in r.body_atoms():
             check_arity(a, rid, r.line)
             _check_reserved(a.pred, rid, r.line, diags)

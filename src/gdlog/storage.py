@@ -261,7 +261,7 @@ class ChosenTable:
 
 
 # ---------------------------------------------------------------------------
-# Binary heaps, with or without positions
+# Binary heaps, slotted or not
 
 
 class _Heap:
@@ -278,27 +278,30 @@ class _Heap:
     stops where a rise-or-sink from that slot would put it, and the fill
     counts one operation plus the levels between the two slots.
 
-    A heap with positions maps each stored tuple to its slot, so conflicting
-    candidates can be deleted from the middle in O(log m).  A table with
-    neither an FD index nor a unique key only ever deletes its least key, so
-    its heap keeps no positions, which would cost a tuple hash per level a
-    key moves; its delete accepts only the least key.  The sifts write
-    positions only when the heap keeps them, so both kinds of heap leave the
-    same arrays and counts."""
+    A slotted heap deletes from the middle in O(log m): each of its keys is
+    a mutable record [order columns..., slot, t] that carries its own slot
+    (the handle-in-element design of addressable priority queues).  Keys of
+    distinct tuples differ before the slot, so comparisons never reach it,
+    and the sifts write rec[-2] = i wherever a record lands.  Only a theta
+    table with an FD index or a unique key deletes a key that is not the
+    least, so only its heap is slotted; any other heap keeps the order keys
+    as tuples, writes nothing, and its delete accepts only the least key
+    (making that heap slotted too cost the sort solve about 25%).  Both
+    kinds of heap leave the same tuple order and counts."""
 
-    __slots__ = ("items", "pos", "counters")
+    __slots__ = ("items", "slotted", "counters")
 
-    def __init__(self, counters: Counters, indexed: bool):
-        self.items: list[tuple] = []
-        self.pos: Optional[dict[Tup, int]] = {} if indexed else None
+    def __init__(self, counters: Counters, slotted: bool):
+        self.items: list = []
+        self.slotted = slotted
         self.counters = counters
 
     def __len__(self):
         return len(self.items)
 
-    def push_all(self, keys: Collection[tuple]) -> None:
+    def push_all(self, keys: Collection) -> None:
         """Push each key, in order."""
-        items, pos = self.items, self.pos
+        items, slotted = self.items, self.slotted
         moved = 0
         for key in keys:
             i = len(items)
@@ -309,38 +312,36 @@ class _Heap:
                 if not key < above:
                     break
                 items[i] = above
-                if pos is not None:
-                    pos[above[-1]] = i
+                if slotted:
+                    above[-2] = i
                 i = parent
                 moved += 1
             items[i] = key
-            if pos is not None:
-                pos[key[-1]] = i
+            if slotted:
+                key[-2] = i
         self.counters.pq_ops += len(keys) + moved
 
-    def pop(self) -> tuple:
+    def pop(self):
         """Remove and return the least key of a non-empty heap."""
         least = self.items[0]
-        if self.pos is not None:
-            del self.pos[least[-1]]
         self._fill(0)
         return least
 
-    def delete_all(self, ts: Iterable[Tup]) -> None:
-        """Delete the key of each tuple t, in order."""
-        items, pos, fill = self.items, self.pos, self._fill
-        for t in ts:
-            if pos is not None:
-                i = pos.pop(t)
-            elif items and items[0][-1] == t:
-                i = 0
+    def delete_all(self, keys: Iterable) -> None:
+        """Delete each key, in order: a slotted heap reads the key's slot
+        from its record; any other heap deletes only its least key."""
+        items, slotted, fill = self.items, self.slotted, self._fill
+        for key in keys:
+            if slotted:
+                fill(key[-2])
+            elif items and items[0] == key:
+                fill(0)
             else:
-                raise StorageError(f"heap without positions can only delete its least key, not {t}")
-            fill(i)
+                raise StorageError(f"heap without slots can only delete its least key, not {key}")
 
     def _fill(self, i: int) -> None:
         """Move the last key into slot i, whose key was removed."""
-        items, pos = self.items, self.pos
+        items, slotted = self.items, self.slotted
         key = items.pop()
         n = len(items)
         if i == n:  # the removed key was the last
@@ -355,8 +356,8 @@ class _Heap:
                 child = right
                 below = items[right]
             items[i] = below
-            if pos is not None:
-                pos[below[-1]] = i
+            if slotted:
+                below[-2] = i
             i = child
             child = 2 * i + 1
         while i:
@@ -365,17 +366,133 @@ class _Heap:
             if not key < above:
                 break
             items[i] = above
-            if pos is not None:
-                pos[above[-1]] = i
+            if slotted:
+                above[-2] = i
             i = parent
         items[i] = key
-        if pos is not None:
-            pos[key[-1]] = i
+        if slotted:
+            key[-2] = i
         self.counters.pq_ops += 1 + abs((i + 1).bit_length() - depth)
 
 
 # ---------------------------------------------------------------------------
 # Theta tables
+
+
+def _cols(cols: tuple[int, ...]) -> str:
+    """The source of t's projection onto cols, a tuple as projector's is."""
+    return "(" + "".join(f"t[{c}], " for c in cols) + ")"
+
+
+def _cost_error(theta: "ThetaTable", c: object) -> StorageError:
+    return StorageError(f"{theta.info.chosen_pred}: cost argument must be an integer, got {c!r}")
+
+
+@cache
+def _admission(
+    arity: int,
+    groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+    cost_pos: Optional[int],
+    most: bool,
+    unique_key: Optional[tuple[int, ...]],
+    policy: str,
+    slotted: bool,
+) -> Callable[["ThetaTable", Collection[Tup]], None]:
+    """The loop of ThetaTable.admit for one table shape, generated once per
+    shape: the (left, right) columns of each FD group, the cost position and
+    whether the most cost is best, the unique key, the selection policy
+    ("lex" for every ordered table) and whether the heap is slotted.  Each
+    candidate's FD sides, unique key and order key (a record for a slotted
+    heap) are built inline from column indices, with no call and no branch
+    on the table's kind.  The source holds only column indices; everything
+    else is bound by name."""
+    ordered = policy == "lex"
+    cells = "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
+    if cost_pos is not None:
+        cells = f"{'-c' if most else 'c'}, {cells}"
+    key = f"[{cells}-1, t]" if slotted else f"({cells}t,)"
+    src = [
+        "def admit(self, ts):",
+        "    counters = self.counters",
+        "    entries = self._entries",
+        "    crows = self.chosen.rows",
+    ]
+    if groups:
+        src += [
+            f"    {''.join(f'c{g}, ' for g in range(len(groups)))}= [i for _, _, i, _ in self.chosen._fds]",
+            f"    {''.join(f'f{g}, ' for g in range(len(groups)))}= [i for _, _, i in self._fd_index]",
+            "    counters.conflict_checks += len(ts)",
+        ]
+    if unique_key is not None:
+        src.append("    ukey_index = self._ukey_index")
+    if ordered:
+        src += ["    staged = self._staged", "    best = self._staged_best"]
+    elif policy == "random":
+        src.append("    rand_list = self._rand_list")
+    src += [
+        "    added = 0",
+        "    try:",
+        "        for t in ts:",
+        "            if t in entries or t in crows:",
+        "                continue",
+    ]
+    for g, (left, right) in enumerate(groups):
+        src += [
+            f"            l{g} = {_cols(left)}",
+            f"            r = c{g}.get(l{g})",
+            f"            if r is not None and r != {_cols(right)}:",
+            "                continue",
+        ]
+    src.append("            added += 1")
+    if cost_pos is not None:
+        src += [
+            f"            c = t[{cost_pos}]",
+            "            if not isinstance(c, int):",
+            "                raise cost_error(self, c)",
+        ]
+    if ordered:
+        src.append(f"            key = {key}")
+    if unique_key is not None:
+        src += [
+            f"            u = {_cols(unique_key)}",
+            "            cur = ukey_index.get(u)",
+            "            if cur is not None:",
+            "                if not key < entries[cur]:",
+            "                    continue",
+            "                self._staged_best = best",
+            "                self._remove_all((cur,))",
+            "                best = self._staged_best",
+            "            ukey_index[u] = t",
+        ]
+    for g in range(len(groups)):
+        src += [
+            f"            bucket = f{g}.get(l{g})",
+            "            if bucket is None:",
+            f"                f{g}[l{g}] = {{t: None}}",
+            "            else:",
+            "                bucket[t] = None",
+        ]
+    if ordered:
+        src += [
+            "            if best is None:",
+            "                self._flush()",
+            "                best = key",
+            "            elif key < best:",
+            "                best = key",
+            "            staged[t] = key",
+            "            entries[t] = key",
+        ]
+    elif policy == "random":
+        src += ["            entries[t] = len(rand_list)", "            rand_list.append(t)"]
+    else:
+        src.append("            entries[t] = None")
+    src.append("    finally:")
+    if ordered:
+        src.append("        self._staged_best = best")
+    src.append("        counters.theta_inserts += added")
+    namespace = {"cost_error": _cost_error}
+    exec("\n".join(src), namespace)
+    return namespace["admit"]
 
 
 class ThetaTable:
@@ -387,6 +504,7 @@ class ThetaTable:
     cost position makes it greedy (choice_least or choice_most by its kind),
     and with a unique key only the best-cost tuple per key value is
     retained; the plain choice fixpoint passes a pure view of the info.
+    admit runs a loop generated once per table shape (_admission).
 
     Each candidate has one record, its entry, whose value is what the
     table's policy keeps of it.  A table with a fixed order (greedy, or pure
@@ -399,11 +517,15 @@ class ThetaTable:
     insertion order onto a heap, found in O(log m) at selection; without it
     they stay in the entries, which each selection scans, one tick per
     settled candidate.  A candidate purged while still staged never settles.
+    A table with an FD index or a unique key deletes candidates from the
+    middle of its heap, so its heap is slotted: the entry is the mutable
+    record the heap holds, and the record carries its heap slot, -1 while
+    staged.  Every other order key is a tuple.
 
-    The order key is order_key's generated function for the table's arity:
-    integers before symbols in each column, column by column, behind the
-    extreme cost for a greedy table.  tie_policy governs selection among
-    pure-choice candidates (equal costs always break in that order):
+    The order key is order_key's for the table's arity: integers before
+    symbols in each column, column by column, behind the extreme cost for a
+    greedy table.  tie_policy governs selection among pure-choice
+    candidates (equal costs always break in that order):
       lex    deterministic, lexicographically least tuple
       fifo   oldest surviving candidate, the first entry, in constant time
       random seeded uniform choice, constant time: the entry is the
@@ -422,17 +544,15 @@ class ThetaTable:
         self.chosen = ChosenTable(info)
         self.counters = counters if counters is not None else Counters()
         self.rng = rng if rng is not None else random.Random(0)
-        self.greedy = info.cost_pos is not None
         self._most = info.kind is RuleKind.CHOICE_MOST
         # projection onto the unique key, None when no key is kept
         self._ukey = None if info.unique_key is None else projector(info.unique_key)
         # greedy and lex tables have a fixed order: an order key per candidate
-        self._ordered = self.greedy or tie_policy == "lex"
-        self._key = order_key(len(info.w_vars))
+        self._ordered = info.cost_pos is not None or tie_policy == "lex"
         self._random = tie_policy == "random" and not self._ordered
-        # tuple -> its order key (ordered), its slot in _rand_list (random)
-        # or None (fifo, whose OrderedDict finds its first key in O(1) after
-        # deletes at the front)
+        # tuple -> its order key or record (ordered), its slot in _rand_list
+        # (random) or None (fifo, whose OrderedDict finds its first key in
+        # O(1) after deletes at the front)
         self._entries: dict[Tup, object] = {} if self._ordered or self._random else OrderedDict()
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
@@ -449,16 +569,23 @@ class ThetaTable:
         # settled, and their least key (None when staged is empty, or unknown
         # since that key's tuple was removed); settled candidates live in the
         # heap with the queue, and only in the entries without it
-        self._staged: dict[Tup, tuple] = {}
-        self._staged_best: Optional[tuple] = None
-        # only purge_conflicting (through an FD index) and unique-key
-        # replacement delete a candidate that is not the least
+        self._staged: dict[Tup, object] = {}
+        self._staged_best: object = None
         self._heap: Optional[_Heap] = (
-            _Heap(self.counters, indexed=bool(self._fd_index) or self._ukey is not None)
+            _Heap(self.counters, slotted=bool(groups) or self._ukey is not None)
             if use_pq and self._ordered
             else None
         )
         self._rand_list: list[Tup] = []
+        self._admit = _admission(
+            len(info.w_vars),
+            tuple((left, right) for left, right, _ in groups),
+            info.cost_pos,
+            self._most,
+            info.unique_key,
+            "lex" if self._ordered else tie_policy,
+            self._heap is not None and self._heap.slotted,
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -481,73 +608,10 @@ class ThetaTable:
         When the rule has an FD, every tuple of ts counts as one conflict
         check; a table without one (the factorized domain table, from which
         nothing is chosen) counts none.  An added candidate counts as a theta
-        insert, and its order key surfaces a non-integer cost.  Under a
-        unique key only the better-cost tuple per key value is retained."""
-        if not ts:
-            return
-        counters = self.counters
-        entries = self._entries
-        cfds, crows = self.chosen._fds, self.chosen.rows
-        fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
-        ordered, greedy, okey = self._ordered, self.greedy, self._key
-        cost_pos, most = self.info.cost_pos, self._most
-        staged, best = self._staged, self._staged_best
-        rand_list = self._rand_list if self._random else None
-        if cfds:
-            counters.conflict_checks += len(ts)
-        added = 0
-        try:
-            for t in ts:
-                if t in entries or t in crows:
-                    continue
-                conflict = False
-                for left, right, index, _ in cfds:
-                    r = index.get(left(t))
-                    if r is not None and r != right(t):
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-                added += 1
-                if not ordered:
-                    key = None
-                elif greedy:
-                    c = t[cost_pos]
-                    if not isinstance(c, int):
-                        raise StorageError(
-                            f"{self.info.chosen_pred}: cost argument must be an integer, got {c!r}"
-                        )
-                    # the extreme cost first, so equal-cost ties break in
-                    # constant order
-                    key = (-c if most else c, *okey(t))
-                else:
-                    key = okey(t)
-                if ukey is not None:
-                    u = ukey(t)
-                    cur = ukey_index.get(u)
-                    if cur is not None:
-                        if not key < entries[cur]:
-                            continue
-                        self._staged_best = best
-                        self._remove_all((cur,))
-                        best = self._staged_best
-                    ukey_index[u] = t
-                for left, _, index in fd_index:
-                    index.setdefault(left(t), {})[t] = None
-                if ordered:
-                    if best is None:
-                        self._flush()
-                        best = key
-                    elif key < best:
-                        best = key
-                    staged[t] = key
-                elif rand_list is not None:
-                    key = len(rand_list)
-                    rand_list.append(t)
-                entries[t] = key
-        finally:
-            self._staged_best = best
-            counters.theta_inserts += added
+        insert, and its order key surfaces a non-integer cost; the
+        candidates before it stay added.  Under a unique key only the
+        better-cost tuple per key value is retained."""
+        self._admit(self, ts)
 
     def _remove_all(self, ts: Iterable[Tup]) -> None:
         counters = self.counters
@@ -557,7 +621,7 @@ class ThetaTable:
         ordered = self._ordered
         rand_list = self._rand_list if self._random else None
         removed = 0
-        heaped = []  # the removed candidates the heap holds, in order
+        heaped = []  # the keys of the removed candidates the heap holds, in order
         for t in ts:
             entry = entries.pop(t)
             removed += 1
@@ -574,7 +638,7 @@ class ThetaTable:
             if ordered:
                 if staged.pop(t, None) is None:
                     if heap is not None:
-                        heaped.append(t)
+                        heaped.append(entry)
                 elif entry is self._staged_best:
                     self._staged_best = None
             elif rand_list is not None:
@@ -601,7 +665,7 @@ class ThetaTable:
             return None
         if self._ordered:
             staged, heap = self._staged, self._heap
-            if heap is not None and heap.pos is None and not staged:
+            if heap is not None and not heap.slotted and not staged:
                 # the least key of a table with no FD index and no unique
                 # key: what _remove_all does for it, with one pop
                 t = heap.pop()[-1]

@@ -50,6 +50,18 @@ def test_run_parse_error_exit_1(tmp_path, capsys):
     assert "unbound" in capsys.readouterr().err
 
 
+def test_run_choice_keyword_heads_only_quoted(tmp_path, capsys):
+    # a quoted keyword names a relation a rule can derive; bare, it is an error
+    p = tmp_path / "choice.dl"
+    p.write_text("q(1).\n'choice'(X) :- q(X).\np(X) :- q(X), 'choice'(X).\n")
+    out = tmp_path / "model.tsv"
+    assert main(["run", str(p), "-o", str(out)]) == 0
+    assert read_model(str(out)) == {"choice": {(1,)}, "p": {(1,)}, "q": {(1,)}}
+    p.write_text("q(1).\nchoice(X) :- q(X).\n")
+    assert main(["run", str(p)]) == 1
+    assert "2:1: a bare choice cannot head a rule" in capsys.readouterr().err
+
+
 def test_run_non_ascii_digit_exit_1(tmp_path, capsys):
     p = tmp_path / "sup.dl"
     p.write_text("q(1).\np(\u00b2).\n", encoding="utf-8")

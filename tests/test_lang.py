@@ -202,6 +202,25 @@ def test_quoted_choice_keyword_is_a_body_atom(kind):
 
 
 @pytest.mark.parametrize("kind", ["choice", "choice_least", "choice_most"])
+def test_quoted_choice_keyword_heads_a_rule(kind):
+    # quoted, the keyword names a predicate in a rule head as it does in a
+    # fact and in a body, and the printed program parses back
+    p1 = parse_program(f"q(1).\n'{kind}'(X) :- q(X).\np(X) :- '{kind}'(X).\n")
+    assert [r.head for r in p1.rules] == [Atom(kind, (Var("X"),)), Atom("p", (Var("X"),))]
+    assert not validate(p1)
+    text = format_program(p1)
+    assert f"'{kind}'(X) :- q(X)." in text
+    p2 = parse_program(text)
+    assert p1.rules == p2.rules and p1.facts == p2.facts
+
+
+@pytest.mark.parametrize("kind", ["choice", "choice_least", "choice_most"])
+def test_bare_choice_keyword_cannot_head_a_rule(kind):
+    with pytest.raises(DialectSyntaxError, match=f"^2:1: a bare {kind} cannot head a rule; write '{kind}'"):
+        parse_program(f"q(1).\n{kind}(X) :- q(X).\n")
+
+
+@pytest.mark.parametrize("kind", ["choice", "choice_least", "choice_most"])
 def test_a_body_atom_named_by_a_choice_keyword_round_trips(kind):
     # built in Python: printed bare, the atom would parse as a choice goal
     x = Var("X")

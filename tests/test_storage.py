@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from gdlog.storage import (
     order_key,
     projector,
 )
-from gdlog import tsvio
+from gdlog import storage, tsvio
 from gdlog.tsvio import model_lines
 
 
@@ -33,21 +34,22 @@ def _info(src: str):
 
 
 def audit_heap(h: _Heap) -> bool:
-    """Structural check: every element's key is >= its parent's, and an
-    indexed heap's positions point at their tuples."""
+    """Structural check: every element's key is >= its parent's, and each
+    record of a slotted heap holds its own slot."""
     for i in range(1, len(h.items)):
         if h.items[i] < h.items[(i - 1) // 2]:
             return False
-    return h.pos is None or all(h.items[p][-1] == t for t, p in h.pos.items())
+    return not h.slotted or all(rec[-2] == k for k, rec in enumerate(h.items))
 
 
 def audit_theta(th: ThetaTable) -> bool:
-    """For an ordered table: the heap, if any, is well formed; the settled
-    and the staged candidates hold every entry exactly once under its order
-    key; and the staged best is None or the least staged key.  For a random
-    table: each entry is its candidate's slot in the list of candidates,
-    and the two are the same size.  A fifo table's entries are an
-    OrderedDict."""
+    """For an ordered table: the heap, if any, is well formed, and each of
+    its keys is the very entry of its tuple; the settled and the staged
+    candidates hold every entry exactly once under its order key, a staged
+    record (slotted heap) with slot -1; and the staged best is None or the
+    least staged key.  For a random table: each entry is its candidate's
+    slot in the list of candidates, and the two are the same size.  A fifo
+    table's entries are an OrderedDict."""
     if th._random:
         return len(th._rand_list) == len(th._entries) and all(
             th._rand_list[i] == t for t, i in th._entries.items()
@@ -55,16 +57,32 @@ def audit_theta(th: ThetaTable) -> bool:
     if not th._ordered:
         return isinstance(th._entries, OrderedDict)
     if th._heap is not None:
-        if not audit_heap(th._heap):
+        heap = th._heap
+        if not audit_heap(heap) or not all(th._entries.get(key[-1]) is key for key in heap.items):
             return False
-        settled = {key[-1]: key for key in th._heap.items}
+        if heap.slotted and not all(key[-2] == -1 for key in th._staged.values()):
+            return False
+        settled = {key[-1]: key for key in heap.items}
     else:
         settled = {t: key for t, key in th._entries.items() if t not in th._staged}
     return (
         not settled.keys() & th._staged.keys()
         and {**settled, **th._staged} == th._entries
+        and all(th._entries[t] is key for t, key in th._staged.items())
         and th._staged_best in (None, min(th._staged.values(), default=None))
     )
+
+
+def _record(key: tuple) -> list:
+    """The slotted heap's record of an order key: the key with a slot, -1
+    until pushed, before its tuple.  Keys of distinct tuples must differ
+    before the tuple, as order keys do."""
+    return [*key[:-1], -1, key[-1]]
+
+
+def _order(h: _Heap) -> list:
+    """The heap's keys in slot order, as tuples without their slots."""
+    return [(*key[:-2], key[-1]) for key in h.items] if h.slotted else list(h.items)
 
 
 # FDs X -> Y and Y -> X over a two-column schema
@@ -506,17 +524,17 @@ def test_scan_visits_only_settled_candidates():
 
 
 def test_heap_handle_deletion_is_logarithmic_shape():
-    h = _Heap(Counters(), indexed=True)
-    items = [((i * 37) % 101, (i,)) for i in range(101)]
-    for key, t in items:
-        h.push_all(((key, t),))
-    for key, t in sorted(items)[::3]:
-        h.delete_all((t,))
+    h = _Heap(Counters(), slotted=True)
+    recs = {(i,): [(i * 37) % 101, -1, (i,)] for i in range(101)}
+    for rec in recs.values():
+        h.push_all((rec,))
+    for rec in sorted(recs.values())[::3]:
+        h.delete_all((rec,))
         assert audit_heap(h)
     got = []
     while len(h):
         got.append(h.items[0][-1])
-        h.delete_all((got[-1],))
+        h.delete_all((recs[got[-1]],))
     keys = [((t[0]) * 37) % 101 for t in got]
     assert keys == sorted(keys)
     # one pq_op per push and delete plus one per level a sift moves
@@ -528,30 +546,29 @@ def test_heap_handle_deletion_is_logarithmic_shape():
 # None deletes the least key
 @given(st.lists(st.one_of(st.integers(0, 20), st.lists(st.integers(0, 20), max_size=6), st.none()), max_size=120))
 def test_heap_without_positions_matches_the_indexed_heap(ops):
-    # the heap without positions leaves the arrays and counts of the heap
-    # with them; push_all leaves the array, the positions and the counts of
+    # the heap without slots leaves the tuple order and counts of the
+    # slotted heap; push_all leaves the array, the slots and the counts of
     # one push per key
-    a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
-    c, d = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=False)
+    a, b = _Heap(Counters(), slotted=True), _Heap(Counters(), slotted=False)
+    c, d = _Heap(Counters(), slotted=True), _Heap(Counters(), slotted=False)
     for seq, op in enumerate(ops):
         if isinstance(op, int):
             for h in (a, b, c, d):
-                h.push_all(((op, (seq,)),))
+                key = (op, seq, (seq,))
+                h.push_all((_record(key) if h.slotted else key,))
         elif op is not None:
-            keys = [(cost, (seq, i)) for i, cost in enumerate(op)]
+            keys = [(cost, seq, i, (seq, i)) for i, cost in enumerate(op)]
             for h in (a, b):
                 for key in keys:
-                    h.push_all((key,))
+                    h.push_all((_record(key) if h.slotted else key,))
             for h in (c, d):
-                h.push_all(keys)
+                h.push_all([_record(key) if h.slotted else key for key in keys])
         elif len(a):
-            t = a.items[0][-1]
             for h in (a, b, c, d):
-                h.delete_all((t,))
-        assert a.items == b.items == c.items == d.items
-        assert a.pos == c.pos
+                h.delete_all((h.items[0],))
+        assert _order(a) == b.items == _order(c) == d.items
+        assert audit_heap(a) and audit_heap(b) and audit_heap(c)
         assert len({(h.counters.pq_ops, h.counters.work) for h in (a, b, c, d)}) == 1
-        assert audit_heap(b)
 
 
 @settings(max_examples=200)
@@ -561,27 +578,29 @@ def test_heap_without_positions_matches_the_indexed_heap(ops):
 )
 def test_heap_delete_all_equals_repeated_deletes(costs, picks):
     # deletes from the middle, in one call or one call each
-    a, b = _Heap(Counters(), indexed=True), _Heap(Counters(), indexed=True)
+    a, b = _Heap(Counters(), slotted=True), _Heap(Counters(), slotted=True)
+    recs = {}
     for h in (a, b):
-        h.push_all([(cost, (i,)) for i, cost in enumerate(costs)])
-    victims = list(dict.fromkeys((p % len(costs),) for p in picks)) if costs else []
-    for t in victims:
-        a.delete_all((t,))
-    b.delete_all(victims)
-    assert a.items == b.items and a.pos == b.pos and audit_heap(b)
+        recs[h] = [[cost, i, -1, (i,)] for i, cost in enumerate(costs)]
+        h.push_all(recs[h])
+    victims = list(dict.fromkeys(p % len(costs) for p in picks)) if costs else []
+    for i in victims:
+        a.delete_all((recs[a][i],))
+    b.delete_all([recs[b][i] for i in victims])
+    assert a.items == b.items and audit_heap(a) and audit_heap(b)
     assert (a.counters.pq_ops, a.counters.work) == (b.counters.pq_ops, b.counters.work)
 
 
 def test_heap_without_positions_deletes_only_its_least_key():
-    h = _Heap(Counters(), indexed=False)
+    h = _Heap(Counters(), slotted=False)
     with pytest.raises(StorageError):
-        h.delete_all((("a",),))
+        h.delete_all(((0, ("a",)),))
     for i in (3, 1, 2):
         h.push_all(((i, (i,)),))
     with pytest.raises(StorageError):
-        h.delete_all(((2,),))
+        h.delete_all(((2, (2,)),))
     assert [k for k, _ in h.items] == [1, 3, 2]
-    h.delete_all(((1,),))
+    h.delete_all(((1, (1,)),))
     assert h.items[0] == (2, (2,))
 
 
@@ -698,24 +717,30 @@ class _ReferenceHeap:
 # the last key, 3, there, and it rises past 10 to slot 1
 @example([0, 10, 1, 11, 12, 2, 3, ("delete", 3)])
 def test_heap_sift_equals_the_reference_sifts(ops):
-    for indexed in (True, False):
-        h, ref = _Heap(Counters(), indexed=indexed), _ReferenceHeap(indexed)
+    # the reference holds tuple keys and, with positions, a position map;
+    # _Heap holds records that carry their slots when it is slotted
+    for slotted in (True, False):
+        h, ref = _Heap(Counters(), slotted=slotted), _ReferenceHeap(slotted)
+        recs = {}
         for seq, op in enumerate(ops):
             if isinstance(op, int):
-                key = (op, (seq,))
-                h.push_all((key,))
+                key = (op, seq, (seq,))
+                recs[key[-1]] = _record(key) if slotted else key
+                h.push_all((recs[key[-1]],))
                 ref.push(key)
             elif not ref.items:
                 continue
             elif op is None:
                 least = ref.items[0]
-                assert h.pop() == least
+                assert h.pop() is recs[least[-1]]
                 ref.delete(least[-1])
             else:
-                t = ref.items[op[1] % len(ref.items) if indexed else 0][-1]
-                h.delete_all((t,))
+                t = ref.items[op[1] % len(ref.items) if slotted else 0][-1]
+                h.delete_all((recs[t],))
                 ref.delete(t)
-            assert h.items == ref.items and h.pos == ref.pos
+            assert _order(h) == ref.items and audit_heap(h)
+            if slotted:
+                assert {rec[-1]: rec[-2] for rec in h.items} == ref.pos
             assert h.counters.pq_ops == h.counters.work == ref.pq_ops
 
 
@@ -736,7 +761,7 @@ def _pop_both(h: _Heap, ref: list) -> None:
 # an integer pushes a key with that cost, None pops
 @given(st.lists(st.one_of(st.integers(0, 30), st.none()), max_size=150))
 def test_heap_pop_equals_heappop_and_counts_the_sink_walk(ops):
-    h, ref = _Heap(Counters(), indexed=False), []
+    h, ref = _Heap(Counters(), slotted=False), []
     for seq, op in enumerate(ops):
         if op is not None:
             key = (op, (seq,))
@@ -753,7 +778,7 @@ def test_heap_pop_equals_heappop_and_counts_the_sink_walk(ops):
 @pytest.mark.parametrize("size", [1, 2, 5000])
 def test_heap_pop_drains_like_heappop(size):
     keys = [(cost, (i,)) for i, cost in enumerate(random.Random(size).choices(range(size), k=size))]
-    h, ref = _Heap(Counters(), indexed=False), []
+    h, ref = _Heap(Counters(), slotted=False), []
     h.push_all(keys)
     for key in keys:
         heapq.heappush(ref, key)
@@ -765,7 +790,7 @@ def test_heap_pop_drains_like_heappop(size):
 
 def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypatch):
     for info in (UNION, PAIR, LEAST):
-        assert ThetaTable(info, use_pq=True)._heap.pos is not None
+        assert ThetaTable(info, use_pq=True)._heap.slotted
     # the factorized stratum's own domain table, as the engine builds it
     tables = []
     theta_table = Engine._theta_table
@@ -780,12 +805,14 @@ def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypa
     assert eng.factorized_strata
     (theta,) = tables
     assert not theta.info.fds and theta.info.unique_key is None
-    assert theta._heap.pos is None
+    assert not theta._heap.slotted
 
 
 # one rule per shape: FDs sharing a left side (the matching rule), empty
-# left sides, unique keys (Y; X, Y; X) and least/most costs, a greedy rule
-# without a unique key
+# left sides, unique keys (Y; X, Y; X) and least/most costs, greedy rules
+# without a unique key, and greedy tables with neither an FD index nor a
+# unique key (the factorized domain table's shape), whose heap is not
+# slotted
 ADMISSION_RULES = [
     "p(X,Y,C) :- q(X,Y,C), choice((Y),(X)), choice((X),(Y)), choice((X),(C)).",
     "p(X,Y,C) :- q(X,Y,C), choice((),(X)), choice((),(Y,C)).",
@@ -794,20 +821,121 @@ ADMISSION_RULES = [
     "p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice((Y),(X)), choice_least((Y),(C)).",
     "p(X,Y,C) :- q(X,Y,C), choice((X),(Y)), choice_most((X),(C)).",
     "p(X,Y,C) :- q(X,Y,C), choice((X,Y),(C)), choice_least((X),(C)).",
+    "p(X,Y,C) :- q(X,Y,C), choice((Y),(X)), choice_most((),(C)).",
 ]
 ADMISSION_INFOS = [_info(src) for src in ADMISSION_RULES]
+ADMISSION_INFOS += [dataclasses.replace(ADMISSION_INFOS[i], fds=(), unique_key=None) for i in (2, 5)]
 TRIPLE = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(0, 3))
+# a triple whose cost is now and then not an integer
+COSTED = st.tuples(
+    st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(0, 12).map(lambda c: "c" if c == 12 else c % 4)
+)
 
 
 def _reference_admit(theta, ts):
-    # the per-candidate path: each candidate checked against the chosen side
-    # by ChosenTable.conflicts, and a survivor admitted alone (one conflict
-    # check each way: every rule here has an FD)
-    for t in ts:
-        if theta.chosen.conflicts(t):
-            theta.counters.conflict_checks += 1
-        else:
-            theta.insert(t)
+    """ThetaTable.admit's loop as it was before it was generated per table
+    shape: each candidate projected through projector calls, keyed through
+    order_key and stored by a branch on the table's kind.  The reference
+    for the generated loops."""
+    if not ts:
+        return
+    counters = theta.counters
+    entries = theta._entries
+    cfds, crows = theta.chosen._fds, theta.chosen.rows
+    fd_index, ukey, ukey_index = theta._fd_index, theta._ukey, theta._ukey_index
+    ordered, okey = theta._ordered, order_key(len(theta.info.w_vars))
+    cost_pos, most = theta.info.cost_pos, theta._most
+    slotted = theta._heap is not None and theta._heap.slotted
+    staged, best = theta._staged, theta._staged_best
+    rand_list = theta._rand_list if theta._random else None
+    if cfds:
+        counters.conflict_checks += len(ts)
+    added = 0
+    try:
+        for t in ts:
+            if t in entries or t in crows:
+                continue
+            conflict = False
+            for left, right, index, _ in cfds:
+                r = index.get(left(t))
+                if r is not None and r != right(t):
+                    conflict = True
+                    break
+            if conflict:
+                continue
+            added += 1
+            if not ordered:
+                key = None
+            elif cost_pos is not None:
+                c = t[cost_pos]
+                if not isinstance(c, int):
+                    raise StorageError(f"{theta.info.chosen_pred}: cost argument must be an integer, got {c!r}")
+                key = (-c if most else c, *okey(t))
+            else:
+                key = okey(t)
+            if slotted:
+                key = _record(key)
+            if ukey is not None:
+                u = ukey(t)
+                cur = ukey_index.get(u)
+                if cur is not None:
+                    if not key < entries[cur]:
+                        continue
+                    theta._staged_best = best
+                    theta._remove_all((cur,))
+                    best = theta._staged_best
+                ukey_index[u] = t
+            for left, _, index in fd_index:
+                index.setdefault(left(t), {})[t] = None
+            if ordered:
+                if best is None:
+                    theta._flush()
+                    best = key
+                elif key < best:
+                    best = key
+                staged[t] = key
+            elif rand_list is not None:
+                key = len(rand_list)
+                rand_list.append(t)
+            entries[t] = key
+    finally:
+        theta._staged_best = best
+        counters.theta_inserts += added
+
+
+class _SlottedHeap(_Heap):
+    """A heap that is slotted whatever its table asks for."""
+
+    __slots__ = ()
+
+    def __init__(self, counters, slotted):
+        super().__init__(counters, True)
+
+
+def _table(info, ties="lex", use_pq=True, slotted=False):
+    """A theta table; slotted=True gives it a slotted heap (and the
+    admission of one) even without an FD index or a unique key."""
+    with mock.patch.object(storage, "_Heap", _SlottedHeap if slotted else _Heap):
+        return ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
+
+
+def _state(theta):
+    """Everything admission writes: the entries and their values, the
+    staged candidates and their best, the heap, the indexes, the random
+    list, the counters and the chosen side."""
+    fds = [[(k, list(b)) for k, b in index.items()] for _, _, index in theta._fd_index]
+    heap = None if theta._heap is None else theta._heap.items
+    return (
+        list(theta._entries.items()),
+        list(theta._staged.items()),
+        theta._staged_best,
+        heap,
+        fds,
+        list(theta._ukey_index.items()),
+        theta._rand_list,
+        theta.counters,
+        theta.chosen.rows,
+    )
 
 
 def test_admission_cases_cover_the_table_shapes():
@@ -815,6 +943,12 @@ def test_admission_cases_cover_the_table_shapes():
     assert any(fd.left == () for i in ADMISSION_INFOS for fd in i.fds)
     assert {i.unique_key for i in ADMISSION_INFOS} >= {None, (1,), (0, 1), (0,)}
     assert {i.kind for i in ADMISSION_INFOS} == {RuleKind.PURE_CHOICE, RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST}
+    # greedy least and most, each with and without a unique key; zero, one
+    # and two FD left sides
+    assert {(i.kind, i.unique_key is None) for i in ADMISSION_INFOS if i.cost_pos is not None} == {
+        (kind, keyless) for kind in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST) for keyless in (False, True)
+    }
+    assert {len({fd.left for fd in i.fds}) for i in ADMISSION_INFOS} == {0, 1, 2}
 
 
 @settings(max_examples=300, deadline=None)
@@ -824,48 +958,49 @@ def test_admission_cases_cover_the_table_shapes():
     st.sampled_from(["lex", "fifo", "random"]),
     st.booleans(),  # the priority queue
     # a list admits a candidate batch, None selects, chooses and purges
-    st.lists(st.one_of(st.lists(TRIPLE, max_size=8), st.none()), max_size=12),
+    st.lists(st.one_of(st.lists(COSTED, max_size=8), st.none()), max_size=12),
 )
+# a non-integer cost after an admitted candidate and a repeat, then a
+# chosen tuple offered again
+@example(
+    ADMISSION_INFOS[3], False, "lex", True,
+    [[(0, 0, 1), (1, 1, 0), (0, 0, 1), (2, 1, "c"), (2, 0, 3)], None, [(1, 1, 0), (2, 1, 2), (0, 1, 3)]],
+)
+# staged survivors settle onto a slotted heap, the later key rising
+@example(ADMISSION_INFOS[0], False, "lex", True, [[(2, 1, 0), (1, 0, 0), (0, "a", 0)], None, [(2, 0, 1)]])
 def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq, ops):
+    # the generated admission of each table shape against the reference
+    # loop: the same state after every batch, the same error mid-batch
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
-    batch, ref = (
-        ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
-        for _ in range(2)
-    )
+    gen, ref = _table(info, ties, use_pq), _table(info, ties, use_pq)
     for op in ops:
         if op is not None:
-            batch.admit(op)
-            _reference_admit(ref, op)
+            errors = []
+            for theta, admit in ((gen, ThetaTable.admit), (ref, _reference_admit)):
+                try:
+                    admit(theta, op)
+                    errors.append(None)
+                except StorageError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
         else:
-            for theta in (batch, ref):
+            for theta in (gen, ref):
                 delta = theta.select_extreme()
                 if delta is not None:
                     theta.choose(delta)
-        assert list(batch._entries.items()) == list(ref._entries.items())
-        assert audit_theta(batch) and audit_theta(ref)
-        assert batch.counters == ref.counters
-        assert batch.chosen.rows == ref.chosen.rows
-        if use_pq and batch._heap is not None:
-            assert batch._heap.items == ref._heap.items
-
-
-# the admission shapes, plus greedy tables with neither an FD index nor a
-# unique key (the factorized domain table's shape), whose heap keeps no
-# positions
-DRAIN_INFOS = ADMISSION_INFOS + [
-    dataclasses.replace(ADMISSION_INFOS[i], fds=(), unique_key=None) for i in (2, 5)
-]
+        assert _state(gen) == _state(ref)
+        assert audit_theta(gen) and audit_theta(ref)
 
 
 def _run_out(theta, late):
     """select_extreme until the table is empty, each selection with the
-    table's size, counters and heap array right after it; the candidates
-    of late[k] are inserted after the k-th selection."""
+    table's size, counters and heap keys right after it; the candidates of
+    late[k] are inserted after the k-th selection."""
     steps = []
     while len(theta):
         t = theta.select_extreme()
-        heap = None if theta._heap is None else list(theta._heap.items)
+        heap = None if theta._heap is None else _order(theta._heap)
         steps.append((t, len(theta), dataclasses.replace(theta.counters), heap))
         for u in late.get(len(steps) - 1, ()):
             theta.insert(u)
@@ -874,7 +1009,7 @@ def _run_out(theta, late):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(DRAIN_INFOS),
+    st.sampled_from(ADMISSION_INFOS),
     st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
     st.sampled_from(["lex", "fifo", "random"]),
     st.booleans(),  # the priority queue
@@ -885,45 +1020,43 @@ def _run_out(theta, late):
     st.dictionaries(st.integers(0, 10), st.lists(TRIPLE, min_size=1, max_size=3), max_size=3),
 )
 def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, late):
-    # draining a table by repeated select_extreme: the position-free heap
-    # pops its least key; the same table with an indexed heap takes the
-    # generic path, through _remove_all and delete_all
+    # draining a table by repeated select_extreme: a heap without slots pops
+    # its least key; the same table with a slotted heap takes the generic
+    # path, through _remove_all and delete_all
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     sides = []
-    for indexed in (False, True):
-        theta = ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
-        if indexed and theta._heap is not None:
-            theta._heap = _Heap(theta.counters, indexed=True)
+    for slotted in (False, True):
+        theta = _table(info, ties, use_pq, slotted)
         for op in ops:
             if op is not None:
                 theta.admit(op)
             elif (delta := theta.select_extreme()) is not None:
                 theta.choose(delta)
         sides.append(theta)
-    bare, indexed = sides
-    assert _run_out(bare, late) == _run_out(indexed, late)
-    assert len(bare) == 0 and audit_theta(bare) and audit_theta(indexed)
-    assert bare.counters == indexed.counters
-    assert bare.rng.getstate() == indexed.rng.getstate()
+    bare, slotted = sides
+    assert _run_out(bare, late) == _run_out(slotted, late)
+    assert len(bare) == 0 and audit_theta(bare) and audit_theta(slotted)
+    assert bare.counters == slotted.counters
+    assert bare.rng.getstate() == slotted.rng.getstate()
 
 
 def test_drain_pops_a_heap_without_positions_and_takes_late_candidates():
     # the factorized domain table's shape: greedy, no FD, no unique key
-    info = dataclasses.replace(ADMISSION_INFOS[2], fds=(), unique_key=None)
+    info = ADMISSION_INFOS[-2]
+    assert not info.fds and info.unique_key is None and info.kind is RuleKind.CHOICE_LEAST
     cands = [(i % 3, "a", (i * 7) % 11) for i in range(30)]
     late = {0: [(9, 9, 5)], 12: [(8, 8, -1), (8, 8, 20)]}  # early, into the heap phase
-    sides = [ThetaTable(info, counters=Counters(), use_pq=True) for _ in range(2)]
-    sides[1]._heap = _Heap(sides[1].counters, indexed=True)
+    sides = [_table(info, slotted=slotted) for slotted in (False, True)]
     for theta in sides:
         theta.admit(cands)
-    bare, indexed = sides
-    assert bare._heap.pos is None
+    bare, slotted = sides
+    assert not bare._heap.slotted and slotted._heap.slotted
     got = _run_out(bare, late)
-    assert got == _run_out(indexed, late)
+    assert got == _run_out(slotted, late)
     assert [t for t, _, _, _ in got][13] == (8, 8, -1)  # the late least key comes next
     assert len(got) == 33 and len(bare) == 0
-    assert bare.counters == indexed.counters and bare.counters.pq_ops > 33
+    assert bare.counters == slotted.counters and bare.counters.pq_ops > 33
 
 
 def test_fifo_policy_returns_oldest():

@@ -17,7 +17,7 @@ TARGET_LISTS = ("SPAN_TARGETS", "AGGREGATE_TARGETS")
 
 
 def _targets() -> list[tuple[str, str]]:
-    """(owner expression, attribute) of each target, e.g. ("storage.ThetaTable", "drain")."""
+    """(owner expression, attribute) of each target, e.g. ("storage.ThetaTable", "select_extreme")."""
     found = {}
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in TARGET_LISTS:
