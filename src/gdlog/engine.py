@@ -35,7 +35,9 @@ Every plan compiles once, when its stratum starts, into a generated Python
 function, written in one pass over the goals in that order: nested for
 loops over the atoms' rows, the rule's variables as local names, inline
 checks and builtins, and the head tuple deduplicated into the caller's
-output list.
+output list.  storage.generate compiles it under a name that says which
+plan it is, such as <gdlog plan r2 delta 1>, so a profiler keeps one entry
+per plan.
 
 run_with_counters is the one entry point: it builds an Engine, runs it and
 returns the model together with its operation counters.  Nothing else in the
@@ -66,7 +68,7 @@ from .lang import (
     format_const,
     format_goal,
 )
-from .storage import Counters, Relation, ThetaTable, Tup, projector, resolve_ties
+from .storage import Counters, Relation, ThetaTable, Tup, generate, projector, resolve_ties, tuple_source
 
 
 class EngineError(GdlogError):
@@ -148,9 +150,9 @@ def _bound_first_order(goals, start: int | None) -> list[int]:
 # one nested for loop per atom and locals v<slot> for the variables.  The
 # source text holds only names made from slot and goal-position numbers,
 # column positions, Python operators and the 64-bit bounds; constants,
-# relations, lookup methods and error constructors are passed to a factory as
-# the values of k<n> names, so no symbol of a program can change the
-# generated code.
+# relations, lookup methods, the error class and its message texts reach it
+# through generate as the values of k<n> names, so no symbol of a program can
+# change the generated code.
 
 # CPython allows 20 statically nested blocks per function; a plan with more
 # atoms continues in a further function after this many loops
@@ -158,24 +160,9 @@ _MAX_LOOPS = 16
 _NEGATED = {"<": ">=", "=<": ">", ">": "<=", ">=": "<"}  # negated order comparisons
 
 
-def _order_error(rule_id: str, op: str, a, b) -> EngineError:
-    return EngineError(f"{rule_id}: order comparison over non-integers {a!r} {op} {b!r}")
-
-
-def _plus_error(rule_id: str, a, b) -> EngineError:
-    return EngineError(f"{rule_id}: arithmetic over non-integers {a!r} + {b!r}")
-
-
-def _overflow_error(rule_id: str, a, b) -> EngineError:
-    return EngineError(f"{rule_id}: arithmetic overflow computing {a} + {b}")
-
-
-def _tuple(items: list[str]) -> str:
-    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-
-
 def _plan_function(
     rule_id: str,
+    name: str,
     emit: tuple,
     goals: tuple,
     slots: dict[Var, int],
@@ -183,32 +170,34 @@ def _plan_function(
     rel: Callable[[str], Relation],
 ) -> Callable[[Optional[list], set, list], tuple[int, int]]:
     """Compile the plan of goals that starts from the atom at start (None:
-    from nothing bound) into f(delta, seen, out) -> (probes, firings).  Each
-    emit tuple the plan derives is appended to out unless it is in seen;
-    delta holds the rows of the start atom.  probes counts the rows the loops
-    iterate, firings the tuples built, duplicates included.  Creates the
-    indexes the plan probes; a builtin operand still unbound where the plan
-    reaches it is an EngineError."""
+    from nothing bound) into f(delta, seen, out) -> (probes, firings), named
+    name.  Each emit tuple the plan derives is appended to out unless it is
+    in seen; delta holds the rows of the start atom.  probes counts the rows
+    the loops iterate, firings the tuples built, duplicates included.
+    Creates the indexes the plan probes; a builtin operand still unbound
+    where the plan reaches it is an EngineError."""
     values: dict[str, object] = {}
 
     def bind(value) -> str:
-        name = f"k{len(values)}"
-        values[name] = value
-        return name
+        k = f"k{len(values)}"
+        values[k] = value
+        return k
 
     def term(t) -> str:
         return f"v{slots[t]}" if isinstance(t, Var) else bind(t)
 
-    rule = bind(rule_id)
+    def error(message: str, *operands: str) -> str:
+        return f"raise {bind(EngineError)}({bind(message)}.format({bind(rule_id)}, {', '.join(operands)}))"
+
     funcs: list[list[str]] = []
     bound: list[int] = []  # slots bound so far, in binding order
 
     def open_function(params: str) -> list[str]:
-        funcs.append([f"    def f{len(funcs)}(delta, seen, out{params}):", "        probes = fired = 0"])
+        funcs.append([f"def f{len(funcs)}(delta, seen, out{params}):", "    probes = fired = 0"])
         return funcs[-1]
 
     body = open_function("")
-    depth, loops = 2, 0
+    depth, loops = 1, 0
     for i, gi in enumerate(_bound_first_order(goals, start)):
         g = goals[gi]
         if isinstance(g, Atom) and loops == _MAX_LOOPS:
@@ -220,7 +209,7 @@ def _plan_function(
                 f"{pad}fired += f",
             ]
             body = open_function(args)
-            depth, loops = 2, 0
+            depth, loops = 1, 0
         pad = "    " * depth
         skip = "continue" if loops else "return 0, 0"
         if isinstance(g, Atom):
@@ -244,7 +233,7 @@ def _plan_function(
                 checks += [f"{cols[p]} != {bind(g.args[p])}" for p in keyed]
             elif keyed:
                 r.ensure_index(keyed)
-                key = _tuple([term(g.args[p]) for p in keyed])
+                key = tuple_source([term(g.args[p]) for p in keyed])
                 rows = f"{bind(r.lookup)}({keyed!r}, {key})"
             else:
                 rows = bind(r.rows)
@@ -252,7 +241,7 @@ def _plan_function(
             body += [
                 f"{pad}rows{i} = {rows}",
                 f"{pad}probes += len(rows{i})",
-                f"{pad}for {_tuple(cols)} in rows{i}:",
+                f"{pad}for {tuple_source(cols)} in rows{i}:",
             ]
             if checks:
                 body.append(f"{pad}    if {' or '.join(checks)}: continue")
@@ -266,9 +255,9 @@ def _plan_function(
         if isinstance(g, Comparison) and g.op == "\\=":
             body.append(f"{pad}if {a} == {b}: {skip}")
         elif isinstance(g, Comparison):
-            err = f"{bind(_order_error)}({rule}, {bind(g.op)}, {a}, {b})"
+            err = error("{}: order comparison over non-integers {!r} {} {!r}", a, bind(g.op), b)
             body += [
-                f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)): raise {err}",
+                f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)): {err}",
                 f"{pad}if {a} {_NEGATED[g.op]} {b}: {skip}",
             ]
         else:
@@ -278,10 +267,10 @@ def _plan_function(
             target = f"s{i}" if out in bound else f"v{out}"
             body += [
                 f"{pad}if not (isinstance({a}, int) and isinstance({b}, int)):"
-                f" raise {bind(_plus_error)}({rule}, {a}, {b})",
+                f" {error('{}: arithmetic over non-integers {!r} + {!r}', a, b)}",
                 f"{pad}{target} = {a} + {b}",
                 f"{pad}if not ({MIN_INT} <= {target} <= {MAX_INT}):"
-                f" raise {bind(_overflow_error)}({rule}, {a}, {b})",
+                f" {error('{}: arithmetic overflow computing {} + {}', a, b)}",
             ]
             if out in bound:
                 body.append(f"{pad}if {target} != v{out}: {skip}")
@@ -290,18 +279,12 @@ def _plan_function(
     pad = "    " * depth
     body += [
         f"{pad}fired += 1",
-        f"{pad}h = {_tuple([term(t) for t in emit])}",
+        f"{pad}h = {tuple_source([term(t) for t in emit])}",
         f"{pad}if h not in seen:",
         f"{pad}    seen.add(h)",
         f"{pad}    out.append(h)",
     ]
-    lines = [f"def make({', '.join(values)}):"]
-    for f in funcs:
-        lines += f + ["        return probes, fired"]
-    lines.append("    return f0")
-    namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", "<gdlog plan>", "exec"), namespace)
-    return namespace["make"](**values)
+    return generate(name, [line for f in funcs for line in f + ["    return probes, fired"]], values)
 
 
 class _DifferentialRule:
@@ -312,6 +295,7 @@ class _DifferentialRule:
     def __init__(
         self,
         rule_id: str,
+        name: str,
         emit: tuple,
         goals: tuple,
         rel: Callable[[str], Relation],
@@ -331,8 +315,8 @@ class _DifferentialRule:
         self.rels = [rel(goals[i].pred) for i in atoms]  # per body-atom occurrence
         self.cursors = [0] * len(atoms)
         self.virgin = True
-        self.full = _plan_function(rule_id, emit, goals, slots, None, rel)
-        self.deltas = [_plan_function(rule_id, emit, goals, slots, i, rel) for i in atoms]
+        self.full = _plan_function(rule_id, f"plan {name} full", emit, goals, slots, None, rel)
+        self.deltas = [_plan_function(rule_id, f"plan {name} delta {i}", emit, goals, slots, i, rel) for i in atoms]
 
     def evaluate(self) -> list[Tup]:
         """Tuples derivable using at least one not-yet-seen body row (all
@@ -534,14 +518,15 @@ class Engine:
             # step writes its head (see _rewritten_goals)
             goals = r.body if info is None else _rewritten_goals(r, info)
             if goals is not None:
-                dr = _DifferentialRule(r.rule_id, r.head.args, goals, self._rel, self.counters)
+                dr = _DifferentialRule(r.rule_id, r.rule_id, r.head.args, goals, self._rel, self.counters)
                 rules.append((dr, head_rel))
             if info is None:
                 continue
             # and the chosen rule chosen_r(W) <- B(Z), with conflicts checked
             # against the theta table's chosen side instead of a diffchoice
             # relation
-            cand = _DifferentialRule(r.rule_id, info.w_vars, r.body, self._rel, self.counters)
+            name = f"{r.rule_id} candidates"
+            cand = _DifferentialRule(r.rule_id, name, info.w_vars, r.body, self._rel, self.counters)
             head = None if goals is not None else _head_projection(r.head, info.w_vars)
             theta = self._theta_table(info)
             states.append(_ChoiceState(r, info, cand, theta, self._rel(info.chosen_pred), head_rel, head))

@@ -426,10 +426,13 @@ def run_lico_reference(
     mode "lazy" ignores costs and takes the rules in program order; "least"
     picks the extreme-cost candidate of choice_least and choice_most rules
     (each rule under its own cost sense) and tries those rules first.
-    Rule scheduling and tie-breaking mirror the engine's greedy and choice
-    modes so the two computations can be compared model-for-model.  The
-    model comes back as {predicate: tuples}, chosen tables included, the
-    shape of the engine's Interpretation.as_sets().
+    Tie-breaking mirrors the engine's greedy and choice modes, and so does
+    rule scheduling when program order agrees with stratum order: the engine
+    completes each stratum before the next, while a rule written before the
+    rules that derive its body chooses here from their partial relations.
+    Programs in stratum order compare model-for-model.  The model comes
+    back as {predicate: tuples}, chosen tables included, the shape of the
+    engine's Interpretation.as_sets().
     """
     if mode not in ("lazy", "least"):
         raise GdlogError(f"unknown reference mode {mode!r}")

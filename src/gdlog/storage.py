@@ -34,6 +34,29 @@ class FDViolation(GdlogError):
     pass
 
 
+def generate(name: str, lines: list[str], values: dict[str, object]) -> Callable:
+    """The first function that lines define, compiled under the file name
+    <gdlog name>, for profilers and tracebacks, inside a factory make(<value
+    names>) that is called with values: each value reaches the generated
+    code as a closure variable, never as source text.  The one place the
+    package compiles code."""
+    entry = lines[0][len("def ") : lines[0].index("(")]
+    source = "\n".join([f"def make({', '.join(values)}):", *(f"    {line}" for line in lines), f"    return {entry}"])
+    namespace: dict = {}
+    exec(compile(source, f"<gdlog {name}>", "exec"), namespace)
+    return namespace["make"](**values)
+
+
+def tuple_source(items: list[str]) -> str:
+    """The source of a tuple of the given item sources."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _order_columns(arity: int) -> str:
+    """The source of t's order columns: per column, is it a symbol, then its value."""
+    return "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
+
+
 @cache
 def order_key(arity: int) -> Callable[[Tup], tuple]:
     """The sort key of same-arity tuples in constant order, integers before
@@ -41,8 +64,7 @@ def order_key(arity: int) -> Callable[[Tup], tuple]:
     t[1], ..., t), with the tuple itself last, where _Heap reads it.  One
     generated function per arity, made once; its source holds only column
     indices."""
-    cols = "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
-    return eval(f"lambda t: ({cols}t,)")
+    return generate(f"order_key {arity}", ["def order_key(t):", f"    return ({_order_columns(arity)}t,)"], {})
 
 
 def projector(cols: tuple[int, ...]) -> Callable[[Tup], Tup]:
@@ -379,15 +401,6 @@ class _Heap:
 # Theta tables
 
 
-def _cols(cols: tuple[int, ...]) -> str:
-    """The source of t's projection onto cols, a tuple as projector's is."""
-    return "(" + "".join(f"t[{c}], " for c in cols) + ")"
-
-
-def _cost_error(theta: "ThetaTable", c: object) -> StorageError:
-    return StorageError(f"{theta.info.chosen_pred}: cost argument must be an integer, got {c!r}")
-
-
 @cache
 def _admission(
     arity: int,
@@ -405,9 +418,9 @@ def _admission(
     candidate's FD sides, unique key and order key (a record for a slotted
     heap) are built inline from column indices, with no call and no branch
     on the table's kind.  The source holds only column indices; everything
-    else is bound by name."""
+    else is read from the table or bound as a value of generate."""
     ordered = policy == "lex"
-    cells = "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
+    cells = _order_columns(arity)
     if cost_pos is not None:
         cells = f"{'-c' if most else 'c'}, {cells}"
     key = f"[{cells}-1, t]" if slotted else f"({cells}t,)"
@@ -420,7 +433,7 @@ def _admission(
     if groups:
         src += [
             f"    {''.join(f'c{g}, ' for g in range(len(groups)))}= [i for _, _, i, _ in self.chosen._fds]",
-            f"    {''.join(f'f{g}, ' for g in range(len(groups)))}= [i for _, _, i in self._fd_index]",
+            f"    {''.join(f'f{g}, ' for g in range(len(groups)))}= [i for _, i in self._fd_index]",
             "    counters.conflict_checks += len(ts)",
         ]
     if unique_key is not None:
@@ -438,9 +451,9 @@ def _admission(
     ]
     for g, (left, right) in enumerate(groups):
         src += [
-            f"            l{g} = {_cols(left)}",
+            f"            l{g} = {tuple_source([f't[{i}]' for i in left])}",
             f"            r = c{g}.get(l{g})",
-            f"            if r is not None and r != {_cols(right)}:",
+            f"            if r is not None and r != {tuple_source([f't[{i}]' for i in right])}:",
             "                continue",
         ]
     src.append("            added += 1")
@@ -448,13 +461,13 @@ def _admission(
         src += [
             f"            c = t[{cost_pos}]",
             "            if not isinstance(c, int):",
-            "                raise cost_error(self, c)",
+            "                raise error(cost_message.format(self.info.chosen_pred, c))",
         ]
     if ordered:
         src.append(f"            key = {key}")
     if unique_key is not None:
         src += [
-            f"            u = {_cols(unique_key)}",
+            f"            u = {tuple_source([f't[{i}]' for i in unique_key])}",
             "            cur = ukey_index.get(u)",
             "            if cur is not None:",
             "                if not key < entries[cur]:",
@@ -490,9 +503,9 @@ def _admission(
     if ordered:
         src.append("        self._staged_best = best")
     src.append("        counters.theta_inserts += added")
-    namespace = {"cost_error": _cost_error}
-    exec("\n".join(src), namespace)
-    return namespace["admit"]
+    shape = f"arity={arity} fds={groups} cost={cost_pos} most={most} ukey={unique_key} {policy} slotted={slotted}"
+    message = "{}: cost argument must be an integer, got {!r}"
+    return generate(f"admit {shape}", src, {"error": StorageError, "cost_message": message})
 
 
 class ThetaTable:
@@ -557,13 +570,11 @@ class ThetaTable:
         # buckets are insertion-ordered dicts, not sets, so purge order (and
         # with it heap and random-tie upkeep) does not depend on str hashing
         groups = _fd_groups(info.fds)
-        self._fd_index: list[tuple[Callable, Callable, dict[Tup, dict[Tup, None]]]] = [
-            (projector(left), projector(right), {}) for left, right, _ in groups
-        ]
+        by_left = {left: (projector(left), {}) for left, _, _ in groups}
+        self._fd_index: list[tuple[Callable, dict[Tup, dict[Tup, None]]]] = list(by_left.values())
         # a purge passes once per declared FD, in declared order, over the
         # index of its left side: victims leave in that order
-        by_left = {left: entry for (left, _, _), entry in zip(groups, self._fd_index)}
-        self._purges = [(by_left[fd.left][0], projector(fd.right), by_left[fd.left][2]) for fd in info.fds]
+        self._purges = [(*by_left[fd.left], projector(fd.right)) for fd in info.fds]
         self._ukey_index: dict[Tup, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
@@ -625,7 +636,7 @@ class ThetaTable:
         for t in ts:
             entry = entries.pop(t)
             removed += 1
-            for left, _, index in fd_index:
+            for left, index in fd_index:
                 key = left(t)
                 bucket = index[key]
                 del bucket[t]
@@ -703,7 +714,7 @@ class ThetaTable:
         find them, and each removal is constant time (plus heap maintenance
         for a candidate already pushed)."""
         removed = 0
-        for left, right, index in self._purges:
+        for left, index, right in self._purges:
             r = right(delta)
             victims = [t for t in index.get(left(delta), ()) if right(t) != r or t == delta]
             if victims:

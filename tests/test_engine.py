@@ -1,8 +1,12 @@
 import ast
+import cProfile
 import hashlib
 import inspect
 import io
+import pstats
 import random
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,7 @@ from gdlog.engine import (
     _bound_first_order,
     _rewritten_goals,
 )
-from gdlog import bench, tsvio
+from gdlog import bench, engine, storage, tsvio
 from gdlog.lang import Atom, Program, Rule, Var, _Parser, format_goal, parse_program
 from gdlog.analysis import choice_info, foe_transform
 from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
@@ -856,24 +860,103 @@ def test_builtin_over_symbols_is_an_engine_error_with_rule_id(src, message):
     assert str(exc.value) == message
 
 
+# constants and predicate names that would break generated source if they
+# reached it as text: quotes, backslashes, format braces, percent signs and
+# Python names or keywords
+HOSTILE_PROGRAM = (
+    "for('a\"b', 'x\\y').\n"
+    "for('{0}', '%s').\n"
+    "for('__import__', 'a\"b').\n"
+    "for('%s', '{0}').\n"
+    "lambda(X, '{0}') :- for(X, Y), Y \\= '%s'.\n"
+    "in('__import__', Y) :- lambda(X, Y), for(X, 'x\\y').\n"
+    "in(X, Y) :- for(X, Y), for(Y, '{0}'), choice((), (X)).\n"
+    "in('%s', X) :- lambda(X, '{0}'), X \\= 'a\"b', choice((X), ()).\n"
+)
+
+
 def test_plans_compile_hostile_constants_and_predicate_names():
     # constants and predicate names reach the compiled plans as values only:
-    # quotes, backslashes, format braces, percent signs and Python names or
-    # keywords all evaluate as the reference operator says
-    src = (
-        "for('a\"b', 'x\\y').\n"
-        "for('{0}', '%s').\n"
-        "for('__import__', 'a\"b').\n"
-        "for('%s', '{0}').\n"
-        "lambda(X, '{0}') :- for(X, Y), Y \\= '%s'.\n"
-        "in('__import__', Y) :- lambda(X, Y), for(X, 'x\\y').\n"
-        "in(X, Y) :- for(X, Y), for(Y, '{0}'), choice((), (X)).\n"
-        "in('%s', X) :- lambda(X, '{0}'), X \\= 'a\"b', choice((X), ()).\n"
-    )
-    prog = parse_program(src)
+    # they all evaluate as the reference operator says
+    prog = parse_program(HOSTILE_PROGRAM)
     model = run_with_counters(prog, mode="choice", ties="lex")[0].as_sets()
     assert model == run_lico_reference(prog, "lazy")
     assert ("__import__", "{0}") in model["in"]
+
+
+def _code_objects(code):
+    yield code
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            yield from _code_objects(c)
+
+
+def _constants(values):
+    for c in values:
+        if isinstance(c, (tuple, frozenset)):
+            yield from _constants(c)
+        else:
+            yield c
+
+
+def _strings(code):
+    """The str constants of code, apart from the qualified names of the
+    functions it makes, which CPython before 3.11 keeps as constants."""
+    made = {f".{c.co_name}" for c in code.co_consts if isinstance(c, types.CodeType)}
+    qualname = sys.version_info < (3, 11)
+    return [c for c in _constants(code.co_consts) if isinstance(c, str) and not (qualname and c.endswith(tuple(made)))]
+
+
+def test_generated_code_holds_no_program_symbol(monkeypatch):
+    # every function storage.generate makes while the corpus runs under
+    # every knob, and while the hostile program runs: no string constant
+    # anywhere in its code, and a <gdlog ...> file name
+    made, generate = [], storage.generate
+
+    def recording(name, lines, values):
+        made.append(generate(name, lines, values))
+        return made[-1]
+
+    monkeypatch.setattr(storage, "generate", recording)
+    monkeypatch.setattr(engine, "generate", recording)
+    storage.order_key.cache_clear()
+    storage._admission.cache_clear()
+    for arity in range(4):
+        storage.order_key(arity)
+    for name in sorted(PROGRAMS):
+        edb = example_edb(name, 6, seed=1)
+        for ties in ("lex", "fifo", "random"):
+            for pq in ("auto", "off"):
+                for mode in ("auto", "choice"):
+                    for factorize in (False, True) if name in ("sort", "sequence") else (False,):
+                        run_with_counters(
+                            get_program(name), edb=edb, ties=ties, seed=3, pq=pq, mode=mode, factorize=factorize
+                        )
+    run_with_counters(parse_program(HOSTILE_PROGRAM), mode="choice", ties="lex")
+    assert {f.__code__.co_filename.split()[1] for f in made} == {"order_key", "admit", "plan"}
+    for f in made:
+        for code in _code_objects(f.__code__):
+            assert code.co_filename.startswith("<gdlog ")
+            assert _strings(code) == [], code.co_filename
+
+
+def test_a_profile_keeps_one_entry_per_plan_and_admission_shape():
+    # two choice rules whose theta tables differ in shape; each rule's
+    # candidate plan runs once, and each table admits once per step
+    prog = parse_program("p(X, Y) :- e(X, Y), choice((X), (Y)).\nq(X) :- p(X, Y), choice((), (X)).\n")
+    profile = cProfile.Profile()
+    profile.runcall(run_with_counters, prog, edb={"e": [(1, 2), (1, 3), (2, 3)]}, ties="lex")
+    plans, admissions, admit_calls = {}, {}, 0
+    for (file, _, func), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        if file.startswith("<") and func == "admit":
+            admissions[file] = admissions.get(file, 0) + calls
+        elif file.startswith("<gdlog plan") and func not in ("<module>", "make"):
+            plans[file] = plans.get(file, 0) + calls
+        elif func == "admit":
+            admit_calls += calls  # ThetaTable.admit, which calls the generated loop
+    assert plans == {"<gdlog plan r1 candidates full>": 1, "<gdlog plan r2 candidates full>": 1}
+    assert len(admissions) == 2 and all(name.startswith("<gdlog admit ") for name in admissions)
+    assert sum(admissions.values()) == admit_calls
 
 
 # Rule-body shapes checked against the reference operator: comments in the

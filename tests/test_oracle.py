@@ -24,6 +24,7 @@ from gdlog.oracle import (
     enumerate_choice_models,
     ground,
     ref_dijkstra,
+    run_lico_reference,
 )
 from corpus_helpers import ADVISOR_TOY, TOY_TRIANGLE, example_edb
 from oracle_helpers import audit_stable_model, reachable, ref_mst_weight, ref_prim_weight
@@ -236,6 +237,28 @@ def test_greedy_model_is_a_choice_model():
         models = enumerate_choice_models(prog, edb)
         got = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)[0].as_sets()
         assert any(m == got for m in models), name
+
+
+def test_reference_schedule_agrees_with_the_engine_in_stratum_order():
+    # q's rule reads p, which two rules of a lower stratum derive.  Written
+    # first, it chooses in the reference from the p of the first step; the
+    # engine completes p's stratum before it.  Written after the p rules,
+    # the two schedules agree.
+    q_rule = "q(Y,X) :- p(X,Y), X \\= Y, choice((),(Y)), choice((),(X)).\n"
+    p_rules = (
+        "p(X,W) :- e(W,X,_), e(_,X,C), choice((X),(W)).\n"
+        "p(W,W) :- e(_,_,_), e(_,W,_), choice((),(W)).\n"
+    )
+    edb = {"e": [("a", "c", 3), ("b", "a", 2), ("b", "c", 0)]}
+    models = {}
+    for order, src in (("program", q_rule + p_rules), ("stratum", p_rules + q_rule)):
+        prog = parse_program(src)
+        models[order] = run_with_counters(prog, edb=edb, ties="lex")[0].as_sets(), run_lico_reference(prog, edb=edb)
+    engine, reference = models["stratum"]
+    assert engine == reference
+    assert engine["q"] == {("b", "a")}
+    engine, reference = models["program"]
+    assert engine["q"] == {("b", "a")} and reference["q"] == {("a", "c")}
 
 
 def test_choice_models_always_exist():

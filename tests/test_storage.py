@@ -885,7 +885,7 @@ def _reference_admit(theta, ts):
                     theta._remove_all((cur,))
                     best = theta._staged_best
                 ukey_index[u] = t
-            for left, _, index in fd_index:
+            for left, index in fd_index:
                 index.setdefault(left(t), {})[t] = None
             if ordered:
                 if best is None:
@@ -923,7 +923,7 @@ def _state(theta):
     """Everything admission writes: the entries and their values, the
     staged candidates and their best, the heap, the indexes, the random
     list, the counters and the chosen side."""
-    fds = [[(k, list(b)) for k, b in index.items()] for _, _, index in theta._fd_index]
+    fds = [[(k, list(b)) for k, b in index.items()] for _, index in theta._fd_index]
     heap = None if theta._heap is None else theta._heap.items
     return (
         list(theta._entries.items()),
