@@ -13,6 +13,15 @@ the chosen tuple to chosen_r and, when W binds every head variable, its
 head tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
 compiled only for a rule with a head variable outside W.
 
+The loop binds each choice rule's callables once, when its stratum starts:
+the candidate rule's evaluate, the table's admit, select_extreme and choose,
+and the table's entries, whose truth says whether it holds a candidate.  A
+selection is then a flat run of those calls, each into code generated for
+its plan or table shape, and the closure is re-run only when the stratum
+has rules that are not choice rules.  select_extreme and choose (which
+calls purge_conflicting) are still looked up on the ThetaTable class, so a
+wrapper installed there before the run sees every selection and purge.
+
 With factorize, a stratum whose one choice rule is exactly
 h(X, Y) :- h(_, X), dom(Y) (sort, sequence), which chains a frontier value
 X to a fresh database domain value Y, keeps only the domain column of
@@ -23,13 +32,16 @@ FD is checked: the pattern's one start value is not a domain value and the
 domain rows are distinct, so the chain repeats no X and no Y, and both FDs
 X -> Y and Y -> X hold.
 
-Each rule compiles to one full plan and one delta plan per body atom, all
-ordered bound-first: a delta plan starts from its delta atom, the full plan
-from nothing bound; every comparison or arithmetic goal goes in as soon as
-its operands are bound, and otherwise the next goal is the atom with the
-most constant or already-bound arguments (ties in source order), which is
-then probed through an index on exactly those columns.  A builtin operand
-that is still unbound where the plan reaches it is an EngineError.
+Each rule compiles to one full plan and one delta plan per body atom that
+can grow while its stratum runs: its relation is a head of the stratum or
+one of the stratum's chosen_r relations, and every other relation is
+complete before the stratum starts.  All are ordered bound-first: a delta
+plan starts from its delta atom, the full plan from nothing bound; every
+comparison or arithmetic goal goes in as soon as its operands are bound,
+and otherwise the next goal is the atom with the most constant or
+already-bound arguments (ties in source order), which is then probed
+through an index on exactly those columns.  A builtin operand that is
+still unbound where the plan reaches it is an EngineError.
 
 Every plan compiles once, when its stratum starts, into a generated Python
 function, written in one pass over the goals in that order: nested for
@@ -50,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from . import analysis, tsvio
 from .analysis import FD, ChoiceInfo, RuleKind, Stratum
@@ -105,10 +117,10 @@ class Interpretation:
 
 # ---------------------------------------------------------------------------
 # Rule compilation: each rule compiles to one full plan plus one delta plan
-# per body atom occurrence, which starts from that occurrence: that is where
-# the differential (delta) rows are fed in.  Every plan orders the goals
-# bound-first (_bound_first_order), and _plan_function writes its generated
-# function straight from the goals in that order.
+# per occurrence of a body atom that can grow, which starts from that
+# occurrence: that is where the differential (delta) rows are fed in.  Every
+# plan orders the goals bound-first (_bound_first_order), and _plan_function
+# writes its generated function straight from the goals in that order.
 
 
 def _bound_first_order(goals, start: int | None) -> list[int]:
@@ -289,8 +301,12 @@ def _plan_function(
 
 class _DifferentialRule:
     """One rule, emit <- goals, compiled to its full plan and one delta plan
-    per body atom.  Tracks how much of each body relation it has already
-    consumed and evaluates only the new suffixes."""
+    per body atom that can grow: one whose predicate is in grows, the
+    relations the rule's stratum derives or chooses into.  Every other body
+    relation is complete before the stratum starts, so after the full plan
+    it has no new rows and its delta plan would never run.  Tracks how much
+    of each growing relation it has already consumed and evaluates only the
+    new suffixes."""
 
     def __init__(
         self,
@@ -300,6 +316,7 @@ class _DifferentialRule:
         goals: tuple,
         rel: Callable[[str], Relation],
         counters: Counters,
+        grows: Collection[str],
     ):
         slots: dict[Var, int] = {}
         for g in goals:
@@ -310,9 +327,9 @@ class _DifferentialRule:
         for t in emit:
             if isinstance(t, Var) and t not in slots:
                 raise EngineError(f"{rule_id}: emitted variable {t.name} is unbound")
-        atoms = [i for i, g in enumerate(goals) if isinstance(g, Atom)]
+        atoms = [i for i, g in enumerate(goals) if isinstance(g, Atom) and g.pred in grows]
         self.counters = counters
-        self.rels = [rel(goals[i].pred) for i in atoms]  # per body-atom occurrence
+        self.rows = [rel(goals[i].pred).rows for i in atoms]  # per growing body-atom occurrence
         self.cursors = [0] * len(atoms)
         self.virgin = True
         self.full = _plan_function(rule_id, f"plan {name} full", emit, goals, slots, None, rel)
@@ -324,23 +341,27 @@ class _DifferentialRule:
         derivation order."""
         out: list[Tup] = []
         seen: set[Tup] = set()
-        snapshot = [len(r) for r in self.rels]
-        runs = []
+        counters, cursors = self.counters, self.cursors
         if self.virgin:
             self.virgin = False
-            runs.append(self.full(None, seen, out))
-        else:
-            for occ, (lo, hi) in enumerate(zip(self.cursors, snapshot)):
-                if lo < hi:
-                    runs.append(self.deltas[occ](self.rels[occ].rows[lo:hi], seen, out))
-        self.cursors = snapshot
-        for probes, fired in runs:
-            self.counters.join_probes += probes
-            self.counters.firings += fired
+            self.cursors = [len(rows) for rows in self.rows]
+            probes, fired = self.full(None, seen, out)
+            counters.join_probes += probes
+            counters.firings += fired
+            return out
+        # the plans only read relations: each length read here is the
+        # length the relation had when the call began
+        for k, rows in enumerate(self.rows):
+            lo, hi = cursors[k], len(rows)
+            if lo < hi:
+                cursors[k] = hi
+                probes, fired = self.deltas[k](rows[lo:hi], seen, out)
+                counters.join_probes += probes
+                counters.firings += fired
         return out
 
     def pending_delta(self) -> bool:
-        return self.virgin or any(c < len(r) for c, r in zip(self.cursors, self.rels))
+        return self.virgin or any(c < len(rows) for c, rows in zip(self.cursors, self.rows))
 
 
 class _Closure:
@@ -509,6 +530,10 @@ class Engine:
         return self.interp
 
     def _run_stratum(self, stratum: Stratum) -> None:
+        # the relations that can grow while the stratum runs: its heads and
+        # its chosen_r relations; only their body atoms get delta plans
+        grows = {r.head.pred for r in stratum.rules}
+        grows |= {self.infos[r.rule_id].chosen_pred for r in stratum.rules if r.rule_id in self.infos}
         rules: list[tuple[_DifferentialRule, Relation]] = []
         states: list[_ChoiceState] = []
         for r in stratum.rules:
@@ -518,7 +543,7 @@ class Engine:
             # step writes its head (see _rewritten_goals)
             goals = r.body if info is None else _rewritten_goals(r, info)
             if goals is not None:
-                dr = _DifferentialRule(r.rule_id, r.rule_id, r.head.args, goals, self._rel, self.counters)
+                dr = _DifferentialRule(r.rule_id, r.rule_id, r.head.args, goals, self._rel, self.counters, grows)
                 rules.append((dr, head_rel))
             if info is None:
                 continue
@@ -526,7 +551,7 @@ class Engine:
             # against the theta table's chosen side instead of a diffchoice
             # relation
             name = f"{r.rule_id} candidates"
-            cand = _DifferentialRule(r.rule_id, name, info.w_vars, r.body, self._rel, self.counters)
+            cand = _DifferentialRule(r.rule_id, name, info.w_vars, r.body, self._rel, self.counters, grows)
             head = None if goals is not None else _head_projection(r.head, info.w_vars)
             theta = self._theta_table(info)
             states.append(_ChoiceState(r, info, cand, theta, self._rel(info.chosen_pred), head_rel, head))
@@ -537,22 +562,28 @@ class Engine:
             return
         # the greedy computation drains least/most rules first; the plain
         # choice fixpoint takes its rules in program order
-        ordered = states
         if self.greedy:
-            ordered = sorted(states, key=lambda s: s.info.kind is RuleKind.PURE_CHOICE)
-
+            states.sort(key=lambda s: s.info.kind is RuleKind.PURE_CHOICE)
+        # each rule's callables and its table's entries, bound once: a step
+        # admits the rules' new candidates in that order until a table holds
+        # one, selects from it, chooses, commits and re-closes the rules
+        # that are not choice rules, if there are any
+        steps = [
+            (s.cand.evaluate, s.theta.admit, s.theta._entries, s.theta.select_extreme, s.theta.choose, s)
+            for s in states
+        ]
+        commit, reclose = self._commit, closure.run if rules else None
         while True:
-            selected: _ChoiceState | None = None
-            for st in ordered:
-                st.theta.admit(st.cand.evaluate())
-                if len(st.theta):
-                    selected = st
+            for evaluate, admit, entries, select, choose, st in steps:
+                admit(evaluate())
+                if entries:
                     break
-            if selected is None:
+            else:
                 return
-            delta = selected.theta.select_extreme()
-            self._commit(selected, delta, selected.theta.choose(delta))
-            closure.run()
+            delta = select()
+            commit(st, delta, choose(delta))
+            if reclose is not None:
+                reclose()
 
     def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
         if not self.greedy:

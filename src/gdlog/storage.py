@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .analysis import FD, ChoiceInfo, RuleKind
 from .lang import GdlogError
@@ -401,29 +401,53 @@ class _Heap:
 # Theta tables
 
 
+class _Shape(NamedTuple):
+    """What a theta table's generated code depends on: the arity of its
+    tuples, the declared FDs, the cost position and whether the most cost
+    is best, the unique key, the selection policy ("lex" for every ordered
+    table) and its heap: None, "plain" (order keys as tuples) or "slotted"
+    (records).  The key under which _admission, _removal and _purge cache
+    the code of each shape."""
+
+    arity: int
+    fds: tuple[FD, ...]
+    cost_pos: Optional[int]
+    most: bool
+    unique_key: Optional[tuple[int, ...]]
+    policy: str
+    heap: Optional[str]
+
+    def __str__(self) -> str:
+        fds = ",".join(f"{fd.left}->{fd.right}" for fd in self.fds)
+        return (
+            f"arity={self.arity} fds={fds} cost={self.cost_pos} most={self.most} ukey={self.unique_key} "
+            f"{self.policy} heap={self.heap}"
+        )
+
+
+def _fd_locals(shape: _Shape) -> list[str]:
+    """The line that binds f<g> to the FD index of each left side, in the
+    order of the table's _fd_index; none for a table without FDs."""
+    groups = _fd_groups(shape.fds)
+    return [f"    {''.join(f'f{g}, ' for g in range(len(groups)))}= self._fd_index"] if groups else []
+
+
 @cache
-def _admission(
-    arity: int,
-    groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-    cost_pos: Optional[int],
-    most: bool,
-    unique_key: Optional[tuple[int, ...]],
-    policy: str,
-    slotted: bool,
-) -> Callable[["ThetaTable", Collection[Tup]], None]:
+def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
     """The loop of ThetaTable.admit for one table shape, generated once per
-    shape: the (left, right) columns of each FD group, the cost position and
-    whether the most cost is best, the unique key, the selection policy
-    ("lex" for every ordered table) and whether the heap is slotted.  Each
-    candidate's FD sides, unique key and order key (a record for a slotted
-    heap) are built inline from column indices, with no call and no branch
-    on the table's kind.  The source holds only column indices; everything
-    else is read from the table or bound as a value of generate."""
+    shape.  Each candidate's FD sides, unique key and order key (a record
+    for a slotted heap) are built inline from column indices, with no call
+    and no branch on the table's kind; a candidate that replaces a worse one
+    of its unique key removes it through the table's generated removal.  The
+    source holds only column indices; everything else is read from the table
+    or bound as a value of generate."""
+    arity, fds, cost_pos, most, unique_key, policy, heap = shape
+    groups = [(left, right) for left, right, _ in _fd_groups(fds)]
     ordered = policy == "lex"
     cells = _order_columns(arity)
     if cost_pos is not None:
         cells = f"{'-c' if most else 'c'}, {cells}"
-    key = f"[{cells}-1, t]" if slotted else f"({cells}t,)"
+    key = f"[{cells}-1, t]" if heap == "slotted" else f"({cells}t,)"
     src = [
         "def admit(self, ts):",
         "    counters = self.counters",
@@ -432,12 +456,12 @@ def _admission(
     ]
     if groups:
         src += [
-            f"    {''.join(f'c{g}, ' for g in range(len(groups)))}= [i for _, _, i, _ in self.chosen._fds]",
-            f"    {''.join(f'f{g}, ' for g in range(len(groups)))}= [i for _, i in self._fd_index]",
+            f"    {''.join(f'c{g}, ' for g in range(len(groups)))}= self._chosen_index",
+            *_fd_locals(shape),
             "    counters.conflict_checks += len(ts)",
         ]
     if unique_key is not None:
-        src.append("    ukey_index = self._ukey_index")
+        src += ["    ukey_index = self._ukey_index", "    remove = self._remove"]
     if ordered:
         src += ["    staged = self._staged", "    best = self._staged_best"]
     elif policy == "random":
@@ -473,7 +497,7 @@ def _admission(
             "                if not key < entries[cur]:",
             "                    continue",
             "                self._staged_best = best",
-            "                self._remove_all((cur,))",
+            "                remove(self, (cur,))",
             "                best = self._staged_best",
             "            ukey_index[u] = t",
         ]
@@ -503,9 +527,97 @@ def _admission(
     if ordered:
         src.append("        self._staged_best = best")
     src.append("        counters.theta_inserts += added")
-    shape = f"arity={arity} fds={groups} cost={cost_pos} most={most} ukey={unique_key} {policy} slotted={slotted}"
     message = "{}: cost argument must be an integer, got {!r}"
     return generate(f"admit {shape}", src, {"error": StorageError, "cost_message": message})
+
+
+@cache
+def _removal(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
+    """ThetaTable's removal of candidates ts, all in the table, for one
+    table shape, generated once per shape: each candidate leaves its entry,
+    its FD buckets (an emptied bucket leaves its index) and the unique-key
+    index if it holds the unique key; an ordered table unstages it, forgets
+    the staged best if that was its key, and deletes a settled key from the
+    heap through _Heap._fill (or delete_all, for a plain heap, which only
+    deletes its least key); a random table moves its last candidate into the
+    freed slot of the list.  Each removal counts one theta delete.  Only the
+    upkeep of the table's own kind is emitted, and the FD sides and the
+    unique key are projected inline from column indices."""
+    ordered = shape.policy == "lex"
+    src = ["def remove_all(self, ts):", "    entries = self._entries", *_fd_locals(shape)]
+    if shape.unique_key is not None:
+        src.append("    ukey_index = self._ukey_index")
+    if ordered:
+        src += ["    staged = self._staged", "    best = self._staged_best"]
+        if shape.heap == "slotted":
+            src.append("    fill = self._heap._fill")
+        elif shape.heap == "plain":
+            src.append("    delete_all = self._heap.delete_all")
+    elif shape.policy == "random":
+        src.append("    rand_list = self._rand_list")
+    src += ["    for t in ts:", "        entry = entries.pop(t)"]
+    for g, (left, _, _) in enumerate(_fd_groups(shape.fds)):
+        src += [
+            f"        l = {tuple_source([f't[{i}]' for i in left])}",
+            f"        bucket = f{g}[l]",
+            "        del bucket[t]",
+            "        if not bucket:",
+            f"            del f{g}[l]",
+        ]
+    if shape.unique_key is not None:
+        src += [
+            f"        u = {tuple_source([f't[{i}]' for i in shape.unique_key])}",
+            "        if ukey_index.get(u) == t:",
+            "            del ukey_index[u]",
+        ]
+    if ordered and shape.heap is None:
+        src += [
+            "        if staged.pop(t, None) is not None and entry is best:",
+            "            self._staged_best = best = None",
+        ]
+    elif ordered:
+        src += [
+            "        if staged.pop(t, None) is None:",
+            f"            {'fill(entry[-2])' if shape.heap == 'slotted' else 'delete_all((entry,))'}",
+            "        elif entry is best:",
+            "            self._staged_best = best = None",
+        ]
+    elif shape.policy == "random":
+        src += [
+            "        last = rand_list.pop()",
+            "        if last != t:",
+            "            rand_list[entry] = last",
+            "            entries[last] = entry",
+        ]
+    src.append("    self.counters.theta_deletes += len(ts)")
+    return generate(f"remove {shape}", src, {})
+
+
+@cache
+def _purge(shape: _Shape) -> Callable[["ThetaTable", Tup], int]:
+    """ThetaTable.purge_conflicting for one table shape, generated once per
+    shape: one pass per declared FD, in declared order, over the bucket of
+    delta's left side in the index of that side, whose victims (the
+    candidates that differ from delta on the FD's right side, and delta
+    itself) leave through the table's generated removal before the next FD
+    is looked up.  Victims therefore leave in the order heap upkeep and
+    random ties depend on.  Returns how many candidates left."""
+    lefts = [left for left, _, _ in _fd_groups(shape.fds)]
+    src = ["def purge_conflicting(self, delta):"]
+    if shape.fds:
+        src += [*_fd_locals(shape), "    remove = self._remove", "    removed = 0"]
+    for fd in shape.fds:
+        differs = [f"t[{i}] != delta[{i}]" for i in fd.right]
+        src += [
+            f"    bucket = f{lefts.index(fd.left)}.get({tuple_source([f'delta[{i}]' for i in fd.left])})",
+            "    if bucket:",
+            f"        victims = [t for t in bucket if {' or '.join(differs + ['t == delta'])}]",
+            "        if victims:",
+            "            remove(self, victims)",
+            "            removed += len(victims)",
+        ]
+    src.append("    return removed" if shape.fds else "    return 0")
+    return generate(f"purge {shape}", src, {})
 
 
 class ThetaTable:
@@ -517,7 +629,12 @@ class ThetaTable:
     cost position makes it greedy (choice_least or choice_most by its kind),
     and with a unique key only the best-cost tuple per key value is
     retained; the plain choice fixpoint passes a pure view of the info.
-    admit runs a loop generated once per table shape (_admission).
+    Every pass over candidates runs code generated once per table shape
+    (_Shape): the admission loop (_admission), the removal (_removal) that
+    a selection, a purge and a unique-key replacement all take, and the
+    purge's victim scan (_purge).  select_extreme and purge_conflicting stay
+    methods of the class, one call each per selection, so that a wrapper on
+    the class sees every selection and every purge.
 
     Each candidate has one record, its entry, whose value is what the
     table's policy keeps of it.  A table with a fixed order (greedy, or pure
@@ -557,9 +674,6 @@ class ThetaTable:
         self.chosen = ChosenTable(info)
         self.counters = counters if counters is not None else Counters()
         self.rng = rng if rng is not None else random.Random(0)
-        self._most = info.kind is RuleKind.CHOICE_MOST
-        # projection onto the unique key, None when no key is kept
-        self._ukey = None if info.unique_key is None else projector(info.unique_key)
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = info.cost_pos is not None or tie_policy == "lex"
         self._random = tie_policy == "random" and not self._ordered
@@ -567,14 +681,13 @@ class ThetaTable:
         # (random) or None (fifo, whose OrderedDict finds its first key in
         # O(1) after deletes at the front)
         self._entries: dict[Tup, object] = {} if self._ordered or self._random else OrderedDict()
-        # buckets are insertion-ordered dicts, not sets, so purge order (and
-        # with it heap and random-tie upkeep) does not depend on str hashing
-        groups = _fd_groups(info.fds)
-        by_left = {left: (projector(left), {}) for left, _, _ in groups}
-        self._fd_index: list[tuple[Callable, dict[Tup, dict[Tup, None]]]] = list(by_left.values())
-        # a purge passes once per declared FD, in declared order, over the
-        # index of its left side: victims leave in that order
-        self._purges = [(*by_left[fd.left], projector(fd.right)) for fd in info.fds]
+        # one index per FD left side, in order of first appearance: left
+        # side -> bucket of the candidates with that left side; buckets are
+        # insertion-ordered dicts, not sets, so purge order (and with it heap
+        # and random-tie upkeep) does not depend on str hashing
+        self._fd_index: list[dict[Tup, dict[Tup, None]]] = [{} for _ in _fd_groups(info.fds)]
+        # the chosen side's index of each left side, in the same order
+        self._chosen_index = [index for _, _, index, _ in self.chosen._fds]
         self._ukey_index: dict[Tup, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
@@ -582,21 +695,21 @@ class ThetaTable:
         # heap with the queue, and only in the entries without it
         self._staged: dict[Tup, object] = {}
         self._staged_best: object = None
-        self._heap: Optional[_Heap] = (
-            _Heap(self.counters, slotted=bool(groups) or self._ukey is not None)
-            if use_pq and self._ordered
-            else None
-        )
-        self._rand_list: list[Tup] = []
-        self._admit = _admission(
+        slotted = bool(info.fds) or info.unique_key is not None
+        self._heap: Optional[_Heap] = _Heap(self.counters, slotted) if use_pq and self._ordered else None
+        shape = _Shape(
             len(info.w_vars),
-            tuple((left, right) for left, right, _ in groups),
+            info.fds,
             info.cost_pos,
-            self._most,
+            info.kind is RuleKind.CHOICE_MOST,
             info.unique_key,
             "lex" if self._ordered else tie_policy,
-            self._heap is not None and self._heap.slotted,
+            None if self._heap is None else "slotted" if self._heap.slotted else "plain",
         )
+        self._rand_list: list[Tup] = []
+        self._admit = _admission(shape)
+        self._remove = _removal(shape)
+        self._purge = _purge(shape)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -624,44 +737,6 @@ class ThetaTable:
         better-cost tuple per key value is retained."""
         self._admit(self, ts)
 
-    def _remove_all(self, ts: Iterable[Tup]) -> None:
-        counters = self.counters
-        entries = self._entries
-        fd_index, ukey, ukey_index = self._fd_index, self._ukey, self._ukey_index
-        staged, heap = self._staged, self._heap
-        ordered = self._ordered
-        rand_list = self._rand_list if self._random else None
-        removed = 0
-        heaped = []  # the keys of the removed candidates the heap holds, in order
-        for t in ts:
-            entry = entries.pop(t)
-            removed += 1
-            for left, index in fd_index:
-                key = left(t)
-                bucket = index[key]
-                del bucket[t]
-                if not bucket:
-                    del index[key]
-            if ukey is not None:
-                key = ukey(t)
-                if ukey_index.get(key) == t:
-                    del ukey_index[key]
-            if ordered:
-                if staged.pop(t, None) is None:
-                    if heap is not None:
-                        heaped.append(entry)
-                elif entry is self._staged_best:
-                    self._staged_best = None
-            elif rand_list is not None:
-                # the last candidate moves into the freed slot
-                last = rand_list.pop()
-                if last != t:
-                    rand_list[entry] = last
-                    entries[last] = entry
-        if heaped:
-            heap.delete_all(heaped)
-        counters.theta_deletes += removed
-
     # -- selection ----------------------------------------------------------
 
     def select_extreme(self) -> Optional[Tup]:
@@ -678,7 +753,7 @@ class ThetaTable:
             staged, heap = self._staged, self._heap
             if heap is not None and not heap.slotted and not staged:
                 # the least key of a table with no FD index and no unique
-                # key: what _remove_all does for it, with one pop
+                # key: what the removal does for it, with one pop
                 t = heap.pop()[-1]
                 del entries[t]
                 self.counters.theta_deletes += 1
@@ -687,7 +762,7 @@ class ThetaTable:
                 self._flush()
             best = self._staged_best
             if heap is not None:
-                settled = heap.items[0] if heap else None
+                settled = heap.items[0] if heap.items else None
             else:
                 self.counters.scan_steps += len(entries) - len(staged)
                 settled = min((key for t, key in entries.items() if t not in staged), default=None)
@@ -698,7 +773,7 @@ class ThetaTable:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
         else:
             t = next(iter(entries))
-        self._remove_all((t,))
+        self._remove(self, (t,))
         return t
 
     def choose(self, delta: Tup) -> int:
@@ -710,17 +785,11 @@ class ThetaTable:
 
     def purge_conflicting(self, delta: Tup) -> int:
         """Drop delta and every candidate that agrees with it on the left side
-        of some FD and differs from it on the right side; the FD indexes
-        find them, and each removal is constant time (plus heap maintenance
-        for a candidate already pushed)."""
-        removed = 0
-        for left, index, right in self._purges:
-            r = right(delta)
-            victims = [t for t in index.get(left(delta), ()) if right(t) != r or t == delta]
-            if victims:
-                self._remove_all(victims)
-                removed += len(victims)
-        return removed
+        of some FD and differs from it on the right side, one declared FD at
+        a time (_purge); the FD indexes find them, and each removal is
+        constant time (plus heap maintenance for a candidate already
+        pushed).  Returns how many were dropped."""
+        return self._purge(self, delta)
 
     def _flush(self) -> None:
         if self._heap is not None:

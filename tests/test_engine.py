@@ -633,19 +633,21 @@ PLAN_ORDERS = {
 
 # The index column lists each relation holds after the n=16 seed-3 benchmark
 # run under lex ties: the plans create one index per distinct set of
-# constant or already-bound columns they probe.
+# constant or already-bound columns they probe.  Only the full plan and the
+# delta plans of atoms that can grow are compiled, so an index that only
+# the delta plan of a complete relation would probe is never made.
 INDEX_COLUMNS = {
-    "advisor": {"actual_adv": [], "chosen_r1": [], "professor": [(1,)], "student": [(1,)]},
-    "dijkstra": {"chosen_r1": [], "dj": [(0,)], "g": [(0,)], "node": []},
+    "advisor": {"actual_adv": [], "chosen_r1": [], "professor": [(1,)], "student": []},
+    "dijkstra": {"chosen_r1": [], "dj": [], "g": [(0,)], "node": []},
     "matching": {"chosen_r1": [], "g": [], "matching": []},
     "optmatching": {"chosen_r1": [], "g": [], "opt_matching": []},
-    "prim": {"chosen_r1": [], "g": [(0,)], "node": [], "st": [(1,)]},
-    "reach": {"chosen_r1": [], "g": [(0,)], "node": [], "reach": [(0,)]},
+    "prim": {"chosen_r1": [], "g": [(0,)], "node": [], "st": []},
+    "reach": {"chosen_r1": [], "g": [(0,)], "node": [], "reach": []},
     "sequence": {"chosen_r1": [], "d": [], "succ": []},
-    "simplepath": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2), (1,)]},
+    "simplepath": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2)]},
     "sort": {"chosen_r1": [], "d": [], "succ": []},
-    "spantree": {"chosen_r1": [], "g": [(0,)], "node": [], "st": [(1,)]},
-    "tsp": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2), (1,)]},
+    "spantree": {"chosen_r1": [], "g": [(0,)], "node": [], "st": []},
+    "tsp": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2)]},
 }
 
 
@@ -723,8 +725,10 @@ def test_dijkstra_chosen_delta_plan_is_bound_first():
         "C = C1 + C2",
     ]
     assert "r1/rewritten" not in bodies
+    # g is complete before the stratum starts, so its delta plan, which
+    # would probe dj on column 0, is not compiled
     indexes = _index_columns("dijkstra")
-    assert (0,) in indexes["g"] and (0,) in indexes["dj"]
+    assert (0,) in indexes["g"] and (0,) not in indexes["dj"]
 
 
 def _full_rewritten_goals(rule, info):
@@ -824,14 +828,51 @@ def test_database_rows_for_a_percent_led_predicate_are_an_engine_error(tmp_path)
     assert tsvio.read_model(str(path)) == model.as_sets()
 
 
+def _compiled_plans(name, monkeypatch):
+    """The index columns per relation after the n=16 seed-3 benchmark run,
+    and (plan name, goals, start) of every plan that run compiles."""
+    compiled, plan_function = [], engine._plan_function
+
+    def recording(rule_id, plan, emit, goals, slots, start, rel):
+        compiled.append((plan, goals, start))
+        return plan_function(rule_id, plan, emit, goals, slots, start, rel)
+
+    monkeypatch.setattr(engine, "_plan_function", recording)
+    return _index_columns(name), compiled
+
+
 @pytest.mark.parametrize("name", ["prim", "dijkstra", "reach"])
-def test_delta_plans_probe_an_index_after_the_delta_atom(name):
-    indexes = _index_columns(name)
-    for key, goals in _plan_bodies(name):
-        for start, order in _plans(goals)[1:]:
-            assert order[0] == start
-            atoms = [s for s in _plan_shape(goals, order)[1:] if isinstance(s, tuple)]
-            assert all(cols and cols in indexes[pred] for pred, cols in atoms), (key, order)
+def test_delta_plans_probe_an_index_after_the_delta_atom(name, monkeypatch):
+    indexes, compiled = _compiled_plans(name, monkeypatch)
+    deltas = [(plan, goals, start) for plan, goals, start in compiled if start is not None]
+    assert deltas
+    for plan, goals, start in deltas:
+        order = _bound_first_order(goals, start)
+        assert order[0] == start
+        atoms = [s for s in _plan_shape(goals, order)[1:] if isinstance(s, tuple)]
+        assert all(cols and cols in indexes[pred] for pred, cols in atoms), (plan, order)
+
+
+# The plans each corpus program compiles: the full plan of each body, and a
+# delta plan only for a body atom whose relation the stratum derives or
+# chooses into; database relations and lower strata are complete.
+COMPILED_PLANS = {
+    "advisor": ["plan r1 candidates full"],
+    "dijkstra": ["plan r1 candidates full", "plan r1 candidates delta 0"],
+    "matching": ["plan r1 candidates full"],
+    "simplepath": [
+        "plan r1 candidates full",
+        "plan r2 candidates full",
+        "plan r2 candidates delta 0",
+        "plan r2 candidates delta 2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_PLANS))
+def test_delta_plans_are_compiled_only_for_atoms_that_can_grow(name, monkeypatch):
+    _, compiled = _compiled_plans(name, monkeypatch)
+    assert [plan for plan, _, _ in compiled] == COMPILED_PLANS[name]
 
 
 @pytest.mark.parametrize(
@@ -920,7 +961,8 @@ def test_generated_code_holds_no_program_symbol(monkeypatch):
     monkeypatch.setattr(storage, "generate", recording)
     monkeypatch.setattr(engine, "generate", recording)
     storage.order_key.cache_clear()
-    storage._admission.cache_clear()
+    for generated in (storage._admission, storage._removal, storage._purge):
+        generated.cache_clear()
     for arity in range(4):
         storage.order_key(arity)
     for name in sorted(PROGRAMS):
@@ -933,7 +975,7 @@ def test_generated_code_holds_no_program_symbol(monkeypatch):
                             get_program(name), edb=edb, ties=ties, seed=3, pq=pq, mode=mode, factorize=factorize
                         )
     run_with_counters(parse_program(HOSTILE_PROGRAM), mode="choice", ties="lex")
-    assert {f.__code__.co_filename.split()[1] for f in made} == {"order_key", "admit", "plan"}
+    assert {f.__code__.co_filename.split()[1] for f in made} == {"order_key", "admit", "remove", "purge", "plan"}
     for f in made:
         for code in _code_objects(f.__code__):
             assert code.co_filename.startswith("<gdlog ")
@@ -942,21 +984,70 @@ def test_generated_code_holds_no_program_symbol(monkeypatch):
 
 def test_a_profile_keeps_one_entry_per_plan_and_admission_shape():
     # two choice rules whose theta tables differ in shape; each rule's
-    # candidate plan runs once, and each table admits once per step
+    # candidate plan runs once, and each table admits once per step and has
+    # its own removal and purge
     prog = parse_program("p(X, Y) :- e(X, Y), choice((X), (Y)).\nq(X) :- p(X, Y), choice((), (X)).\n")
     profile = cProfile.Profile()
     profile.runcall(run_with_counters, prog, edb={"e": [(1, 2), (1, 3), (2, 3)]}, ties="lex")
-    plans, admissions, admit_calls = {}, {}, 0
+    plans, generated, methods = {}, {}, {}
     for (file, _, func), (_, calls, *_) in pstats.Stats(profile).stats.items():
-        if file.startswith("<") and func == "admit":
-            admissions[file] = admissions.get(file, 0) + calls
-        elif file.startswith("<gdlog plan") and func not in ("<module>", "make"):
+        if file.startswith("<gdlog plan") and func not in ("<module>", "make"):
             plans[file] = plans.get(file, 0) + calls
-        elif func == "admit":
-            admit_calls += calls  # ThetaTable.admit, which calls the generated loop
+        elif file.startswith("<") and func in ("admit", "remove_all", "purge_conflicting"):
+            generated.setdefault(func, {})[file] = generated.get(func, {}).get(file, 0) + calls
+        elif file.endswith("storage.py") and func in ("admit", "select_extreme", "purge_conflicting"):
+            methods[func] = methods.get(func, 0) + calls  # the ThetaTable methods
     assert plans == {"<gdlog plan r1 candidates full>": 1, "<gdlog plan r2 candidates full>": 1}
-    assert len(admissions) == 2 and all(name.startswith("<gdlog admit ") for name in admissions)
-    assert sum(admissions.values()) == admit_calls
+    prefixes = {"admit": "<gdlog admit ", "remove_all": "<gdlog remove ", "purge_conflicting": "<gdlog purge "}
+    for func, prefix in prefixes.items():
+        assert len(generated[func]) == 2 and all(name.startswith(prefix) for name in generated[func])
+    assert sum(generated["admit"].values()) == methods["admit"]
+    assert sum(generated["purge_conflicting"].values()) == methods["purge_conflicting"]
+    # each selection removes its tuple; purges remove the rest
+    assert sum(generated["remove_all"].values()) >= methods["select_extreme"] > 0
+
+
+def _per_selection(profile, selections):
+    """Calls per selection of every gdlog function called at least once per
+    selection: a source function as module.name, a generated one by its
+    <gdlog ...> file name without the table shape."""
+    calls = {}
+    for (file, _, func), (_, n, *_) in pstats.Stats(profile).stats.items():
+        if file.startswith("<gdlog "):
+            name = f"{file.split(' arity=')[0].rstrip('>')}> {func}"
+        elif Path(file).parent.name == "gdlog":
+            name = f"{Path(file).stem}.{func}"
+        else:
+            continue
+        calls[name] = calls.get(name, 0) + n
+    return {name: round(n / selections, 2) for name, n in calls.items() if n >= selections}
+
+
+def test_dijkstra_runs_a_pinned_set_of_functions_per_selection():
+    # the functions a selection runs, and how often: a new layer in the
+    # stratum loop, the theta table or the generated code shows up here
+    # (at n = 200 each function the run calls only while compiling runs
+    # fewer times than there are selections)
+    edb = sparse_connected_graph(200, 800, seed=1, directed=True)
+    eng = Engine(get_program("dijkstra"), edb=edb, ties="lex")
+    profile = cProfile.Profile()
+    profile.runcall(eng.run)
+    assert eng.counters.iterations == 199
+    assert _per_selection(profile, eng.counters.iterations) == {
+        "engine.evaluate": 1.01,  # once more when the stratum starts
+        "<gdlog plan r1 candidates delta 0> f0": 1.0,
+        "storage.admit": 1.01,
+        "<gdlog admit> admit": 1.01,
+        "storage.lookup": 1.01,
+        "storage.select_extreme": 1.0,
+        "<gdlog remove> remove_all": 1.33,  # selections and unique-key replacements
+        "storage._fill": 1.17,
+        "storage.choose": 1.0,
+        "storage.purge_conflicting": 1.0,
+        "<gdlog purge> purge_conflicting": 1.0,
+        "engine._commit": 1.0,
+        "storage.insert": 3.0,  # ChosenTable.insert, and Relation.insert into chosen_r1 and dj
+    }
 
 
 # Rule-body shapes checked against the reference operator: comments in the

@@ -22,6 +22,7 @@ from gdlog.storage import (
     StorageError,
     ThetaTable,
     _Heap,
+    _fd_groups,
     order_key,
     projector,
 )
@@ -296,13 +297,13 @@ def test_purge_removes_victims_fd_by_fd_in_declared_order(case):
     th = ThetaTable(info)
     th.admit(cands)
     removed = []
-    remove_all = th._remove_all
+    remove = th._remove
 
-    def record(ts):
+    def record(table, ts):
         removed.extend(ts)
-        remove_all(ts)
+        remove(table, ts)
 
-    th._remove_all = record
+    th._remove = record
     th.purge_conflicting(delta)
     live, want = list(dict.fromkeys(cands)), []
     for fd in info.fds:
@@ -835,16 +836,18 @@ COSTED = st.tuples(
 def _reference_admit(theta, ts):
     """ThetaTable.admit's loop as it was before it was generated per table
     shape: each candidate projected through projector calls, keyed through
-    order_key and stored by a branch on the table's kind.  The reference
-    for the generated loops."""
+    order_key and stored by a branch on the table's kind; a replaced
+    candidate leaves through _reference_remove_all.  The reference for the
+    generated loops."""
     if not ts:
         return
     counters = theta.counters
     entries = theta._entries
     cfds, crows = theta.chosen._fds, theta.chosen.rows
-    fd_index, ukey, ukey_index = theta._fd_index, theta._ukey, theta._ukey_index
+    fd_index, ukey_index = _fd_projections(theta), theta._ukey_index
+    ukey = None if theta.info.unique_key is None else projector(theta.info.unique_key)
     ordered, okey = theta._ordered, order_key(len(theta.info.w_vars))
-    cost_pos, most = theta.info.cost_pos, theta._most
+    cost_pos, most = theta.info.cost_pos, theta.info.kind is RuleKind.CHOICE_MOST
     slotted = theta._heap is not None and theta._heap.slotted
     staged, best = theta._staged, theta._staged_best
     rand_list = theta._rand_list if theta._random else None
@@ -882,7 +885,7 @@ def _reference_admit(theta, ts):
                     if not key < entries[cur]:
                         continue
                     theta._staged_best = best
-                    theta._remove_all((cur,))
+                    _reference_remove_all(theta, (cur,))
                     best = theta._staged_best
                 ukey_index[u] = t
             for left, index in fd_index:
@@ -901,6 +904,71 @@ def _reference_admit(theta, ts):
     finally:
         theta._staged_best = best
         counters.theta_inserts += added
+
+
+def _fd_projections(theta):
+    """(left-side projector, index) of each FD index of the table."""
+    return [(projector(left), index) for (left, _, _), index in zip(_fd_groups(theta.info.fds), theta._fd_index)]
+
+
+def _reference_remove_all(theta, ts):
+    """The table's removal as it was before it was generated per table
+    shape: projector calls for the FD sides and the unique key, and a branch
+    on the table's kind per candidate.  The reference for the generated
+    removals; it takes their place as theta._remove."""
+    counters = theta.counters
+    entries = theta._entries
+    fd_index, ukey_index = _fd_projections(theta), theta._ukey_index
+    ukey = None if theta.info.unique_key is None else projector(theta.info.unique_key)
+    staged, heap = theta._staged, theta._heap
+    ordered = theta._ordered
+    rand_list = theta._rand_list if theta._random else None
+    removed = 0
+    heaped = []  # the keys of the removed candidates the heap holds, in order
+    for t in ts:
+        entry = entries.pop(t)
+        removed += 1
+        for left, index in fd_index:
+            key = left(t)
+            bucket = index[key]
+            del bucket[t]
+            if not bucket:
+                del index[key]
+        if ukey is not None:
+            key = ukey(t)
+            if ukey_index.get(key) == t:
+                del ukey_index[key]
+        if ordered:
+            if staged.pop(t, None) is None:
+                if heap is not None:
+                    heaped.append(entry)
+            elif entry is theta._staged_best:
+                theta._staged_best = None
+        elif rand_list is not None:
+            # the last candidate moves into the freed slot
+            last = rand_list.pop()
+            if last != t:
+                rand_list[entry] = last
+                entries[last] = entry
+    if heaped:
+        heap.delete_all(heaped)
+    counters.theta_deletes += removed
+
+
+def _reference_purge(theta, delta):
+    """purge_conflicting's victim scan as it was before it was generated per
+    table shape: one pass per declared FD, in declared order, with projector
+    calls; victims leave through theta._remove."""
+    lefts = [left for left, _, _ in _fd_groups(theta.info.fds)]
+    removed = 0
+    for fd in theta.info.fds:
+        left, right, index = projector(fd.left), projector(fd.right), theta._fd_index[lefts.index(fd.left)]
+        r = right(delta)
+        victims = [t for t in index.get(left(delta), ()) if right(t) != r or t == delta]
+        if victims:
+            theta._remove(theta, victims)
+            removed += len(victims)
+    return removed
 
 
 class _SlottedHeap(_Heap):
@@ -923,7 +991,7 @@ def _state(theta):
     """Everything admission writes: the entries and their values, the
     staged candidates and their best, the heap, the indexes, the random
     list, the counters and the chosen side."""
-    fds = [[(k, list(b)) for k, b in index.items()] for _, index in theta._fd_index]
+    fds = [[(k, list(b)) for k, b in index.items()] for index in theta._fd_index]
     heap = None if theta._heap is None else theta._heap.items
     return (
         list(theta._entries.items()),
@@ -993,6 +1061,51 @@ def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq,
         assert audit_theta(gen) and audit_theta(ref)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ADMISSION_INFOS),
+    st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
+    st.sampled_from(["lex", "fifo", "random"]),
+    st.booleans(),  # the priority queue
+    st.booleans(),  # a slotted heap even without an FD index or a unique key
+    # a triple inserts one candidate, None selects, then chooses and purges
+    st.lists(st.one_of(TRIPLE, st.none()), max_size=24),
+)
+# a unique-key replacement of a staged best, then a purge of a settled one
+@example(ADMISSION_INFOS[3], False, "lex", True, False, [(0, 0, 2), (1, 0, 1), None, (2, 1, 1), (0, 1, 0), None])
+# a purge whose two FDs each find victims on the heap, which only their
+# declared order leaves in the reference layout
+@example(
+    ADMISSION_INFOS[3], True, "lex", True, False,
+    [(0, 0, 2), (2, 0, 0), (0, 1, 1), (2, 1, 1), (2, "a", 0), (1, 1, 2), None, None],
+)
+def test_generated_removal_equals_the_reference_removal(info, pure, ties, use_pq, slotted, ops):
+    # the generated removal and purge of each table shape against the
+    # generic ones, which the reference table calls in their place: the
+    # same state after every unique-key replacement (one insert at a time),
+    # every selection and every purge
+    if pure:
+        info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
+    gen, ref = _table(info, ties, use_pq, slotted), _table(info, ties, use_pq, slotted)
+    ref._remove, ref._purge = _reference_remove_all, _reference_purge
+    assert gen._remove is not _reference_remove_all and gen._purge is not _reference_purge
+    for op in ops:
+        if op is not None:
+            for theta in (gen, ref):
+                theta.insert(op)
+        else:
+            deltas = [theta.select_extreme() for theta in (gen, ref)]
+            assert deltas[0] == deltas[1]
+            assert _state(gen) == _state(ref)
+            if deltas[0] is None:
+                continue
+            purged = [theta.choose(deltas[0]) for theta in (gen, ref)]
+            assert purged[0] == purged[1]
+        assert _state(gen) == _state(ref)  # records carry their slots
+        assert audit_theta(gen) and audit_theta(ref)
+    assert gen.rng.getstate() == ref.rng.getstate()
+
+
 def _run_out(theta, late):
     """select_extreme until the table is empty, each selection with the
     table's size, counters and heap keys right after it; the candidates of
@@ -1022,7 +1135,7 @@ def _run_out(theta, late):
 def test_drain_equals_repeated_select_extreme(info, pure, ties, use_pq, ops, late):
     # draining a table by repeated select_extreme: a heap without slots pops
     # its least key; the same table with a slotted heap takes the generic
-    # path, through _remove_all and delete_all
+    # path, through its generated removal and _Heap._fill
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     sides = []

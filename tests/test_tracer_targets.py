@@ -4,13 +4,20 @@ perfbench/tracer.py names its targets as (owner, attribute, name) triples
 in SPAN_TARGETS and AGGREGATE_TARGETS, and Tracer.installed raises
 AttributeError for one that is missing, so a rename in src/ would otherwise
 show only in a traced benchmark run.  The module is read as source, not
-imported: nothing under perfbench/ is executed or written."""
+imported: nothing under perfbench/ is executed or written.  A wrapped method
+must also still run once per step it stands for, which the last test checks
+for the two per-selection targets."""
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
 import pytest
+
+from gdlog.corpus import get_program, sparse_connected_graph
+from gdlog.engine import run_with_counters
+from gdlog.storage import ThetaTable
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 TARGET_LISTS = ("SPAN_TARGETS", "AGGREGATE_TARGETS")
@@ -43,3 +50,25 @@ def test_the_tracer_names_targets():
 @pytest.mark.parametrize("owner, attr", _targets(), ids=lambda v: v)
 def test_tracer_target_exists(owner, attr):
     assert callable(getattr(_resolve(owner), attr, None)), f"{owner}.{attr}"
+
+
+def test_wrapped_selection_and_purge_run_once_per_selection(monkeypatch):
+    # wrapped on the class, as the tracer wraps its aggregate targets: every
+    # selection of a dijkstra run passes through both wrappers once
+    calls = {"select_extreme": 0, "purge_conflicting": 0}
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        assert ("storage.ThetaTable", name) in _targets()
+        monkeypatch.setattr(ThetaTable, name, counting(name, getattr(ThetaTable, name)))
+    edb = sparse_connected_graph(100, 400, seed=1, directed=True)
+    _, counters = run_with_counters(get_program("dijkstra"), edb=edb, ties="lex")
+    assert counters.iterations == 99
+    assert calls == {"select_extreme": 99, "purge_conflicting": 99}
