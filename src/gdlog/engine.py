@@ -17,10 +17,11 @@ The loop binds each choice rule's callables once, when its stratum starts:
 the candidate rule's evaluate, the table's admit, select_extreme and choose,
 and the table's entries, whose truth says whether it holds a candidate.  A
 selection is then a flat run of those calls, each into code generated for
-its plan or table shape, and the closure is re-run only when the stratum
-has rules that are not choice rules.  select_extreme and choose (which
-calls purge_conflicting) are still looked up on the ThetaTable class, so a
-wrapper installed there before the run sees every selection and purge.
+its plan or table shape, and the closure is re-run only when it has
+rules: rules that are not choice rules, or a choice rule's rewritten rule.
+select_extreme and choose (which calls purge_conflicting) are still looked
+up on the ThetaTable class, so a wrapper installed there before the run
+sees every selection and purge.
 
 With factorize, a stratum whose one choice rule is exactly
 h(X, Y) :- h(_, X), dom(Y) (sort, sequence), which chains a frontier value
@@ -566,8 +567,8 @@ class Engine:
             states.sort(key=lambda s: s.info.kind is RuleKind.PURE_CHOICE)
         # each rule's callables and its table's entries, bound once: a step
         # admits the rules' new candidates in that order until a table holds
-        # one, selects from it, chooses, commits and re-closes the rules
-        # that are not choice rules, if there are any
+        # one, selects from it, chooses, commits and re-runs the closure if
+        # it has rules
         steps = [
             (s.cand.evaluate, s.theta.admit, s.theta._entries, s.theta.select_extreme, s.theta.choose, s)
             for s in states
