@@ -287,9 +287,11 @@ class ChosenTable:
 
 
 class _Heap:
-    """Min-heap over order keys whose last element is the keyed tuple (two
-    keys of distinct tuples differ before it, so the tuple itself is never
-    compared).  A push counts one priority-queue operation plus one per
+    """Min-heap over the keys of a theta table's candidates: order-key
+    tuples whose last element is the keyed tuple (two keys of distinct
+    tuples differ before it, so the tuple itself is never compared),
+    records (below), or the signed costs of a unary cost table (see
+    _signed_cost).  A push counts one priority-queue operation plus one per
     level its key rises.
 
     pop and delete_all share one sift, _fill, which fills the slot of a
@@ -306,8 +308,8 @@ class _Heap:
     distinct tuples differ before the slot, so comparisons never reach it,
     and the sifts write rec[-2] = i wherever a record lands.  Only a theta
     table with an FD index or a unique key deletes a key that is not the
-    least, so only its heap is slotted; any other heap keeps the order keys
-    as tuples, writes nothing, and its delete accepts only the least key
+    least, so only its heap is slotted; any other heap keeps tuples or
+    signed costs, writes nothing, and its delete accepts only the least key
     (a slotted domain heap made the sort solve about 45% slower).  Both
     kinds of heap leave the same tuple order and counts."""
 
@@ -405,9 +407,9 @@ class _Shape(NamedTuple):
     """What a theta table's generated code depends on: the arity of its
     tuples, the declared FDs, the cost position and whether the most cost
     is best, the unique key, the selection policy ("lex" for every ordered
-    table) and its heap: None, "plain" (order keys as tuples) or "slotted"
-    (records).  The key under which _admission, _removal and _purge cache
-    the code of each shape."""
+    table) and its heap: None, "plain" (order-key tuples or signed costs)
+    or "slotted" (records).  The key under which _admission, _removal and
+    _purge cache the code of each shape."""
 
     arity: int
     fds: tuple[FD, ...]
@@ -425,6 +427,33 @@ class _Shape(NamedTuple):
         )
 
 
+def _signed_cost(shape: _Shape) -> bool:
+    """Whether the shape keys each candidate by its bare signed cost, -c
+    (choice_most) or c (choice_least), instead of an order-key tuple: a
+    unary table costed on its one column, whose heap (if any) is not
+    slotted, such as the factorized domain table.  Distinct 1-tuples have
+    distinct costs, so the signed cost orders them exactly as the tuple
+    key (-c, False, c, (c,)) does, and each heap comparison compares two
+    ints instead of two tuples."""
+    return shape.arity == 1 and shape.cost_pos == 0 and shape.heap != "slotted"
+
+
+def _least_cost_tuple(key: int) -> Tup:
+    return (key,)
+
+
+def _most_cost_tuple(key: int) -> Tup:
+    return (-key,)
+
+
+def _key_tuple(shape: _Shape) -> Callable[[object], Tup]:
+    """The tuple that a key of the shape stands for: the signed cost's
+    1-tuple, or the last element of an order-key tuple or a record."""
+    if _signed_cost(shape):
+        return _most_cost_tuple if shape.most else _least_cost_tuple
+    return itemgetter(-1)
+
+
 def _fd_locals(shape: _Shape) -> list[str]:
     """The line that binds f<g> to the FD index of each left side, in the
     order of the table's _fd_index; none for a table without FDs."""
@@ -435,19 +464,25 @@ def _fd_locals(shape: _Shape) -> list[str]:
 @cache
 def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
     """The loop of ThetaTable.admit for one table shape, generated once per
-    shape.  Each candidate's FD sides, unique key and order key (a record
-    for a slotted heap) are built inline from column indices, with no call
-    and no branch on the table's kind; a candidate that replaces a worse one
-    of its unique key removes it through the table's generated removal.  The
-    source holds only column indices; everything else is read from the table
-    or bound as a value of generate."""
+    shape.  Each candidate's FD sides, unique key and key (an order-key
+    tuple, a record for a slotted heap, or the signed cost of a unary cost
+    table) are built inline from column indices, with no call and no branch
+    on the table's kind; a candidate that replaces a worse one of its unique
+    key removes it through the table's generated removal.  The source holds
+    only column indices; everything else is read from the table or bound as
+    a value of generate."""
     arity, fds, cost_pos, most, unique_key, policy, heap = shape
     groups = [(left, right) for left, right, _ in _fd_groups(fds)]
     ordered = policy == "lex"
     cells = _order_columns(arity)
     if cost_pos is not None:
         cells = f"{'-c' if most else 'c'}, {cells}"
-    key = f"[{cells}-1, t]" if heap == "slotted" else f"({cells}t,)"
+    if _signed_cost(shape):
+        key = "-c" if most else "c"
+    elif heap == "slotted":
+        key = f"[{cells}-1, t]"
+    else:
+        key = f"({cells}t,)"
     src = [
         "def admit(self, ts):",
         "    counters = self.counters",
@@ -650,7 +685,10 @@ class ThetaTable:
     A table with an FD index or a unique key deletes candidates from the
     middle of its heap, so its heap is slotted: the entry is the mutable
     record the heap holds, and the record carries its heap slot, -1 while
-    staged.  Every other order key is a tuple.
+    staged.  Every other order key is a tuple ending in its candidate,
+    except a unary cost table's (_signed_cost): its key is the bare signed
+    cost, -c for choice_most and c for choice_least.  _key_tuple, the one
+    key-to-tuple rule, gives back the candidate of any key.
 
     The order key is order_key's for the table's arity: integers before
     symbols in each column, column by column, behind the extreme cost for a
@@ -707,6 +745,7 @@ class ThetaTable:
             None if self._heap is None else "slotted" if self._heap.slotted else "plain",
         )
         self._rand_list: list[Tup] = []
+        self._key_tuple = _key_tuple(shape)
         self._admit = _admission(shape)
         self._remove = _removal(shape)
         self._purge = _purge(shape)
@@ -754,7 +793,7 @@ class ThetaTable:
             if heap is not None and not heap.slotted and not staged:
                 # the least key of a table with no FD index and no unique
                 # key: what the removal does for it, with one pop
-                t = heap.pop()[-1]
+                t = self._key_tuple(heap.pop())
                 del entries[t]
                 self.counters.theta_deletes += 1
                 return t
@@ -768,7 +807,7 @@ class ThetaTable:
                 settled = min((key for t, key in entries.items() if t not in staged), default=None)
             if best is None or (settled is not None and settled < best):
                 best = settled
-            t = best[-1]
+            t = self._key_tuple(best)
         elif self._random:
             t = self._rand_list[self.rng.randrange(len(self._rand_list))]
         else:

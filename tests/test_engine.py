@@ -27,7 +27,7 @@ from gdlog.engine import (
     _rewritten_goals,
 )
 from gdlog import bench, engine, storage, tsvio
-from gdlog.lang import Atom, Program, Rule, Var, _Parser, format_goal, parse_program
+from gdlog.lang import MAX_INT, MIN_INT, Atom, Program, Rule, Var, _Parser, format_goal, parse_program
 from gdlog.analysis import choice_info, foe_transform
 from gdlog.oracle import chain_is_total_order, check_stable_model, ground, ref_dijkstra, run_lico_reference
 from gdlog.storage import StorageError
@@ -260,6 +260,23 @@ def test_factorized_sort_agrees_with_plain_engine(ties, pq):
     b = eng.run()
     assert eng.factorized_strata
     assert _model(a) == _model(b)
+
+
+@pytest.mark.parametrize("pq", ["auto", "off"])
+@pytest.mark.parametrize("kind", ["choice_least", "choice_most"])
+def test_factorized_sort_on_extreme_costs_agrees_with_plain_engine(kind, pq):
+    # the domain table keys each value by its signed cost: the integer
+    # extremes, zero, and a value beside its negation
+    prog = parse_program(PROGRAMS["sort"].replace("choice_most", kind))
+    values = [5, MAX_INT, 0, MIN_INT, -5]
+    edb = {"d": [(v,) for v in values]}
+    a = _greedy(prog, edb=edb, pq=pq)
+    eng = Engine(prog, edb=edb, ties="lex", pq=pq, factorize=True)
+    b = eng.run()
+    assert eng.factorized_strata
+    assert _model(a) == _model(b)
+    chain = sorted(values, reverse=kind == "choice_most")
+    assert b.as_sets()["succ"] == {("root", chain[0]), *zip(chain, chain[1:]), ("root", "root")}
 
 
 @pytest.mark.parametrize("pq", ["auto", "off"])

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import OrderedDict
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -35,8 +36,9 @@ def _info(src: str):
 
 
 def audit_heap(h: _Heap) -> bool:
-    """Structural check: every element's key is >= its parent's, and each
-    record of a slotted heap holds its own slot."""
+    """Structural check: every element's key (an order-key tuple, a record
+    or a signed cost) is >= its parent's, and each record of a slotted heap
+    holds its own slot."""
     for i in range(1, len(h.items)):
         if h.items[i] < h.items[(i - 1) // 2]:
             return False
@@ -45,7 +47,8 @@ def audit_heap(h: _Heap) -> bool:
 
 def audit_theta(th: ThetaTable) -> bool:
     """For an ordered table: the heap, if any, is well formed, and each of
-    its keys is the very entry of its tuple; the settled and the staged
+    its keys is the very entry of the tuple the table's key-to-tuple rule
+    gives (th._key_tuple); the settled and the staged
     candidates hold every entry exactly once under its order key, a staged
     record (slotted heap) with slot -1; and the staged best is None or the
     least staged key.  For a random table: each entry is its candidate's
@@ -59,11 +62,11 @@ def audit_theta(th: ThetaTable) -> bool:
         return isinstance(th._entries, OrderedDict)
     if th._heap is not None:
         heap = th._heap
-        if not audit_heap(heap) or not all(th._entries.get(key[-1]) is key for key in heap.items):
+        if not audit_heap(heap) or not all(th._entries.get(th._key_tuple(key)) is key for key in heap.items):
             return False
         if heap.slotted and not all(key[-2] == -1 for key in th._staged.values()):
             return False
-        settled = {key[-1]: key for key in heap.items}
+        settled = {th._key_tuple(key): key for key in heap.items}
     else:
         settled = {t: key for t, key in th._entries.items() if t not in th._staged}
     return (
@@ -800,13 +803,24 @@ def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypa
         tables.append(theta_table(self, info))
         return tables[-1]
 
+    # and its keys before each selection: bare ints, the signed costs
+    keys = []
+    select_extreme = ThetaTable.select_extreme
+
+    def select(self):
+        keys.append((list(self._heap.items), list(self._entries.values())))
+        return select_extreme(self)
+
     monkeypatch.setattr(Engine, "_theta_table", capture)
+    monkeypatch.setattr(ThetaTable, "select_extreme", select)
     eng = Engine(get_program("sort"), edb=domain_facts(8, seed=1), ties="lex", factorize=True)
     eng.run()
     assert eng.factorized_strata
     (theta,) = tables
     assert not theta.info.fds and theta.info.unique_key is None
     assert not theta._heap.slotted
+    assert len(keys) == 9 and keys[0][1] and keys[2][0]  # staged, then settled
+    assert all(type(k) is int for items, entries in keys for k in items + entries)
 
 
 # one rule per shape: FDs sharing a left side (the matching rule), empty
@@ -831,6 +845,27 @@ TRIPLE = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(
 COSTED = st.tuples(
     st.integers(0, 2), st.sampled_from([0, 1, "a"]), st.integers(0, 12).map(lambda c: "c" if c == 12 else c % 4)
 )
+# unary tables costed on their one column, least and most, with neither an
+# FD nor a unique key (the factorized domain table's shape): keyed by the
+# signed cost unless the heap is slotted
+UNARY_INFOS = [
+    dataclasses.replace(ADMISSION_INFOS[i], w_vars=ADMISSION_INFOS[i].w_vars[2:], fds=(), unique_key=None, cost_pos=0)
+    for i in (2, 5)
+]
+# a unary candidate: a cost that is negative, near +-2**63 or the negation
+# of another, and now and then not an integer
+UNARY = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, MIN_INT, MIN_INT + 1, MAX_INT - 1, MAX_INT, "c"]).map(
+    lambda c: (c,)
+)
+
+
+def _cases(ops):
+    """(info, ops) with an info of ADMISSION_INFOS and ops drawn by ops from
+    COSTED, or an info of UNARY_INFOS and ops drawn from UNARY."""
+    return st.one_of(
+        st.tuples(st.sampled_from(ADMISSION_INFOS), ops(COSTED)),
+        st.tuples(st.sampled_from(UNARY_INFOS), ops(UNARY)),
+    )
 
 
 def _reference_admit(theta, ts):
@@ -987,16 +1022,31 @@ def _table(info, ties="lex", use_pq=True, slotted=False):
         return ThetaTable(info, counters=Counters(), use_pq=use_pq, tie_policy=ties, rng=random.Random(3))
 
 
+def _order_key_of(theta, key):
+    """The order-key tuple or record that an ordered table's key stands for:
+    a signed cost becomes (key, *order_key(1)(t)), t being the candidate
+    that the table's key-to-tuple rule gives; any other key is itself."""
+    if isinstance(key, int):
+        return (key, *order_key(1)(theta._key_tuple(key)))
+    return key
+
+
 def _state(theta):
     """Everything admission writes: the entries and their values, the
     staged candidates and their best, the heap, the indexes, the random
-    list, the counters and the chosen side."""
+    list, the counters and the chosen side.  An ordered table's keys are
+    compared as the order keys they stand for, so that a table keyed by
+    signed costs equals one keyed by order-key tuples."""
     fds = [[(k, list(b)) for k, b in index.items()] for index in theta._fd_index]
-    heap = None if theta._heap is None else theta._heap.items
+
+    def key(k):
+        return _order_key_of(theta, k) if theta._ordered else k
+
+    heap = None if theta._heap is None else [key(k) for k in theta._heap.items]
     return (
-        list(theta._entries.items()),
-        list(theta._staged.items()),
-        theta._staged_best,
+        [(t, key(k)) for t, k in theta._entries.items()],
+        [(t, key(k)) for t, k in theta._staged.items()],
+        key(theta._staged_best),
         heap,
         fds,
         list(theta._ukey_index.items()),
@@ -1017,31 +1067,56 @@ def test_admission_cases_cover_the_table_shapes():
         (kind, keyless) for kind in (RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST) for keyless in (False, True)
     }
     assert {len({fd.left for fd in i.fds}) for i in ADMISSION_INFOS} == {0, 1, 2}
+    # unary tables costed on their one column, least and most, with neither
+    # an FD nor a unique key: keyed by the bare signed cost with the queue
+    # and without it, and by records once the heap is slotted
+    assert {i.kind for i in UNARY_INFOS} == {RuleKind.CHOICE_LEAST, RuleKind.CHOICE_MOST}
+    for info in UNARY_INFOS:
+        assert len(info.w_vars) == 1 and info.cost_pos == 0 and not info.fds and info.unique_key is None
+        for use_pq, slotted in ((True, False), (False, False), (True, True)):
+            theta = _table(info, use_pq=use_pq, slotted=slotted)
+            theta.admit([(5,), (-5,), (MIN_INT,)])
+            theta.select_extreme()  # the survivors settle
+            keys = [*theta._entries.values(), *([] if theta._heap is None else theta._heap.items)]
+            assert {type(k) for k in keys} == {list if slotted else int}
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(ADMISSION_INFOS),
+    # an info, and its ops: a list admits a candidate batch, None selects,
+    # chooses and purges
+    _cases(lambda candidate: st.lists(st.one_of(st.lists(candidate, max_size=8), st.none()), max_size=12)),
     st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
     st.sampled_from(["lex", "fifo", "random"]),
     st.booleans(),  # the priority queue
-    # a list admits a candidate batch, None selects, chooses and purges
-    st.lists(st.one_of(st.lists(COSTED, max_size=8), st.none()), max_size=12),
 )
 # a non-integer cost after an admitted candidate and a repeat, then a
 # chosen tuple offered again
 @example(
-    ADMISSION_INFOS[3], False, "lex", True,
-    [[(0, 0, 1), (1, 1, 0), (0, 0, 1), (2, 1, "c"), (2, 0, 3)], None, [(1, 1, 0), (2, 1, 2), (0, 1, 3)]],
+    (
+        ADMISSION_INFOS[3],
+        [[(0, 0, 1), (1, 1, 0), (0, 0, 1), (2, 1, "c"), (2, 0, 3)], None, [(1, 1, 0), (2, 1, 2), (0, 1, 3)]],
+    ),
+    False, "lex", True,
 )
 # staged survivors settle onto a slotted heap, the later key rising
-@example(ADMISSION_INFOS[0], False, "lex", True, [[(2, 1, 0), (1, 0, 0), (0, "a", 0)], None, [(2, 0, 1)]])
-def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq, ops):
+@example((ADMISSION_INFOS[0], [[(2, 1, 0), (1, 0, 0), (0, "a", 0)], None, [(2, 0, 1)]]), False, "lex", True)
+# signed costs on a plain heap: a cost and its negation, the extremes, a
+# non-integer cost mid-batch, then staged survivors settle
+@example(
+    (UNARY_INFOS[1], [[(5,), (-5,), (MAX_INT,), (MIN_INT,), ("c",), (0,)], None, None, [(MIN_INT + 1,)], None]),
+    False, "lex", True,
+)
+def test_batch_admission_equals_the_per_candidate_path(case, pure, ties, use_pq):
     # the generated admission of each table shape against the reference
-    # loop: the same state after every batch, the same error mid-batch
+    # loop: the same state after every batch, the same error mid-batch.
+    # The reference keys every candidate by an order-key tuple, so its
+    # table selects through the tuple rule
+    info, ops = case
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     gen, ref = _table(info, ties, use_pq), _table(info, ties, use_pq)
+    ref._key_tuple = itemgetter(-1)
     for op in ops:
         if op is not None:
             errors = []
@@ -1063,27 +1138,33 @@ def test_batch_admission_equals_the_per_candidate_path(info, pure, ties, use_pq,
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(ADMISSION_INFOS),
+    # an info, and its ops: a candidate inserts one candidate, None selects,
+    # then chooses and purges
+    _cases(lambda candidate: st.lists(st.one_of(candidate, st.none()), max_size=24)),
     st.booleans(),  # the plain choice fixpoint's pure view of a greedy rule
     st.sampled_from(["lex", "fifo", "random"]),
     st.booleans(),  # the priority queue
     st.booleans(),  # a slotted heap even without an FD index or a unique key
-    # a triple inserts one candidate, None selects, then chooses and purges
-    st.lists(st.one_of(TRIPLE, st.none()), max_size=24),
 )
 # a unique-key replacement of a staged best, then a purge of a settled one
-@example(ADMISSION_INFOS[3], False, "lex", True, False, [(0, 0, 2), (1, 0, 1), None, (2, 1, 1), (0, 1, 0), None])
+@example((ADMISSION_INFOS[3], [(0, 0, 2), (1, 0, 1), None, (2, 1, 1), (0, 1, 0), None]), False, "lex", True, False)
 # a purge whose two FDs each find victims on the heap, which only their
 # declared order leaves in the reference layout
 @example(
-    ADMISSION_INFOS[3], True, "lex", True, False,
-    [(0, 0, 2), (2, 0, 0), (0, 1, 1), (2, 1, 1), (2, "a", 0), (1, 1, 2), None, None],
+    (ADMISSION_INFOS[3], [(0, 0, 2), (2, 0, 0), (0, 1, 1), (2, 1, 1), (2, "a", 0), (1, 1, 2), None, None]),
+    True, "lex", True, False,
 )
-def test_generated_removal_equals_the_reference_removal(info, pure, ties, use_pq, slotted, ops):
+# signed costs, least first: the staged best selected, then the settled
+# ones deleted as the heap's least key, a late one among them
+@example(
+    (UNARY_INFOS[0], [(MAX_INT,), (-3,), (3,), (MIN_INT,), None, None, (-2,), None, None]), False, "lex", True, False
+)
+def test_generated_removal_equals_the_reference_removal(case, pure, ties, use_pq, slotted):
     # the generated removal and purge of each table shape against the
     # generic ones, which the reference table calls in their place: the
     # same state after every unique-key replacement (one insert at a time),
     # every selection and every purge
+    info, ops = case
     if pure:
         info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
     gen, ref = _table(info, ties, use_pq, slotted), _table(info, ties, use_pq, slotted)
@@ -1091,8 +1172,14 @@ def test_generated_removal_equals_the_reference_removal(info, pure, ties, use_pq
     assert gen._remove is not _reference_remove_all and gen._purge is not _reference_purge
     for op in ops:
         if op is not None:
+            errors = []
             for theta in (gen, ref):
-                theta.insert(op)
+                try:
+                    theta.insert(op)
+                    errors.append(None)
+                except StorageError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
         else:
             deltas = [theta.select_extreme() for theta in (gen, ref)]
             assert deltas[0] == deltas[1]

@@ -6,7 +6,7 @@ AttributeError for one that is missing, so a rename in src/ would otherwise
 show only in a traced benchmark run.  The module is read as source, not
 imported: nothing under perfbench/ is executed or written.  A wrapped method
 must also still run once per step it stands for, which the last test checks
-for the two per-selection targets."""
+for the two per-selection targets, in the generic and the factorized loop."""
 
 import ast
 import functools
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gdlog.corpus import get_program, sparse_connected_graph
+from gdlog.corpus import domain_facts, get_program, sparse_connected_graph
 from gdlog.engine import run_with_counters
 from gdlog.storage import ThetaTable
 
@@ -52,9 +52,23 @@ def test_tracer_target_exists(owner, attr):
     assert callable(getattr(_resolve(owner), attr, None)), f"{owner}.{attr}"
 
 
-def test_wrapped_selection_and_purge_run_once_per_selection(monkeypatch):
+# dijkstra selects and purges once per step; the factorized sort stratum
+# selects once per step and once more to find its domain table empty, and
+# never purges
+@pytest.mark.parametrize(
+    "program, edb, knobs, iterations, selections, purges",
+    [
+        ("dijkstra", sparse_connected_graph(100, 400, seed=1, directed=True), {}, 99, 99, 99),
+        ("sort", domain_facts(100, seed=1), {"factorize": True}, 100, 101, 0),
+    ],
+    ids=["dijkstra", "sort"],
+)
+def test_wrapped_selection_and_purge_run_once_per_selection(
+    monkeypatch, program, edb, knobs, iterations, selections, purges
+):
     # wrapped on the class, as the tracer wraps its aggregate targets: every
-    # selection of a dijkstra run passes through both wrappers once
+    # selection passes through the selection wrapper once, and every purge
+    # through the purge wrapper
     calls = {"select_extreme": 0, "purge_conflicting": 0}
 
     def counting(name, fn):
@@ -68,7 +82,6 @@ def test_wrapped_selection_and_purge_run_once_per_selection(monkeypatch):
     for name in calls:
         assert ("storage.ThetaTable", name) in _targets()
         monkeypatch.setattr(ThetaTable, name, counting(name, getattr(ThetaTable, name)))
-    edb = sparse_connected_graph(100, 400, seed=1, directed=True)
-    _, counters = run_with_counters(get_program("dijkstra"), edb=edb, ties="lex")
-    assert counters.iterations == 99
-    assert calls == {"select_extreme": 99, "purge_conflicting": 99}
+    _, counters = run_with_counters(get_program(program), edb=edb, ties="lex", **knobs)
+    assert counters.iterations == iterations
+    assert calls == {"select_extreme": selections, "purge_conflicting": purges}
