@@ -81,7 +81,7 @@ from .lang import (
     format_const,
     format_goal,
 )
-from .storage import Counters, Relation, ThetaTable, Tup, generate, projector, resolve_ties, tuple_source
+from .storage import Counters, Relation, ThetaTable, Tup, generate, key_source, projector, resolve_ties, tuple_source
 
 
 class EngineError(GdlogError):
@@ -246,7 +246,8 @@ def _plan_function(
                 checks += [f"{cols[p]} != {bind(g.args[p])}" for p in keyed]
             elif keyed:
                 r.ensure_index(keyed)
-                key = tuple_source([term(g.args[p]) for p in keyed])
+                # the bare constant for one column (the storage key rule)
+                key = key_source([term(g.args[p]) for p in keyed])
                 rows = f"{bind(r.lookup)}({keyed!r}, {key})"
             else:
                 rows = bind(r.rows)

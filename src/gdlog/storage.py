@@ -9,6 +9,13 @@ L whose right side is R1 + ... + Rk, in declared order.  By Armstrong's
 union rule the k FDs hold exactly when that one does, so a tuple agrees
 with another on L and differs on some Ri exactly when it differs on the
 concatenation: the index sees the declared conflicts and no others.
+
+Every hash index follows one key rule: a key on one column is the bare
+constant, and a key on zero or two or more columns is a tuple.  A 1-tuple
+would be allocated and hashed afresh on every insert, probe and removal,
+since tuples do not cache their hash; a str does, and an int's is trivial.
+key_of and key_source build keys by this rule, in Python and in generated
+code; projector and tuple_source always build tuples, for head tuples.
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ def tuple_source(items: list[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
+def key_source(items: list[str]) -> str:
+    """The source of the index key of the given item sources, by the key
+    rule: the bare item for one, a tuple of them otherwise."""
+    return items[0] if len(items) == 1 else tuple_source(items)
+
+
 def _order_columns(arity: int) -> str:
     """The source of t's order columns: per column, is it a symbol, then its value."""
     return "".join(f"t[{i}].__class__ is str, t[{i}], " for i in range(arity))
@@ -76,6 +89,12 @@ def projector(cols: tuple[int, ...]) -> Callable[[Tup], Tup]:
     if cols:
         return itemgetter(slice(cols[0], cols[0] + 1))
     return itemgetter(slice(0, 0))
+
+
+def key_of(cols: tuple[int, ...]) -> Callable[[Tup], object]:
+    """The function t -> the index key of t on cols, by the key rule: the
+    bare value t[cols[0]] for one column, projector(cols)(t) otherwise."""
+    return itemgetter(cols[0]) if len(cols) == 1 else projector(cols)
 
 
 def _fd_groups(fds: tuple[FD, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[FD, ...]]]:
@@ -151,7 +170,9 @@ class Relation:
     """Set of same-arity tuples with insertion order and hash indexes.
 
     Insertion order is what makes differential evaluation cheap: a delta is
-    just a suffix of the row list, addressed by position.
+    just a suffix of the row list, addressed by position.  An index on one
+    column is keyed by the bare constant, an index on more columns by
+    tuples (the key rule), and lookup takes its key in the same form.
     """
 
     __slots__ = ("name", "arity", "rows", "_pos", "_indexes", "_keyed")
@@ -161,8 +182,8 @@ class Relation:
         self.arity = arity
         self.rows: list[Tup] = []
         self._pos: set[Tup] = set()
-        self._indexes: dict[tuple[int, ...], dict[Tup, list[Tup]]] = {}
-        self._keyed: list[tuple[Callable[[Tup], Tup], dict[Tup, list[Tup]]]] = []
+        self._indexes: dict[tuple[int, ...], dict[object, list[Tup]]] = {}
+        self._keyed: list[tuple[Callable[[Tup], object], dict[object, list[Tup]]]] = []
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -211,15 +232,16 @@ class Relation:
     def ensure_index(self, cols: tuple[int, ...]) -> None:
         if cols in self._indexes or not cols:
             return
-        key = projector(cols)
-        index: dict[Tup, list[Tup]] = {}
+        key = key_of(cols)
+        index: dict[object, list[Tup]] = {}
         for t in self.rows:
             index.setdefault(key(t), []).append(t)
         self._indexes[cols] = index
         self._keyed.append((key, index))
 
-    def lookup(self, cols: tuple[int, ...], key: Tup) -> list[Tup]:
-        """Exactly the tuples matching key on the given columns."""
+    def lookup(self, cols: tuple[int, ...], key) -> list[Tup]:
+        """Exactly the tuples matching key on the given columns: the bare
+        constant for one column, a tuple of constants for more."""
         return self._indexes[cols].get(key, _EMPTY)
 
 
@@ -233,18 +255,20 @@ _EMPTY: list = []
 class ChosenTable:
     """The chosen side of one choice rule's theta table: the tuples chosen so
     far, and one hash index per FD left side from each chosen left side to
-    its right side, which the FDs make unique.  The FDs hold at all times; a
-    violating insert raises.  ThetaTable.admit reads the indexes inline; the
-    engine stores each chosen tuple in the chosen_r relation as well."""
+    its right side, which the FDs make unique.  Both sides follow the key
+    rule: a side on one column is the bare constant, any other a tuple.  The
+    FDs hold at all times; a violating insert raises.  ThetaTable.admit
+    reads the indexes inline; the engine stores each chosen tuple in the
+    chosen_r relation as well."""
 
     def __init__(self, info: ChoiceInfo):
         self.info = info
         self.rows: set[Tup] = set()
         groups = _fd_groups(info.fds)
-        # per left side: its left and right projections, the index, and the
+        # per left side: its left and right keys, the index, and the
         # declared FDs of that left side
-        self._fds: list[tuple[Callable, Callable, dict[Tup, Tup], tuple[FD, ...]]] = [
-            (projector(left), projector(right), {}, declared) for left, right, declared in groups
+        self._fds: list[tuple[Callable, Callable, dict, tuple[FD, ...]]] = [
+            (key_of(left), key_of(right), {}, declared) for left, right, declared in groups
         ]
 
     def conflicts(self, t: Tup) -> bool:
@@ -269,7 +293,10 @@ class ChosenTable:
             if r is None:
                 fresh.append((index, lt, right(t)))
             elif r != right(t):
-                # name the first declared FD of this left side that t violates
+                # name the first declared FD of this left side that t
+                # violates; a bare right side is printed as its 1-tuple
+                if sum(len(fd.right) for fd in declared) == 1:
+                    r = (r,)
                 for fd in declared:
                     part, r = r[: len(fd.right)], r[len(fd.right) :]
                     if part != projector(fd.right)(t):
@@ -464,13 +491,13 @@ def _fd_locals(shape: _Shape) -> list[str]:
 @cache
 def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
     """The loop of ThetaTable.admit for one table shape, generated once per
-    shape.  Each candidate's FD sides, unique key and key (an order-key
-    tuple, a record for a slotted heap, or the signed cost of a unary cost
-    table) are built inline from column indices, with no call and no branch
-    on the table's kind; a candidate that replaces a worse one of its unique
-    key removes it through the table's generated removal.  The source holds
-    only column indices; everything else is read from the table or bound as
-    a value of generate."""
+    shape.  Each candidate's FD sides and unique key (by the key rule) and
+    its key (an order-key tuple, a record for a slotted heap, or the signed
+    cost of a unary cost table) are built inline from column indices, with
+    no call and no branch on the table's kind; a candidate that replaces a
+    worse one of its unique key removes it through the table's generated
+    removal.  The source holds only column indices; everything else is read
+    from the table or bound as a value of generate."""
     arity, fds, cost_pos, most, unique_key, policy, heap = shape
     groups = [(left, right) for left, right, _ in _fd_groups(fds)]
     ordered = policy == "lex"
@@ -510,9 +537,9 @@ def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]
     ]
     for g, (left, right) in enumerate(groups):
         src += [
-            f"            l{g} = {tuple_source([f't[{i}]' for i in left])}",
+            f"            l{g} = {key_source([f't[{i}]' for i in left])}",
             f"            r = c{g}.get(l{g})",
-            f"            if r is not None and r != {tuple_source([f't[{i}]' for i in right])}:",
+            f"            if r is not None and r != {key_source([f't[{i}]' for i in right])}:",
             "                continue",
         ]
     src.append("            added += 1")
@@ -526,7 +553,7 @@ def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]
         src.append(f"            key = {key}")
     if unique_key is not None:
         src += [
-            f"            u = {tuple_source([f't[{i}]' for i in unique_key])}",
+            f"            u = {key_source([f't[{i}]' for i in unique_key])}",
             "            cur = ukey_index.get(u)",
             "            if cur is not None:",
             "                if not key < entries[cur]:",
@@ -593,7 +620,7 @@ def _removal(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
     src += ["    for t in ts:", "        entry = entries.pop(t)"]
     for g, (left, _, _) in enumerate(_fd_groups(shape.fds)):
         src += [
-            f"        l = {tuple_source([f't[{i}]' for i in left])}",
+            f"        l = {key_source([f't[{i}]' for i in left])}",
             f"        bucket = f{g}[l]",
             "        del bucket[t]",
             "        if not bucket:",
@@ -601,7 +628,7 @@ def _removal(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
         ]
     if shape.unique_key is not None:
         src += [
-            f"        u = {tuple_source([f't[{i}]' for i in shape.unique_key])}",
+            f"        u = {key_source([f't[{i}]' for i in shape.unique_key])}",
             "        if ukey_index.get(u) == t:",
             "            del ukey_index[u]",
         ]
@@ -644,7 +671,7 @@ def _purge(shape: _Shape) -> Callable[["ThetaTable", Tup], int]:
     for fd in shape.fds:
         differs = [f"t[{i}] != delta[{i}]" for i in fd.right]
         src += [
-            f"    bucket = f{lefts.index(fd.left)}.get({tuple_source([f'delta[{i}]' for i in fd.left])})",
+            f"    bucket = f{lefts.index(fd.left)}.get({key_source([f'delta[{i}]' for i in fd.left])})",
             "    if bucket:",
             f"        victims = [t for t in bucket if {' or '.join(differs + ['t == delta'])}]",
             "        if victims:",
@@ -658,9 +685,10 @@ def _purge(shape: _Shape) -> Callable[["ThetaTable", Tup], int]:
 class ThetaTable:
     """Future candidates for one choice rule.
 
-    Hash-keyed on every FD left side, and holding the rule's chosen side
-    (ChosenTable), against which admit checks candidates and into which
-    choose records each selected one.  The info alone shapes the table: a
+    Hash-keyed on every FD left side and on the unique key, each by the key
+    rule (a bare constant for one column, a tuple otherwise), and holding
+    the rule's chosen side (ChosenTable), against which admit checks
+    candidates and into which choose records each selected one.  The info alone shapes the table: a
     cost position makes it greedy (choice_least or choice_most by its kind),
     and with a unique key only the best-cost tuple per key value is
     retained; the plain choice fixpoint passes a pure view of the info.
@@ -723,10 +751,10 @@ class ThetaTable:
         # side -> bucket of the candidates with that left side; buckets are
         # insertion-ordered dicts, not sets, so purge order (and with it heap
         # and random-tie upkeep) does not depend on str hashing
-        self._fd_index: list[dict[Tup, dict[Tup, None]]] = [{} for _ in _fd_groups(info.fds)]
+        self._fd_index: list[dict[object, dict[Tup, None]]] = [{} for _ in _fd_groups(info.fds)]
         # the chosen side's index of each left side, in the same order
         self._chosen_index = [index for _, _, index, _ in self.chosen._fds]
-        self._ukey_index: dict[Tup, Tup] = {}
+        self._ukey_index: dict[object, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
         # settled, and their least key (None when staged is empty, or unknown
         # since that key's tuple was removed); settled candidates live in the

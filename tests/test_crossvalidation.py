@@ -197,3 +197,6 @@ def test_generated_programs_give_stable_reference_models(case):
             if ties == "lex":
                 ref_mode = "least" if greedy and mode == "auto" else "lazy"
                 assert interp.as_sets() == run_lico_reference(prog, ref_mode, edb=edb), mode
+                # linear scans select what the priority queue does
+                scanned, _ = run_with_counters(prog, mode=mode, ties=ties, pq="off", edb=edb)
+                assert scanned.as_sets() == interp.as_sets(), (mode, "pq off")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdlog.analysis import RuleKind, choice_info
-from gdlog.corpus import domain_facts, get_program
+from gdlog.corpus import advisor_facts, bipartite_graph, domain_facts, get_program, sparse_connected_graph
 from gdlog.engine import Engine
 from gdlog.lang import MAX_INT, MIN_INT, format_const, parse_program
 from gdlog.oracle import _fd_conflict, tuple_key
@@ -24,6 +24,7 @@ from gdlog.storage import (
     ThetaTable,
     _Heap,
     _fd_groups,
+    key_of,
     order_key,
     projector,
 )
@@ -116,8 +117,12 @@ def test_relation_index_lookup():
     r.insert(("a", "b"))
     r.insert(("a", "c"))
     r.insert(("d", "b"))
-    assert sorted(r.lookup((0,), ("a",)), key=tuple_key) == [("a", "b"), ("a", "c")]
-    assert r.lookup((0,), ("zzz",)) == []
+    # one column: the key is the bare constant; more columns: a tuple
+    assert sorted(r.lookup((0,), "a"), key=tuple_key) == [("a", "b"), ("a", "c")]
+    assert r.lookup((0,), "zzz") == []
+    r.ensure_index((1, 0))
+    assert r.lookup((1, 0), ("b", "d")) == [("d", "b")]
+    assert r.lookup((1, 0), ("c", "d")) == []
 
 
 @pytest.mark.parametrize("cols", [(), (1,), (2, 0), (0, 1, 2)])
@@ -360,12 +365,105 @@ def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
     assert c.rows == {("a", "b", 1)}
 
 
+def test_fd_violation_prints_a_one_column_right_side_as_a_tuple():
+    # the index holds the bare chosen constant; the message shows the
+    # tuple it stands for, as it always has
+    c = ChosenTable(PAIR)
+    c.insert(("a", "b"))
+    c.insert((1, 2))
+    for t, message in [
+        (("a", "c"), "chosen_r1: FD (0,)->(1,) violated by ('a', 'c'), whose left side is chosen with right side ('b',)"),
+        (("z", "b"), "chosen_r1: FD (1,)->(0,) violated by ('z', 'b'), whose left side is chosen with right side ('a',)"),
+        ((1, 3), "chosen_r1: FD (0,)->(1,) violated by (1, 3), whose left side is chosen with right side (2,)"),
+    ]:
+        with pytest.raises(FDViolation) as exc:
+            c.insert(t)
+        assert str(exc.value) == message
+    assert c.rows == {("a", "b"), (1, 2)}
+
+
 def test_tables_keep_one_fd_index_per_left_side():
     # the matching rule declares Y -> X, X -> Y and X -> C: two left sides
     info = choice_info(get_program("matching").rules[0])
     assert [fd.left for fd in info.fds] == [(1,), (0,), (0,)]
     th = ThetaTable(info)
     assert len(th._fd_index) == len(th.chosen._fds) == 2
+
+
+# The key rule ----------------------------------------------------------------
+
+# a two-column FD left side that also probes a two-column relation index
+# (r), and a unique key on two columns (s)
+WIDE_KEYS = parse_program(
+    "r(X, Y, C) :- q(X, Y, C), w(X, Y), choice((X, Y), (C)).\n"
+    "s(X, Y, C) :- q(X, Y, C), choice((X), (Y)), choice((Y), (X)), choice_least((Y), (C)).\n"
+)
+WIDE_FACTS = {
+    "q": [(x, y, c) for x in ("a", "b", 1) for y in ("a", 2, 3) for c in (0, 1)],
+    "w": [("a", "a"), ("a", 2), ("b", 3), (1, 2)],
+}
+
+
+def _key_widths(index: dict, width: int) -> bool:
+    """Whether every key of the index follows the key rule for a key on
+    width columns: a bare constant for one, a tuple of width otherwise."""
+    if width == 1:
+        return all(type(k) in (int, str) for k in index)
+    return all(type(k) is tuple and len(k) == width for k in index)
+
+
+def test_every_index_keys_one_column_by_the_bare_constant(monkeypatch):
+    # relation indexes, theta and chosen FD indexes (both sides) and the
+    # unique-key index, audited before every selection of every run
+    audited = []  # (what, width) of every non-empty index audited
+
+    def audit(what, index, width):
+        assert _key_widths(index, width), (what, width, list(index)[:3])
+        if index:
+            audited.append((what, width))
+
+    def audit_table(th):
+        for (left, right, _), index, (_, _, chosen, _) in zip(_fd_groups(th.info.fds), th._fd_index, th.chosen._fds):
+            audit("theta fd", index, len(left))
+            audit("chosen fd", chosen, len(left))
+            audit("chosen right side", {r: None for r in chosen.values()}, len(right))
+        if th.info.unique_key is not None:
+            audit("unique key", th._ukey_index, len(th.info.unique_key))
+
+    tables = []
+    theta_table = Engine._theta_table
+
+    def capture(self, info):
+        tables.append(theta_table(self, info))
+        return tables[-1]
+
+    select_extreme = ThetaTable.select_extreme
+
+    def select(self):
+        audit_table(self)
+        return select_extreme(self)
+
+    monkeypatch.setattr(Engine, "_theta_table", capture)
+    monkeypatch.setattr(ThetaTable, "select_extreme", select)
+    runs = [
+        (get_program("dijkstra"), sparse_connected_graph(12, 48, seed=1, directed=True)),
+        (get_program("matching"), bipartite_graph(5, 5, seed=1)),
+        (get_program("advisor"), advisor_facts(8, 4, seed=1)),
+        (WIDE_KEYS, WIDE_FACTS),
+    ]
+    for program, edb in runs:
+        eng = Engine(program, edb=edb, ties="lex")
+        eng.run()
+        for r in eng.interp.relations.values():
+            for cols, index in r._indexes.items():
+                audit("relation", index, len(cols))
+    for th in tables:
+        audit_table(th)
+    assert set(audited) == {
+        (what, width)
+        for what in ("relation", "theta fd", "chosen fd", "chosen right side", "unique key")
+        for width in (1, 2)
+    }
 
 
 # ThetaTable ------------------------------------------------------------------
@@ -870,7 +968,7 @@ def _cases(ops):
 
 def _reference_admit(theta, ts):
     """ThetaTable.admit's loop as it was before it was generated per table
-    shape: each candidate projected through projector calls, keyed through
+    shape: each candidate projected through key_of calls, keyed through
     order_key and stored by a branch on the table's kind; a replaced
     candidate leaves through _reference_remove_all.  The reference for the
     generated loops."""
@@ -880,7 +978,7 @@ def _reference_admit(theta, ts):
     entries = theta._entries
     cfds, crows = theta.chosen._fds, theta.chosen.rows
     fd_index, ukey_index = _fd_projections(theta), theta._ukey_index
-    ukey = None if theta.info.unique_key is None else projector(theta.info.unique_key)
+    ukey = None if theta.info.unique_key is None else key_of(theta.info.unique_key)
     ordered, okey = theta._ordered, order_key(len(theta.info.w_vars))
     cost_pos, most = theta.info.cost_pos, theta.info.kind is RuleKind.CHOICE_MOST
     slotted = theta._heap is not None and theta._heap.slotted
@@ -942,19 +1040,19 @@ def _reference_admit(theta, ts):
 
 
 def _fd_projections(theta):
-    """(left-side projector, index) of each FD index of the table."""
-    return [(projector(left), index) for (left, _, _), index in zip(_fd_groups(theta.info.fds), theta._fd_index)]
+    """(left-side key, index) of each FD index of the table."""
+    return [(key_of(left), index) for (left, _, _), index in zip(_fd_groups(theta.info.fds), theta._fd_index)]
 
 
 def _reference_remove_all(theta, ts):
     """The table's removal as it was before it was generated per table
-    shape: projector calls for the FD sides and the unique key, and a branch
+    shape: key_of calls for the FD sides and the unique key, and a branch
     on the table's kind per candidate.  The reference for the generated
     removals; it takes their place as theta._remove."""
     counters = theta.counters
     entries = theta._entries
     fd_index, ukey_index = _fd_projections(theta), theta._ukey_index
-    ukey = None if theta.info.unique_key is None else projector(theta.info.unique_key)
+    ukey = None if theta.info.unique_key is None else key_of(theta.info.unique_key)
     staged, heap = theta._staged, theta._heap
     ordered = theta._ordered
     rand_list = theta._rand_list if theta._random else None
@@ -992,12 +1090,12 @@ def _reference_remove_all(theta, ts):
 
 def _reference_purge(theta, delta):
     """purge_conflicting's victim scan as it was before it was generated per
-    table shape: one pass per declared FD, in declared order, with projector
-    calls; victims leave through theta._remove."""
+    table shape: one pass per declared FD, in declared order, with key_of
+    and projector calls; victims leave through theta._remove."""
     lefts = [left for left, _, _ in _fd_groups(theta.info.fds)]
     removed = 0
     for fd in theta.info.fds:
-        left, right, index = projector(fd.left), projector(fd.right), theta._fd_index[lefts.index(fd.left)]
+        left, right, index = key_of(fd.left), projector(fd.right), theta._fd_index[lefts.index(fd.left)]
         r = right(delta)
         victims = [t for t in index.get(left(delta), ()) if right(t) != r or t == delta]
         if victims:
