@@ -688,10 +688,11 @@ class ThetaTable:
     Hash-keyed on every FD left side and on the unique key, each by the key
     rule (a bare constant for one column, a tuple otherwise), and holding
     the rule's chosen side (ChosenTable), against which admit checks
-    candidates and into which choose records each selected one.  The info alone shapes the table: a
-    cost position makes it greedy (choice_least or choice_most by its kind),
-    and with a unique key only the best-cost tuple per key value is
-    retained; the plain choice fixpoint passes a pure view of the info.
+    candidates and into which choose records each selected one.  The info
+    alone shapes the table: a cost position makes it greedy (choice_least
+    or choice_most by its kind), and with a unique key only the best-cost
+    tuple per key value is retained; the plain choice fixpoint passes a
+    pure view of the info.
     Every pass over candidates runs code generated once per table shape
     (_Shape): the admission loop (_admission), the removal (_removal) that
     a selection, a purge and a unique-key replacement all take, and the

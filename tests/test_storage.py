@@ -372,13 +372,13 @@ def test_fd_violation_prints_a_one_column_right_side_as_a_tuple():
     c.insert(("a", "b"))
     c.insert((1, 2))
     for t, message in [
-        (("a", "c"), "chosen_r1: FD (0,)->(1,) violated by ('a', 'c'), whose left side is chosen with right side ('b',)"),
-        (("z", "b"), "chosen_r1: FD (1,)->(0,) violated by ('z', 'b'), whose left side is chosen with right side ('a',)"),
-        ((1, 3), "chosen_r1: FD (0,)->(1,) violated by (1, 3), whose left side is chosen with right side (2,)"),
+        (("a", "c"), "FD (0,)->(1,) violated by ('a', 'c'), whose left side is chosen with right side ('b',)"),
+        (("z", "b"), "FD (1,)->(0,) violated by ('z', 'b'), whose left side is chosen with right side ('a',)"),
+        ((1, 3), "FD (0,)->(1,) violated by (1, 3), whose left side is chosen with right side (2,)"),
     ]:
         with pytest.raises(FDViolation) as exc:
             c.insert(t)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"chosen_r1: {message}"
     assert c.rows == {("a", "b"), (1, 2)}
 
 
@@ -404,7 +404,7 @@ WIDE_FACTS = {
 }
 
 
-def _key_widths(index: dict, width: int) -> bool:
+def _follows_key_rule(index: dict, width: int) -> bool:
     """Whether every key of the index follows the key rule for a key on
     width columns: a bare constant for one, a tuple of width otherwise."""
     if width == 1:
@@ -418,7 +418,7 @@ def test_every_index_keys_one_column_by_the_bare_constant(monkeypatch):
     audited = []  # (what, width) of every non-empty index audited
 
     def audit(what, index, width):
-        assert _key_widths(index, width), (what, width, list(index)[:3])
+        assert _follows_key_rule(index, width), (what, width, list(index)[:3])
         if index:
             audited.append((what, width))
 
