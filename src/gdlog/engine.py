@@ -4,13 +4,13 @@ The engine computes stable models of choice programs bottom-up: strata are
 evaluated in dependency order; within a stratum the non-choice rules are
 closed by semi-naive iteration, and choice rules run the candidate/selection
 loop: derive new candidate tuples differentially, buffer them in per-rule
-theta tables, select one tuple per iteration, record it on the table's
-chosen side and purge the candidates it conflicts with (ThetaTable.choose),
-commit it (Engine._commit), and re-close the non-choice rules.  Both modes
-run this one loop and insert every fresh candidate; when a candidate enters
-the priority queue is the theta table's decision alone.  A commit writes
-the chosen tuple to chosen_r and, when W binds every head variable, its
-head tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
+theta tables, select one tuple per iteration, record it in chosen_r (the
+table's chosen side) and purge the candidates it conflicts with
+(ThetaTable.choose), commit it (Engine._commit), and re-close the
+non-choice rules.  Both modes run this one loop and insert every fresh
+candidate; when a candidate enters the priority queue is the theta table's
+decision alone.  When W binds every head variable, a commit writes the head
+tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
 compiled only for a rule with a head variable outside W.
 
 The loop binds each choice rule's callables once, when its stratum starts:
@@ -28,10 +28,10 @@ h(X, Y) :- h(_, X), dom(Y) (sort, sequence), which chains a frontier value
 X to a fresh database domain value Y, keeps only the domain column of
 theta: a ThetaTable over the domain values, filled once and emptied by
 select_extreme, called once per step as in the generic loop.  Each step
-takes the next Y from it, commits (X, Y) and moves the frontier to Y.  No
-FD is checked: the pattern's one start value is not a domain value and the
-domain rows are distinct, so the chain repeats no X and no Y, and both FDs
-X -> Y and Y -> X hold.
+takes the next Y from it, writes (X, Y) to chosen_r, commits it and moves
+the frontier to Y.  No FD is checked: the pattern's one start value is not
+a domain value and the domain rows are distinct, so the chain repeats no X
+and no Y, and both FDs X -> Y and Y -> X hold.
 
 Each rule compiles to one full plan and one delta plan per body atom that
 can grow while its stratum runs: its relation is a head of the stratum or
@@ -100,13 +100,11 @@ class Interpretation:
     def __init__(self):
         self.relations: dict[str, Relation] = {}
 
-    def rel(self, pred: str, arity: int | None = None) -> Relation:
+    def rel(self, pred: str, arity: int) -> Relation:
+        """The relation of pred, made empty with that arity on first use."""
         r = self.relations.get(pred)
         if r is None:
-            if arity is None:
-                raise EngineError(f"unknown predicate {pred}")
-            r = Relation(pred, arity)
-            self.relations[pred] = r
+            r = self.relations[pred] = Relation(pred, arity)
         return r
 
     def as_sets(self) -> dict[str, frozenset]:
@@ -426,7 +424,6 @@ class _ChoiceState:
     # whose domain table is filled once
     cand: Optional[_DifferentialRule]
     theta: ThetaTable
-    chosen_r: Relation
     head_rel: Relation
     # the head tuple of a chosen tuple, or None when the closure derives
     # the head through the rewritten rule
@@ -555,8 +552,8 @@ class Engine:
             name = f"{r.rule_id} candidates"
             cand = _DifferentialRule(r.rule_id, name, info.w_vars, r.body, self._rel, self.counters, grows)
             head = None if goals is not None else _head_projection(r.head, info.w_vars)
-            theta = self._theta_table(info)
-            states.append(_ChoiceState(r, info, cand, theta, self._rel(info.chosen_pred), head_rel, head))
+            theta = self._theta_table(info, self._rel(info.chosen_pred))
+            states.append(_ChoiceState(r, info, cand, theta, head_rel, head))
 
         closure = _Closure(rules, self.counters)
         closure.run()
@@ -587,25 +584,18 @@ class Engine:
             if reclose is not None:
                 reclose()
 
-    def _theta_table(self, info: ChoiceInfo) -> ThetaTable:
+    def _theta_table(self, info: ChoiceInfo, chosen: Relation) -> ThetaTable:
         if not self.greedy:
             # the plain choice fixpoint reads least/most goals as ordinary
             # choice goals: no cost order and no unique-key retention
             info = dataclasses.replace(info, kind=RuleKind.PURE_CHOICE, cost_pos=None, unique_key=None)
-        return ThetaTable(
-            info,
-            counters=self.counters,
-            use_pq=self.pq != "off",
-            tie_policy=self.tie_policy,
-            rng=self.rng,
-        )
+        return ThetaTable(info, chosen, self.counters, self.pq != "off", self.tie_policy, self.rng)
 
     def _commit(self, st: _ChoiceState, delta: Tup, purged: int) -> None:
-        """Store a selection, in both loops: delta goes to chosen_r, the
+        """Store a selection, in both loops, once delta is in chosen_r: the
         trace row is written (its model size counts delta, not yet the head
         tuple), and then the head tuple goes to the head if this step writes
         it."""
-        st.chosen_r.insert(delta)
         c = self.counters
         c.iterations += 1
         if self.trace is not None:
@@ -654,10 +644,12 @@ class Engine:
     def _run_stratum_factorized(self, rule: Rule, info: ChoiceInfo, dom_pred: str, start: Const) -> None:
         """Keep only the domain column of theta: a table over the domain
         values, filled once and emptied, from which each step takes the next
-        y and commits (x, y), y becoming the next x.  The domain table has
-        no FD, so no FD is checked: _factorize_pattern admits only FDs
-        {X -> Y, Y -> X}, one start tuple whose frontier value is not a
-        domain value, and a database domain, whose rows are distinct.  So
+        y, writes (x, y) to chosen_r and commits it, y becoming the next x.
+        The domain table chooses nothing (its chosen side is an empty
+        relation of its own) and has no FD, so no FD is checked:
+        _factorize_pattern admits only FDs {X -> Y, Y -> X}, one start tuple
+        whose frontier value is not a domain value, and a database domain,
+        whose rows are distinct.  So
         the x values (the start, then each y but the last) are pairwise
         distinct, and so are the y values: both FDs hold."""
         self.factorized_strata.append(rule.rule_id)
@@ -668,15 +660,16 @@ class Engine:
             unique_key=None,
             cost_pos=None if info.cost_pos is None else 0,
         )
-        theta = self._theta_table(dom_info)
+        theta = self._theta_table(dom_info, Relation(info.chosen_pred, 1))
         theta.admit(self.interp.rel(dom_pred, 1).rows)
         chosen_r, head_rel = self._rel(info.chosen_pred), self._rel(rule.head.pred)
-        st = _ChoiceState(rule, info, None, theta, chosen_r, head_rel, _head_projection(rule.head, info.w_vars))
+        st = _ChoiceState(rule, info, None, theta, head_rel, _head_projection(rule.head, info.w_vars))
         x, select = start, theta.select_extreme
         while (t := select()) is not None:
-            (y,) = t
-            self._commit(st, (x, y), 0)
-            x = y
+            delta = (x, t[0])
+            chosen_r.insert(delta)
+            self._commit(st, delta, 0)
+            x = t[0]
 
 
 # ---------------------------------------------------------------------------

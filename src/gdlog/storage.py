@@ -1,11 +1,11 @@
 """In-memory tuple storage: relations with hash indexes, and the theta
 candidate tables (hash-keyed, optionally heap-ordered by cost), each with
-its rule's chosen tuples.  Everything lives in main memory; tables are
-single-writer and owned by one fixpoint run at a time.
+its rule's chosen side, a view of the rule's chosen_r relation.  All lives
+in main memory; tables are single-writer and owned by one fixpoint run.
 
-Chosen and theta tables keep one FD index per distinct left side, not one
-per declared FD: the FDs L -> R1, ..., L -> Rk of a rule share an index on
-L whose right side is R1 + ... + Rk, in declared order.  By Armstrong's
+Chosen sides and theta tables keep one FD index per distinct left side, not
+one per declared FD: the FDs L -> R1, ..., L -> Rk of a rule share an index
+on L whose right side is R1 + ... + Rk, in declared order.  By Armstrong's
 union rule the k FDs hold exactly when that one does, so a tuple agrees
 with another on L and differs on some Ri exactly when it differs on the
 concatenation: the index sees the declared conflicts and no others.
@@ -229,15 +229,17 @@ class Relation:
             for t in fresh:
                 index.setdefault(key(t), []).append(t)
 
-    def ensure_index(self, cols: tuple[int, ...]) -> None:
-        if cols in self._indexes or not cols:
-            return
-        key = key_of(cols)
-        index: dict[object, list[Tup]] = {}
-        for t in self.rows:
-            index.setdefault(key(t), []).append(t)
-        self._indexes[cols] = index
-        self._keyed.append((key, index))
+    def ensure_index(self, cols: tuple[int, ...]) -> dict[object, list[Tup]]:
+        """The index on cols, built on first request; on no columns (an
+        empty FD left side) it keys every tuple by ()."""
+        index = self._indexes.get(cols)
+        if index is None:
+            key = key_of(cols)
+            index = self._indexes[cols] = {}
+            for t in self.rows:
+                index.setdefault(key(t), []).append(t)
+            self._keyed.append((key, index))
+        return index
 
     def lookup(self, cols: tuple[int, ...], key) -> list[Tup]:
         """Exactly the tuples matching key on the given columns: the bare
@@ -253,22 +255,20 @@ _EMPTY: list = []
 
 
 class ChosenTable:
-    """The chosen side of one choice rule's theta table: the tuples chosen so
-    far, and one hash index per FD left side from each chosen left side to
-    its right side, which the FDs make unique.  Both sides follow the key
-    rule: a side on one column is the bare constant, any other a tuple.  The
-    FDs hold at all times; a violating insert raises.  ThetaTable.admit
-    reads the indexes inline; the engine stores each chosen tuple in the
-    chosen_r relation as well."""
+    """The chosen side of one choice rule's theta table: an FD view of the
+    rule's chosen_r relation, the one store of its chosen tuples, through
+    the relation's index of each FD left side (which ThetaTable.admit reads
+    inline).  The FDs hold at all times (a violating insert raises and
+    changes nothing), so a bucket's first tuple has the right side of all."""
 
-    def __init__(self, info: ChoiceInfo):
+    def __init__(self, info: ChoiceInfo, relation: Relation):
         self.info = info
-        self.rows: set[Tup] = set()
-        groups = _fd_groups(info.fds)
-        # per left side: its left and right keys, the index, and the
-        # declared FDs of that left side
+        self.relation = relation
+        # per left side: its key, the projector of its right side, the
+        # relation's index on it, and the declared FDs of that left side
         self._fds: list[tuple[Callable, Callable, dict, tuple[FD, ...]]] = [
-            (key_of(left), key_of(right), {}, declared) for left, right, declared in groups
+            (key_of(left), projector(right), relation.ensure_index(left), declared)
+            for left, right, declared in _fd_groups(info.fds)
         ]
 
     def conflicts(self, t: Tup) -> bool:
@@ -276,37 +276,26 @@ class ChosenTable:
         left side of some FD and differs from it on the right side.  The
         reference for ThetaTable.admit's inline check."""
         for left, right, index, _ in self._fds:
-            r = index.get(left(t))
-            if r is not None and r != right(t):
+            rows = index.get(left(t))
+            if rows is not None and right(rows[0]) != right(t):
                 return True
-        return t in self.rows
+        return t in self.relation
 
     def insert(self, t: Tup) -> None:
-        if t in self.rows:
-            return
-        # each side projected once; t's new left sides are written only
-        # after every index has been checked
-        fresh = []
+        """Add t to the relation once it is checked on every FD left side."""
         for left, right, index, declared in self._fds:
-            lt = left(t)
-            r = index.get(lt)
-            if r is None:
-                fresh.append((index, lt, right(t)))
-            elif r != right(t):
-                # name the first declared FD of this left side that t
-                # violates; a bare right side is printed as its 1-tuple
-                if sum(len(fd.right) for fd in declared) == 1:
-                    r = (r,)
-                for fd in declared:
-                    part, r = r[: len(fd.right)], r[len(fd.right) :]
-                    if part != projector(fd.right)(t):
-                        raise FDViolation(
-                            f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
-                            f"whose left side is chosen with right side {part}"
-                        )
-        for index, lt, rt in fresh:
-            index[lt] = rt
-        self.rows.add(t)
+            rows = index.get(left(t))
+            if rows is None or (r := right(rows[0])) == right(t):
+                continue
+            # name the first declared FD of this left side that t violates
+            for fd in declared:
+                part, r = r[: len(fd.right)], r[len(fd.right) :]
+                if part != projector(fd.right)(t):
+                    raise FDViolation(
+                        f"{self.info.chosen_pred}: FD {fd.left}->{fd.right} violated by {t}, "
+                        f"whose left side is chosen with right side {part}"
+                    )
+        self.relation.insert(t)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +480,14 @@ def _fd_locals(shape: _Shape) -> list[str]:
 @cache
 def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]:
     """The loop of ThetaTable.admit for one table shape, generated once per
-    shape.  Each candidate's FD sides and unique key (by the key rule) and
-    its key (an order-key tuple, a record for a slotted heap, or the signed
-    cost of a unary cost table) are built inline from column indices, with
-    no call and no branch on the table's kind; a candidate that replaces a
-    worse one of its unique key removes it through the table's generated
-    removal.  The source holds only column indices; everything else is read
+    shape.  A candidate chosen already is skipped, as is one whose FD left
+    side has a bucket in the chosen relation's index whose first tuple
+    differs from it on the right side.  Each candidate's FD left sides and
+    unique key (by the key rule) and its key (an order-key tuple, a record
+    for a slotted heap, or the signed cost of a unary cost table) are built
+    inline from column indices, with no call and no branch on the table's
+    kind; a candidate that replaces a worse one of its unique key removes
+    it through the table's generated removal.  The source holds only column indices; everything else is read
     from the table or bound as a value of generate."""
     arity, fds, cost_pos, most, unique_key, policy, heap = shape
     groups = [(left, right) for left, right, _ in _fd_groups(fds)]
@@ -514,7 +505,7 @@ def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]
         "def admit(self, ts):",
         "    counters = self.counters",
         "    entries = self._entries",
-        "    crows = self.chosen.rows",
+        "    crows = self.chosen.relation._pos",
     ]
     if groups:
         src += [
@@ -539,7 +530,7 @@ def _admission(shape: _Shape) -> Callable[["ThetaTable", Collection[Tup]], None]
         src += [
             f"            l{g} = {key_source([f't[{i}]' for i in left])}",
             f"            r = c{g}.get(l{g})",
-            f"            if r is not None and r != {key_source([f't[{i}]' for i in right])}:",
+            f"            if r is not None and ({' or '.join(f'r[0][{i}] != t[{i}]' for i in right)}):",
             "                continue",
         ]
     src.append("            added += 1")
@@ -687,9 +678,9 @@ class ThetaTable:
 
     Hash-keyed on every FD left side and on the unique key, each by the key
     rule (a bare constant for one column, a tuple otherwise), and holding
-    the rule's chosen side (ChosenTable), against which admit checks
-    candidates and into which choose records each selected one.  The info
-    alone shapes the table: a cost position makes it greedy (choice_least
+    the rule's chosen side (ChosenTable over the chosen relation given),
+    against which admit checks candidates and into which choose records
+    each selected one.  The info alone shapes the table: a cost position makes it greedy (choice_least
     or choice_most by its kind), and with a unique key only the best-cost
     tuple per key value is retained; the plain choice fixpoint passes a
     pure view of the info.
@@ -730,17 +721,12 @@ class ThetaTable:
     """
 
     def __init__(
-        self,
-        info: ChoiceInfo,
-        counters: Counters | None = None,
-        use_pq: bool = False,
-        tie_policy: str = "lex",
-        rng: random.Random | None = None,
+        self, info: ChoiceInfo, chosen: Relation, counters: Counters, use_pq: bool, tie_policy: str, rng: random.Random
     ):
         self.info = info
-        self.chosen = ChosenTable(info)
-        self.counters = counters if counters is not None else Counters()
-        self.rng = rng if rng is not None else random.Random(0)
+        self.chosen = ChosenTable(info, chosen)
+        self.counters = counters
+        self.rng = rng
         # greedy and lex tables have a fixed order: an order key per candidate
         self._ordered = info.cost_pos is not None or tie_policy == "lex"
         self._random = tie_policy == "random" and not self._ordered
@@ -753,7 +739,7 @@ class ThetaTable:
         # insertion-ordered dicts, not sets, so purge order (and with it heap
         # and random-tie upkeep) does not depend on str hashing
         self._fd_index: list[dict[object, dict[Tup, None]]] = [{} for _ in _fd_groups(info.fds)]
-        # the chosen side's index of each left side, in the same order
+        # the chosen relation's index of each left side, in the same order
         self._chosen_index = [index for _, _, index, _ in self.chosen._fds]
         self._ukey_index: dict[object, Tup] = {}
         # ordered tables only: tuple -> order key of the candidates not yet
@@ -845,8 +831,8 @@ class ThetaTable:
         return t
 
     def choose(self, delta: Tup) -> int:
-        """Record delta, the selected candidate, on the chosen side (a tuple
-        that violates an FD there raises FDViolation) and purge the
+        """Record delta, the selected candidate, in the chosen relation (a
+        tuple that violates an FD there raises FDViolation) and purge the
         candidates it conflicts with; returns how many were purged."""
         self.chosen.insert(delta)
         return self.purge_conflicting(delta)

@@ -44,9 +44,9 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
     symbols; a sort that raises is redone with order_key.  Each line is
     then one `%` format of its tuple, after the symbols that format_const
     quotes are replaced by their quoted cells; each distinct symbol goes
-    through format_const once per call."""
+    through _cell once per call."""
     out: list[str] = []
-    cells: dict[str, str] = {}  # symbol -> format_const(symbol)
+    cells: dict[str, str] = {}  # symbol -> _cell(symbol)
     quoted: dict[str, str] = {}  # the symbols whose cells differ from them
     for pred in sorted(relations):
         rows = relations[pred]
@@ -54,7 +54,7 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
             continue
         symbols = set(filter(str.__instancecheck__, chain.from_iterable(rows)))
         for c in symbols.difference(cells):
-            cell = cells[c] = format_const(c)
+            cell = cells[c] = _cell(c)
             if cell != c:
                 quoted[c] = cell
         arity = len(next(iter(rows)))
@@ -69,9 +69,18 @@ def model_lines(relations: dict[str, Iterable[tuple]]) -> list[str]:
     return out
 
 
+def _cell(c: Const) -> str:
+    """format_const(c), as a cell of a model or fact file.  A symbol holding
+    a tab, '\\n' or '\\r' raises: read back, it would split the cell or line."""
+    if c.__class__ is str and ("\t" in c or "\n" in c or "\r" in c):
+        raise FactFileError(f"symbol {c!r} holds a tab or line break, which no file cell can hold")
+    return format_const(c)
+
+
 def read_model(path: str) -> dict[str, set[tuple]]:
-    """The atoms of a model file.  Lines end only at '\\n', as in fact files,
-    so a symbol may hold any other line-separator character."""
+    """The atoms of a model file.  Text mode reads '\\r' and '\\r\\n' as
+    '\\n', so lines end at all three, as in fact files, and at no other line
+    separator: a symbol may hold '\\x0c' or '\\u2028', not '\\r'."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -93,9 +102,9 @@ def read_model(path: str) -> dict[str, set[tuple]]:
 def write_facts_dir(dirpath: str, edb: dict[str, Iterable[tuple]]) -> None:
     os.makedirs(dirpath, exist_ok=True)
     for pred, rows in edb.items():
+        text = "".join("\t".join(map(_cell, t)) + "\n" for t in rows)
         with open(os.path.join(dirpath, f"{pred}.facts"), "w", encoding="utf-8") as f:
-            for t in rows:
-                f.write("\t".join(format_const(c) for c in t) + "\n")
+            f.write(text)
 
 
 # characters of whole lines that read_facts_dir reads and converts at a time

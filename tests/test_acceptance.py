@@ -127,7 +127,7 @@ def _fd_violations(prog, interp) -> int:
         if not r.choice_goals:
             continue
         info = choice_info(r)
-        rows = interp.rel(info.chosen_pred).rows
+        rows = interp.relations[info.chosen_pred].rows
         for fd in info.fds:
             seen = {}
             for t in rows:
@@ -169,7 +169,7 @@ def test_04_dijkstra_equivalence():
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 4 * n, cost_max=1000, seed=1000 + i, directed=True)
         interp = _greedy(get_program("dijkstra"), edb=edb)
-        got = {y: c for y, c in interp.rel("dj").rows}
+        got = {y: c for y, c in interp.relations["dj"].rows}
         want = ref_dijkstra(edb["g"], "a")
         if got != want:
             mismatches += 1
@@ -183,7 +183,7 @@ def test_05_prim_equivalence():
         n = rng.randint(20, 200)
         edb = sparse_connected_graph(n, 3 * n, cost_max=1000, seed=2000 + i)
         interp = _greedy(get_program("prim"), edb=edb)
-        st = [t for t in interp.rel("st").rows if t[0] != "root"]
+        st = [t for t in interp.relations["st"].rows if t[0] != "root"]
         weight = sum(c for _, _, c in st)
         undirected = {tuple(sorted((u, v))) + (c,) for u, v, c in edb["g"]}
         if weight != ref_mst_weight(sorted(undirected)):
@@ -200,7 +200,7 @@ def test_06_sorting_chains():
         eng = Engine(get_program("sort"), edb=edb, ties="lex", factorize=True)
         fact = eng.run()
         applied = bool(eng.factorized_strata)
-        succ = [t for t in plain.rel("succ").rows if t != ("root", "root")]
+        succ = [t for t in plain.relations["succ"].rows if t != ("root", "root")]
         values = sorted((v for (v,) in edb["d"]), reverse=True)
         # strictly decreasing chain covering every element
         nxt = dict(t for t in succ)
@@ -318,7 +318,7 @@ def test_08_greedy_tsp_sanity():
     for n in (12, 25, 50, 100):
         edb = complete_graph(n, cost_max=1000, seed=800 + n)
         interp = _greedy(get_program("tsp"), edb=edb)
-        spath = interp.rel("spath").rows
+        spath = interp.relations["spath"].rows
         start = [y for x, y, _ in spath if x == "root"]
         hops = dict((x, y) for x, y, _ in spath if x != "root")
         visited = []

@@ -12,7 +12,7 @@ from gdlog.cli import build_parser, main
 from gdlog.corpus import PROGRAMS
 from gdlog.lang import parse_program
 from gdlog.oracle import ref_dijkstra
-from gdlog.tsvio import FactFileError, read_facts_dir, read_model, write_facts_dir
+from gdlog.tsvio import FactFileError, model_lines, read_facts_dir, read_model, write_facts_dir
 from oracle_helpers import reachable
 
 
@@ -515,6 +515,28 @@ def test_fact_cells_that_are_not_dialect_integers_are_symbols(tmp_path):
     model = tmp_path / "m.tsv"
     model.write_text("".join(f"g\t{c}\t-12\n" for c in SYMBOL_CELLS), encoding="utf-8")
     assert read_model(str(model)) == {"g": {(c, -12) for c in SYMBOL_CELLS}}
+
+
+def test_a_model_whose_symbols_hold_other_line_separators_round_trips(tmp_path):
+    relations = {"g": [(c, -12) for c in SYMBOL_CELLS]}
+    model = tmp_path / "m.tsv"
+    model.write_text("".join(f"{line}\n" for line in model_lines(relations)), encoding="utf-8")
+    assert read_model(str(model)) == {"g": set(relations["g"])}
+
+
+@pytest.mark.parametrize("symbol", ["a\tb", "a\nb", "a\rb", "a\r\nb"])
+def test_writers_refuse_a_symbol_that_no_file_cell_can_hold(tmp_path, symbol):
+    # read back, a tab would split the cell and a line break the line, as
+    # text mode reads '\r' as '\n': written raw, ('a\rb',) came back as
+    # the symbol 'a and a zero-arity predicate b'
+    message = f"symbol {symbol!r} holds a tab or line break, which no file cell can hold"
+    with pytest.raises(FactFileError) as exc:
+        model_lines({"p": [(1, "x"), (2, symbol)]})
+    assert str(exc.value) == message
+    with pytest.raises(FactFileError) as exc:
+        write_facts_dir(str(tmp_path / "f"), {"g": [("a",), (symbol,)]})
+    assert str(exc.value) == message
+    assert not (tmp_path / "f" / "g.facts").exists()
 
 
 @pytest.mark.parametrize("cell", [str(2**63), str(-(2**63) - 1), "99999999999999999999"])

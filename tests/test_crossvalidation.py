@@ -9,6 +9,7 @@ appear in the exhaustive model enumeration, respect the declared FDs, and -
 for greedy programs - coincide with the reference computation under
 lexicographic ties."""
 
+import dataclasses
 import random
 import zlib
 
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdlog.analysis import choice_info, foe_transform
-from gdlog.engine import run_with_counters
-from gdlog.lang import parse_program
+from gdlog.corpus import PROGRAMS, get_program
+from gdlog.engine import Engine, run_with_counters
+from gdlog.lang import Atom, Program, format_program, parse_program
 from gdlog.oracle import check_stable_model, enumerate_choice_models, ground, run_lico_reference
+from corpus_helpers import example_edb
 from oracle_helpers import assert_fds_hold
 
 SHAPES = {
@@ -145,7 +148,7 @@ P2_FACTS = [("x", "y1", "z", 1), ("x", "y2", "z", 5), ("x", "y2", "z2", 0)]
 def test_a_candidate_equal_on_an_fd_right_side_is_chosen_too(src, edb, ties, seed):
     prog = parse_program(src)
     interp, _ = run_with_counters(prog, ties=ties, seed=seed, edb=edb)
-    assert sorted(interp.rel("p").rows) == P1_FACTS
+    assert sorted(interp.relations["p"].rows) == P1_FACTS
     assert check_stable_model(ground(foe_transform(prog), edb), _atoms(interp)).is_stable
 
 
@@ -154,7 +157,7 @@ def test_unique_key_keeps_what_the_declared_fds_admit(pq):
     prog, edb = parse_program(P2), {"q": P2_FACTS}
     assert choice_info(prog.rules[0]).unique_key is None
     interp, _ = run_with_counters(prog, ties="lex", pq=pq, edb=edb)
-    assert set(interp.rel("p").rows) == {("x", "y2", "z2", 0), ("x", "y2", "z", 5)}
+    assert set(interp.relations["p"].rows) == {("x", "y2", "z2", 0), ("x", "y2", "z", 5)}
     assert interp.as_sets() == run_lico_reference(prog, "least", edb=edb)
     assert check_stable_model(ground(foe_transform(prog), edb), _atoms(interp)).is_stable
 
@@ -200,3 +203,49 @@ def test_generated_programs_give_stable_reference_models(case):
                 # linear scans select what the priority queue does
                 scanned, _ = run_with_counters(prog, mode=mode, ties=ties, pq="off", edb=edb)
                 assert scanned.as_sets() == interp.as_sets(), (mode, "pq off")
+
+
+# Metamorphic runs of the corpus: under lex ties the model depends on the
+# program and the sets of database facts alone, not on the order of a
+# relation's rows nor on the names of the predicates
+
+
+def _renamed(prog: Program, edb: dict) -> tuple[Program, dict, dict]:
+    """The program and database with every predicate renamed, the new names
+    sorting in the reverse order of the old, and the map back."""
+    preds = sorted(set(prog.predicates()) | set(edb))
+    names = {p: f"p{len(preds) - i:02d}" for i, p in enumerate(preds)}
+
+    def atom(a):
+        return Atom(names[a.pred], a.args) if isinstance(a, Atom) else a
+
+    rules = tuple(dataclasses.replace(r, head=atom(r.head), body=tuple(map(atom, r.body))) for r in prog.rules)
+    renamed = parse_program(format_program(Program(rules, tuple(map(atom, prog.facts)))))
+    return renamed, {names[p]: rows for p, rows in edb.items()}, {new: old for old, new in names.items()}
+
+
+METAMORPHIC_RUNS = [
+    (name, n, dict(mode=mode, pq=pq, factorize=factorize))
+    for name in sorted(PROGRAMS)
+    for n in (4, 6)
+    for mode in ("auto", "choice")
+    for pq in ("auto", "off")
+    for factorize in ((False, True) if name in ("sort", "sequence") else (False,))
+]
+
+
+def _lex_model(prog: Program, edb: dict, knobs: dict) -> dict:
+    eng = Engine(prog, edb=edb, ties="lex", **knobs)
+    model = eng.run().as_sets()
+    assert bool(eng.factorized_strata) == knobs["factorize"]
+    assert any(pred.startswith("chosen_") for pred in model)
+    return model
+
+
+def test_models_ignore_row_order_and_predicate_names():
+    for name, n, knobs in METAMORPHIC_RUNS:
+        prog, edb = get_program(name), example_edb(name, n, seed=n)
+        model = _lex_model(prog, edb, knobs)
+        renamed, renamed_edb, back = _renamed(prog, {p: rows[::-1] for p, rows in edb.items()})
+        other = _lex_model(renamed, renamed_edb, knobs)
+        assert {back.get(p, p): rows for p, rows in other.items()} == model, (name, n, knobs)

@@ -72,7 +72,7 @@ def test_immediate_consequence_empty_delta():
 def test_immediate_consequence_excludes_known_tuples():
     prog = parse_program("t(X,Y) :- e(X,Y). e(a,b). t(a,b).")
     m, c = run_with_counters(prog)
-    assert m.rel("t").rows == [("a", "b")]
+    assert m.relations["t"].rows == [("a", "b")]
     assert (c.firings, c.derived) == (1, 0)
 
 
@@ -92,7 +92,7 @@ def test_naive_and_seminaive_transitive_closure_agree():
 
 def test_closure_is_identity_without_rules():
     m, c = run_with_counters(parse_program("p(a)."))
-    assert m.rel("p").rows == [("a",)]
+    assert m.relations["p"].rows == [("a",)]
     assert (c.firings, c.derived, c.work) == (0, 0, 0)
 
 
@@ -114,7 +114,7 @@ def test_closure_after_choice_delta_is_trivial_step():
 
 def test_advisor_picks_exactly_one():
     m = _choice(get_program("advisor"), edb=ADVISOR_TOY)
-    adv = m.rel("actual_adv").rows
+    adv = m.relations["actual_adv"].rows
     assert len(adv) == 1
     assert adv[0] in [("Jim Black", "ohm"), ("Jim Black", "bell")]
 
@@ -128,7 +128,7 @@ def test_spantree_toy_gives_one_of_three_models():
     seen = set()
     for seed in range(12):
         m = _choice(get_program("spantree"), ties="random", seed=seed, edb=TOY_TRIANGLE)
-        st = set(m.rel("st").rows) - {("root", "a", 0)}
+        st = set(m.relations["st"].rows) - {("root", "a", 0)}
         assert st in expected
         seen.add(frozenset(st))
     assert len(seen) >= 2  # different seeds do explore different models
@@ -137,7 +137,7 @@ def test_spantree_toy_gives_one_of_three_models():
 def test_sequence_chain_is_permutation():
     edb = {"d": [(f"e{i}",) for i in range(1, 6)]}
     m = _choice(get_program("sequence"), ties="random", seed=3, edb=edb)
-    succ = m.rel("succ").rows
+    succ = m.relations["succ"].rows
     assert chain_is_total_order(succ, [f"e{i}" for i in range(1, 6)])
 
 
@@ -155,7 +155,7 @@ def test_exit_choice_rule_executes_once():
     # model is a valid matching
     edb = {"g": [("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4)]}
     m = _choice(get_program("matching"), edb=edb)
-    pairs = m.rel("matching").rows
+    pairs = m.relations["matching"].rows
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     assert len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
@@ -173,18 +173,18 @@ def test_greedy_requires_extreme_rule():
 def test_dijkstra_small_graph():
     edb = {"g": [("a", "b", 1), ("b", "c", 2), ("a", "c", 5)]}
     m = _greedy(get_program("dijkstra"), edb=edb)
-    assert sorted(m.rel("dj").rows) == [("a", 0), ("b", 1), ("c", 3)]
+    assert sorted(m.relations["dj"].rows) == [("a", 0), ("b", 1), ("c", 3)]
 
 
 def test_dijkstra_matches_reference_on_cyclic_graph():
     edb = sparse_connected_graph(60, 240, cost_max=50, seed=11, directed=True)
     m = _greedy(get_program("dijkstra"), edb=edb)
-    assert {y: c for y, c in m.rel("dj").rows} == ref_dijkstra(edb["g"], "a")
+    assert {y: c for y, c in m.relations["dj"].rows} == ref_dijkstra(edb["g"], "a")
 
 
 def test_prim_toy_graph_is_min_spanning_tree():
     m = _greedy(get_program("prim"), edb=TOY_TRIANGLE)
-    st = set(m.rel("st").rows) - {("root", "a", 0)}
+    st = set(m.relations["st"].rows) - {("root", "a", 0)}
     assert st == {("a", "b", 1), ("b", "c", 2)}
     assert sum(c for _, _, c in st) == 3 == ref_mst_weight(
         [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
@@ -193,7 +193,7 @@ def test_prim_toy_graph_is_min_spanning_tree():
 
 def test_sort_decreasing_chain():
     m = _greedy(get_program("sort"), edb={"d": [(3,), (1,), (2,)]})
-    succ = [t for t in m.rel("succ").rows if t != ("root", "root")]
+    succ = [t for t in m.relations["succ"].rows if t != ("root", "root")]
     assert set(succ) == {("root", 3), (3, 2), (2, 1)}
 
 
@@ -208,7 +208,7 @@ def test_greedy_pq_on_off_same_model():
 def test_tsp_path_is_hamiltonian():
     edb = complete_graph(8, cost_max=30, seed=13)
     m = _greedy(get_program("tsp"), edb=edb)
-    spath = m.rel("spath").rows
+    spath = m.relations["spath"].rows
     start = [y for x, y, _ in spath if x == "root"]
     assert len(start) == 1
     hops = [(x, y) for x, y, _ in spath if x != "root"]
@@ -349,7 +349,7 @@ def test_factorized_prim_not_applicable():
     eng = Engine(get_program("prim"), edb=TOY_TRIANGLE, ties="lex", factorize=True)
     m = eng.run()
     assert not eng.factorized_strata
-    st = set(m.rel("st").rows) - {("root", "a", 0)}
+    st = set(m.relations["st"].rows) - {("root", "a", 0)}
     assert sum(c for _, _, c in st) == 3  # fallback still computes the MST
 
 
@@ -598,8 +598,8 @@ def test_each_stratum_choice_rule_selects_its_own_extreme():
     )
     edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
     m = _greedy(parse_program(src), edb=edb)
-    assert m.rel("best").rows == [("q2", 1)]
-    assert len(m.rel("pick").rows) == 1
+    assert m.relations["best"].rows == [("q2", 1)]
+    assert len(m.relations["pick"].rows) == 1
 
 
 def test_choice_mode_takes_rules_in_program_order():
@@ -652,19 +652,21 @@ PLAN_ORDERS = {
 # run under lex ties: the plans create one index per distinct set of
 # constant or already-bound columns they probe.  Only the full plan and the
 # delta plans of atoms that can grow are compiled, so an index that only
-# the delta plan of a complete relation would probe is never made.
+# the delta plan of a complete relation would probe is never made.  A
+# chosen_r relation also holds its theta table's index of each distinct FD
+# left side, in order of first appearance, () for an empty left side.
 INDEX_COLUMNS = {
-    "advisor": {"actual_adv": [], "chosen_r1": [], "professor": [(1,)], "student": []},
-    "dijkstra": {"chosen_r1": [], "dj": [], "g": [(0,)], "node": []},
-    "matching": {"chosen_r1": [], "g": [], "matching": []},
-    "optmatching": {"chosen_r1": [], "g": [], "opt_matching": []},
-    "prim": {"chosen_r1": [], "g": [(0,)], "node": [], "st": []},
-    "reach": {"chosen_r1": [], "g": [(0,)], "node": [], "reach": []},
-    "sequence": {"chosen_r1": [], "d": [], "succ": []},
-    "simplepath": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2)]},
-    "sort": {"chosen_r1": [], "d": [], "succ": []},
-    "spantree": {"chosen_r1": [], "g": [(0,)], "node": [], "st": []},
-    "tsp": {"chosen_r1": [], "chosen_r2": [], "g": [(0,)], "node": [], "spath": [(0, 2)]},
+    "advisor": {"actual_adv": [], "chosen_r1": [(0,)], "professor": [(1,)], "student": []},
+    "dijkstra": {"chosen_r1": [(0,)], "dj": [], "g": [(0,)], "node": []},
+    "matching": {"chosen_r1": [(1,), (0,)], "g": [], "matching": []},
+    "optmatching": {"chosen_r1": [(1,), (0,)], "g": [], "opt_matching": []},
+    "prim": {"chosen_r1": [(1,)], "g": [(0,)], "node": [], "st": []},
+    "reach": {"chosen_r1": [(0,)], "g": [(0,)], "node": [], "reach": []},
+    "sequence": {"chosen_r1": [(0,), (1,)], "d": [], "succ": []},
+    "simplepath": {"chosen_r1": [()], "chosen_r2": [(0,), (1,)], "g": [(0,)], "node": [], "spath": [(0, 2)]},
+    "sort": {"chosen_r1": [(0,), (1,)], "d": [], "succ": []},
+    "spantree": {"chosen_r1": [(1,)], "g": [(0,)], "node": [], "st": []},
+    "tsp": {"chosen_r1": [()], "chosen_r2": [(0,), (1,)], "g": [(0,)], "node": [], "spath": [(0, 2)]},
 }
 
 
@@ -1099,7 +1101,7 @@ def test_rule_longer_than_one_generated_function_nests():
     prog = parse_program(src)
     model, c = run_with_counters(prog, edb=edb)
     assert model.as_sets() == run_lico_reference(prog, edb=edb)
-    assert model.rel("p").rows
+    assert model.relations["p"].rows
 
 
 # Counters and models of every corpus program on the n=16 seed-3 benchmark

@@ -37,7 +37,6 @@ SURFACE = [
     "engine.Engine.__init__(seed)",
     "engine.Engine.__init__(ties)",
     "engine.Engine.__init__(trace)",
-    "engine.Interpretation.rel(arity)",
     "lang.Diagnostic.line",
     "lang.Rule.line",
     "lang.Rule.rule_id",
@@ -65,10 +64,6 @@ SURFACE = [
     "storage.Counters.theta_deletes",
     "storage.Counters.theta_inserts",
     "storage.Counters.wall_time_s",
-    "storage.ThetaTable.__init__(counters)",
-    "storage.ThetaTable.__init__(rng)",
-    "storage.ThetaTable.__init__(tie_policy)",
-    "storage.ThetaTable.__init__(use_pq)",
 ]
 
 
