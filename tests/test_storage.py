@@ -379,8 +379,8 @@ def test_fd_violation_names_a_declared_fd_of_a_shared_left_side():
 
 
 def test_fd_violation_prints_a_one_column_right_side_as_a_tuple():
-    # the index holds the bare chosen constant; the message shows the
-    # tuple it stands for, as it always has
+    # the message shows a one-column right side as its 1-tuple, as it
+    # always has
     c = _chosen_side(PAIR)
     c.insert(("a", "b"))
     c.insert((1, 2))
@@ -403,8 +403,8 @@ def test_tables_keep_one_fd_index_per_left_side():
     assert len(th._fd_index) == len(th.chosen._fds) == 2
 
 
-def _engine_tables(monkeypatch, program, edb):
-    """The model of a lex run and the theta tables the engine built for it."""
+def _captured_tables(monkeypatch) -> list:
+    """The theta tables the engine builds from now on, in order."""
     tables = []
     theta_table = Engine._theta_table
 
@@ -413,6 +413,12 @@ def _engine_tables(monkeypatch, program, edb):
         return tables[-1]
 
     monkeypatch.setattr(Engine, "_theta_table", capture)
+    return tables
+
+
+def _engine_tables(monkeypatch, program, edb):
+    """The model of a lex run and the theta tables the engine built for it."""
+    tables = _captured_tables(monkeypatch)
     return Engine(program, edb=edb, ties="lex").run(), tables
 
 
@@ -489,20 +495,13 @@ def test_every_index_keys_one_column_by_the_bare_constant(monkeypatch):
         if th.info.unique_key is not None:
             audit("unique key", th._ukey_index, len(th.info.unique_key))
 
-    tables = []
-    theta_table = Engine._theta_table
-
-    def capture(self, info, chosen):
-        tables.append(theta_table(self, info, chosen))
-        return tables[-1]
-
+    tables = _captured_tables(monkeypatch)
     select_extreme = ThetaTable.select_extreme
 
     def select(self):
         audit_table(self)
         return select_extreme(self)
 
-    monkeypatch.setattr(Engine, "_theta_table", capture)
     monkeypatch.setattr(ThetaTable, "select_extreme", select)
     runs = [
         (get_program("dijkstra"), sparse_connected_graph(12, 48, seed=1, directed=True)),
@@ -953,13 +952,7 @@ def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypa
     for info in (UNION, PAIR, LEAST):
         assert _theta(info, use_pq=True)._heap.slotted
     # the factorized stratum's own domain table, as the engine builds it
-    tables = []
-    theta_table = Engine._theta_table
-
-    def capture(self, info, chosen):
-        tables.append(theta_table(self, info, chosen))
-        return tables[-1]
-
+    tables = _captured_tables(monkeypatch)
     # and its keys before each selection: bare ints, the signed costs
     keys = []
     select_extreme = ThetaTable.select_extreme
@@ -968,7 +961,6 @@ def test_theta_heap_keeps_positions_only_with_an_fd_index_or_unique_key(monkeypa
         keys.append((list(self._heap.items), list(self._entries.values())))
         return select_extreme(self)
 
-    monkeypatch.setattr(Engine, "_theta_table", capture)
     monkeypatch.setattr(ThetaTable, "select_extreme", select)
     eng = Engine(get_program("sort"), edb=domain_facts(8, seed=1), ties="lex", factorize=True)
     eng.run()
