@@ -21,6 +21,11 @@ from .lang import (
     format_goal,
 )
 
+# the evaluation modes of the engine and the reference operator: "auto" is
+# the greedy computation exactly when the program has a choice_least or
+# choice_most rule, "choice" the plain choice fixpoint
+MODES = ("auto", "choice")
+
 
 class RuleKind(enum.Enum):
     NON_CHOICE = "non-choice"

@@ -12,8 +12,8 @@ import contextlib
 import sys
 
 from . import analysis, bench, corpus, tsvio
-from .analysis import foe_transform
-from .engine import MODES, PQ_SETTINGS, EngineError, run_with_counters
+from .analysis import MODES, foe_transform
+from .engine import PQ_SETTINGS, EngineError, run_with_counters
 from .lang import Diagnostic, GdlogError, ProgramError, parse_program
 from .oracle import (
     EnumerationError,

@@ -1,17 +1,21 @@
 """Fixpoint evaluation.
 
 The engine computes stable models of choice programs bottom-up: strata are
-evaluated in dependency order; within a stratum the non-choice rules are
-closed by semi-naive iteration, and choice rules run the candidate/selection
-loop: derive new candidate tuples differentially, buffer them in per-rule
-theta tables, select one tuple per iteration, record it in chosen_r (the
-table's chosen side) and purge the candidates it conflicts with
-(ThetaTable.choose), commit it (Engine._commit), and re-close the
-non-choice rules.  Both modes run this one loop and insert every fresh
-candidate; when a candidate enters the priority queue is the theta table's
-decision alone.  When W binds every head variable, a commit writes the head
-tuple to the head, so the rewritten rule head <- B(Z), chosen_r(W) is
-compiled only for a rule with a head variable outside W.
+evaluated in analysis.plan_subprograms order, each to its fixpoint before
+the next.  Within a stratum the greedy computation takes least/most rules
+before pure ones and the plain choice fixpoint takes program order; the
+reference operator, oracle.run_lico_reference, follows the same schedule.
+The non-choice rules are closed by semi-naive iteration, and choice rules
+run the candidate/selection loop: derive new candidate tuples
+differentially, buffer them in per-rule theta tables, select one tuple per
+iteration, record it in chosen_r (the table's chosen side) and purge the
+candidates it conflicts with (ThetaTable.choose), commit it
+(Engine._commit), and re-close the non-choice rules.  Both modes run this
+one loop and insert every fresh candidate; when a candidate enters the
+priority queue is the theta table's decision alone.  When W binds every head
+variable, a commit writes the head tuple to the head, so the rewritten rule
+head <- B(Z), chosen_r(W) is compiled only for a rule with a head variable
+outside W.
 
 The loop binds each choice rule's callables once, when its stratum starts:
 the candidate rule's evaluate, the table's admit, select_extreme and choose,
@@ -70,7 +74,6 @@ from .analysis import FD, ChoiceInfo, RuleKind, Stratum
 from .lang import (
     MAX_INT,
     MIN_INT,
-    RESERVED_PREFIXES,
     Atom,
     Comparison,
     Const,
@@ -80,6 +83,7 @@ from .lang import (
     Var,
     format_const,
     format_goal,
+    predicate_name_error,
 )
 from .storage import Counters, Relation, ThetaTable, Tup, generate, key_source, projector, resolve_ties, tuple_source
 
@@ -90,7 +94,6 @@ class EngineError(GdlogError):
 
 EDB = dict[str, Iterable[Tup]]
 PQ_SETTINGS = ("auto", "off")
-MODES = ("auto", "choice", "greedy")
 
 
 class Interpretation:
@@ -433,15 +436,14 @@ class _ChoiceState:
 class Engine:
     """One fixpoint run over a validated program.
 
-    mode "choice" runs the plain choice fixpoint (least/most goals read as
-    ordinary choice goals); "greedy" runs the greedy computation with
-    cost-based selection and unique-key retention, and needs a choice_least
-    or choice_most rule; "auto" is greedy exactly when the program has one.
-    Both modes run the same candidate loop.  Within a stratum the greedy
-    computation tries least/most rules before pure ones and the choice
-    fixpoint takes its rules in program order.  ties=None means lex, or
-    random under a seed; pq is auto (heap-ordered selection for every table
-    with a fixed order) or off (linear scans).
+    mode is one of analysis.MODES.  "auto" runs the greedy computation,
+    with cost-based selection and unique-key retention, exactly when the
+    program has a choice_least or choice_most rule; otherwise, and always
+    under "choice", the plain choice fixpoint runs, reading least/most goals
+    as ordinary choice goals.  Both run the same candidate loop and the
+    schedule of the module docstring.  ties=None means lex, or random under
+    a seed; pq is auto (heap-ordered selection for every table with a fixed
+    order) or off (linear scans).
 
     A run is strictly sequential and owns its storage exclusively; run
     independent Engine instances for parallelism.  trace is a text stream
@@ -478,7 +480,9 @@ class Engine:
                 info = analysis.choice_info(r)
                 self.infos[r.rule_id] = info
                 self.arities[info.chosen_pred] = len(info.w_vars)
-        self.greedy = self._resolve_mode(mode)
+        if mode not in analysis.MODES:
+            raise EngineError(f"unknown mode {mode!r}")
+        self.greedy = mode == "auto" and any(info.cost_pos is not None for info in self.infos.values())
         graph = analysis.build_dependency_graph(program)
         self.strata = analysis.plan_subprograms(graph, program)
 
@@ -487,26 +491,15 @@ class Engine:
         # and per chosen tuple, which is how the trace counts model size
         self._loaded = sum(map(len, self.interp.relations.values()))
 
-    def _resolve_mode(self, mode: str) -> bool:
-        if mode not in MODES:
-            raise EngineError(f"unknown mode {mode!r}")
-        has_extreme = any(info.cost_pos is not None for info in self.infos.values())
-        if mode == "greedy" and not has_extreme:
-            raise EngineError("greedy fixpoint requires at least one choice_least or choice_most rule")
-        return has_extreme if mode == "auto" else mode == "greedy"
-
     def _load_facts(self, edb: EDB | None) -> None:
         for f in self.program.facts:
             self.interp.rel(f.pred, f.arity).insert(f.args)
         if edb:
             for pred, rows in edb.items():
-                # chosen_r rows come only from selection: the head the commit
-                # step writes relies on each being a candidate its rule derived
-                if pred.startswith(RESERVED_PREFIXES):
-                    raise EngineError(f"database predicate {pred} uses a reserved prefix")
-                # a model line starting with '%' is a comment to read_model
-                if pred.startswith("%"):
-                    raise EngineError(f"database predicate {pred} starts with '%'")
+                # the name rule of every predicate: chosen_r rows come only
+                # from selection, and each model line reads back as written
+                if why := predicate_name_error(pred):
+                    raise EngineError(f"database predicate {pred} {why}")
                 rows = list(map(tuple, rows))
                 if rows:
                     arity = self.arities.setdefault(pred, len(rows[0]))

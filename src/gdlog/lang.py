@@ -462,15 +462,15 @@ def validate(program: Program) -> list[Diagnostic]:
 
     for f in program.facts:
         check_arity(f, "fact", 0)
-        _check_reserved(f.pred, "fact", 0, diags)
+        _check_name(f.pred, "fact", 0, diags)
 
     for r in program.rules:
         rid = r.rule_id
         check_arity(r.head, rid, r.line)
-        _check_reserved(r.head.pred, rid, r.line, diags)
+        _check_name(r.head.pred, rid, r.line, diags)
         for a in r.body_atoms():
             check_arity(a, rid, r.line)
-            _check_reserved(a.pred, rid, r.line, diags)
+            _check_name(a.pred, rid, r.line, diags)
 
         # left-to-right binding discipline
         bound: set[Var] = set()
@@ -526,9 +526,21 @@ def _var_name(v: Var) -> str:
     return "_" if v.name.startswith("_#") else v.name
 
 
-def _check_reserved(pred: str, rid: str, line: int, diags: list[Diagnostic]):
+def predicate_name_error(pred: str) -> str | None:
+    """What keeps pred from naming a predicate, or None.  chosen_r and
+    diffchoice_r hold only what a run itself chooses; a model line starting
+    with '%' is a comment to read_model; a tab, '\\n' or '\\r' would split
+    the predicate's model and fact lines."""
     if pred.startswith(RESERVED_PREFIXES):
-        diags.append(Diagnostic(rid, f"predicate name {pred} uses a reserved prefix", line))
+        return "uses a reserved prefix"
+    if pred.startswith("%"):
+        return "starts with '%'"
+    return next((f"holds {c!r}" for c in "\t\n\r" if c in pred), None)
+
+
+def _check_name(pred: str, rid: str, line: int, diags: list[Diagnostic]):
+    if why := predicate_name_error(pred):
+        diags.append(Diagnostic(rid, f"predicate name {pred} {why}", line))
 
 
 def parse_program(text: str) -> Program:

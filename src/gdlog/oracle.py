@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional
 
-from .analysis import ChoiceInfo, FoeProgram, RuleKind, choice_info, foe_transform
+from .analysis import (
+    MODES,
+    ChoiceInfo,
+    FoeProgram,
+    RuleKind,
+    build_dependency_graph,
+    choice_info,
+    foe_transform,
+    plan_subprograms,
+)
 from .lang import MAX_INT, MIN_INT, Atom, Comparison, Const, GdlogError, PlusBinding, Program, Var
 from .storage import resolve_ties
 
@@ -412,29 +421,26 @@ def enumerate_choice_models(
 
 def run_lico_reference(
     program: Program,
-    mode: str = "lazy",
+    mode: str = "auto",
     *,
     ties: str = "lex",
     seed: int | None = None,
     edb: dict[str, Iterable[Tup]] | None = None,
 ) -> dict[str, frozenset]:
-    """Direct implementation of the one-tuple-per-step operator: at each step
-    recompute every rule's candidate set from scratch, keep the tuples that
-    are new and compatible with the declared FDs, adjoin one, and re-close
-    the non-choice rules naively.
+    """Direct implementation of the one-tuple-per-step operator, stratum by
+    stratum in plan_subprograms order, each to its fixpoint before the next:
+    at each step recompute every choice rule's candidate set from scratch,
+    keep the tuples that are new and compatible with the declared FDs,
+    adjoin one, and re-close the stratum's rules naively.
 
-    mode "lazy" ignores costs and takes the rules in program order; "least"
-    picks the extreme-cost candidate of choice_least and choice_most rules
-    (each rule under its own cost sense) and tries those rules first.
-    Tie-breaking mirrors the engine's greedy and choice modes, and so does
-    rule scheduling when program order agrees with stratum order: the engine
-    completes each stratum before the next, while a rule written before the
-    rules that derive its body chooses here from their partial relations.
-    Programs in stratum order compare model-for-model.  The model comes
-    back as {predicate: tuples}, chosen tables included, the shape of the
-    engine's Interpretation.as_sets().
-    """
-    if mode not in ("lazy", "least"):
+    mode and the schedule are the engine's: greedy ("auto" on a program
+    with a choice_least or choice_most rule) picks the extreme-cost
+    candidate of least/most rules, each under its own cost sense, and tries
+    those rules first within a stratum; otherwise costs are ignored and
+    rules go in program order.  Tie-breaking mirrors the engine's.  The
+    model comes back as {predicate: tuples}, chosen tables included, the
+    shape of the engine's Interpretation.as_sets()."""
+    if mode not in MODES:
         raise GdlogError(f"unknown reference mode {mode!r}")
     tie_policy, rng = resolve_ties(ties, seed)
     store: dict[str, dict[Tup, None]] = {}
@@ -446,15 +452,9 @@ def run_lico_reference(
                 store.setdefault(pred, {})[tuple(t)] = None
 
     infos = {r.rule_id: choice_info(r) for r in program.rules if r.choice_goals}
-    closure_rules: list[tuple[Atom, tuple]] = []
-    for r in program.rules:
-        body = tuple(r.body)
-        if r.choice_goals:
-            info = infos[r.rule_id]
-            body += (Atom(info.chosen_pred, info.w_vars),)
-        closure_rules.append((r.head, body))
+    greedy = mode == "auto" and any(info.cost_pos is not None for info in infos.values())
 
-    def close():
+    def close(closure_rules):
         changed = True
         while changed:
             changed = False
@@ -466,53 +466,45 @@ def run_lico_reference(
                         bucket[t] = None
                         changed = True
 
-    def fd_compatible(info: ChoiceInfo, t: Tup) -> bool:
-        chosen = store.get(info.chosen_pred, ())
-        return not any(_fd_conflict(info.fds, t, u) for u in chosen)
-
-    choice_rules = [r for r in program.rules if r.choice_goals]
-    if mode != "lazy":
-        choice_rules.sort(key=lambda r: infos[r.rule_id].kind is RuleKind.PURE_CHOICE)
-
-    close()
-    while True:
-        delta = None
-        delta_info = None
+    def select(choice_rules) -> Optional[GAtom]:
+        """The chosen atom of the first rule, in schedule order, with a
+        candidate, or None when no rule has one."""
         for r in choice_rules:
             info = infos[r.rule_id]
-            theta = []
-            seen = set()
-            for env in _all_matches(tuple(r.body), store):
-                t = tuple(env[v] for v in info.w_vars)
-                if t in seen or t in store.get(info.chosen_pred, ()):
-                    continue
-                seen.add(t)
-                if fd_compatible(info, t):
-                    theta.append(t)
+            chosen = store.get(info.chosen_pred, {})
+            cands = dict.fromkeys(tuple(env[v] for v in info.w_vars) for env in _all_matches(r.body, store))
+            theta = [t for t in cands if t not in chosen and not any(_fd_conflict(info.fds, t, u) for u in chosen)]
             if not theta:
                 continue
-            if mode != "lazy" and info.cost_pos is not None:
-                sense = -1 if info.kind is RuleKind.CHOICE_MOST else 1
-
-                def cost_key(t, sense=sense, pos=info.cost_pos, rid=r.rule_id):
-                    c = t[pos]
-                    if not isinstance(c, int):
-                        raise GroundingError(f"{rid}: cost argument must be an integer")
-                    return (sense * c, tuple_key(t))
-
-                delta = min(theta, key=cost_key)
+            if greedy and info.cost_pos is not None:
+                pos, sense = info.cost_pos, -1 if info.kind is RuleKind.CHOICE_MOST else 1
+                if not all(isinstance(t[pos], int) for t in theta):
+                    raise GroundingError(f"{r.rule_id}: cost argument must be an integer")
+                delta = min(theta, key=lambda t: (sense * t[pos], tuple_key(t)))
             elif tie_policy == "random":
                 delta = theta[rng.randrange(len(theta))]
             elif tie_policy == "fifo":
                 delta = theta[0]
             else:
                 delta = min(theta, key=tuple_key)
-            delta_info = info
-            break
-        if delta is None:
-            break
-        store.setdefault(delta_info.chosen_pred, {})[delta] = None
-        close()
+            return info.chosen_pred, delta
+        return None
+
+    for stratum in plan_subprograms(build_dependency_graph(program), program):
+        closure_rules: list[tuple[Atom, tuple]] = []
+        for r in stratum.rules:
+            body = tuple(r.body)
+            if r.choice_goals:
+                info = infos[r.rule_id]
+                body += (Atom(info.chosen_pred, info.w_vars),)
+            closure_rules.append((r.head, body))
+        choice_rules = [r for r in stratum.rules if r.choice_goals]
+        if greedy:
+            choice_rules.sort(key=lambda r: infos[r.rule_id].kind is RuleKind.PURE_CHOICE)
+        close(closure_rules)
+        while (chosen := select(choice_rules)) is not None:
+            store.setdefault(chosen[0], {})[chosen[1]] = None
+            close(closure_rules)
     return {pred: frozenset(ts) for pred, ts in store.items() if ts}
 
 

@@ -8,7 +8,7 @@ import os
 from itertools import chain, repeat
 from typing import Iterable
 
-from .lang import MAX_INT, RESERVED_PREFIXES, Const, GdlogError, format_const, int_in_range
+from .lang import MAX_INT, Const, GdlogError, format_const, int_in_range, predicate_name_error
 from .storage import order_key
 
 
@@ -128,11 +128,8 @@ def read_facts_dir(dirpath: str) -> dict[str, list[tuple]]:
         if not name.endswith(".facts"):
             continue
         pred = name[: -len(".facts")]
-        if pred.startswith(RESERVED_PREFIXES):
-            # chosen_r and diffchoice_r hold only what the run itself chooses
-            raise FactFileError(f"{name}: predicate name {pred} uses a reserved prefix")
-        if pred.startswith("%"):
-            raise FactFileError(f"{name}: predicate name {pred} starts with '%'")
+        if why := predicate_name_error(pred):
+            raise FactFileError(f"{name}: predicate name {pred} {why}")
         try:
             with open(os.path.join(dirpath, name), encoding="utf-8") as f:
                 out[pred] = _read_fact_file(f, name, consts, symbols)

@@ -624,10 +624,13 @@ def test_pq_takes_only_auto_or_off(matching_run, capsys, command):
     assert "invalid choice: 'on'" in capsys.readouterr().err
 
 
-def test_run_mode_greedy_needs_least_or_most_rule(matching_run, capsys):
+@pytest.mark.parametrize("mode", ["greedy", "lazy", "least"])
+def test_run_mode_takes_only_auto_or_choice(matching_run, capsys, mode):
     prog, facts = matching_run
-    assert main(["run", prog, "--facts", facts, "--mode", "greedy"]) == 2
-    assert "requires at least one choice_least or choice_most rule" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", prog, "--facts", facts, "--mode", mode])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{mode}'" in capsys.readouterr().err
 
 
 # 5,000 digits: past sys.get_int_max_str_digits(), so int() alone would
@@ -674,6 +677,18 @@ def test_predicate_starting_with_percent_is_rejected(tmp_path, capsys):
     prog.write_text("p(a).\n")
     assert main(["run", str(prog), "--facts", str(tmp_path / "f")]) == 1
     assert capsys.readouterr().err == "error: %x.facts: predicate name %x starts with '%'\n"
+
+
+def test_fact_file_named_with_a_line_or_cell_separator_exits_1(tmp_path, capsys):
+    # the model line "a<TAB>b<TAB>1" would read back as the atom a(b, 1)
+    prog = tmp_path / "p.dl"
+    prog.write_text("p(a).\n")
+    for c in "\t\n\r":
+        facts = tmp_path / f"f{ord(c)}"
+        facts.mkdir()
+        (facts / f"a{c}b.facts").write_text("1\n")
+        assert main(["run", str(prog), "--facts", str(facts)]) == 1
+        assert capsys.readouterr().err == f"error: a{c}b.facts: predicate name a{c}b holds {c!r}\n"
 
 
 def test_run_then_check_keeps_a_percent_inside_a_predicate_name(tmp_path, capsys):

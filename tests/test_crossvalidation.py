@@ -103,18 +103,18 @@ def test_engine_against_oracle_and_reference(shape):
         assert frozenset(_atoms(interp)) in model_keys, (shape, trial)
 
         # the reference operator lands in the same model set
-        lazy = run_lico_reference(prog, "lazy", edb=edb, ties="random", seed=trial)
-        assert frozenset(_atoms_of(lazy)) in model_keys, (shape, trial)
+        ref = run_lico_reference(prog, "choice", edb=edb, ties="random", seed=trial)
+        assert frozenset(_atoms_of(ref)) in model_keys, (shape, trial)
 
         if shape in GREEDY_SHAPES:
-            greedy, _ = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)
+            greedy, _ = run_with_counters(prog, mode="auto", ties="lex", edb=edb)
             assert_fds_hold(prog, greedy.as_sets())
             assert check_stable_model(g, _atoms(greedy)).is_stable, (shape, trial)
             assert frozenset(_atoms(greedy)) in model_keys, (shape, trial)
-            ref = run_lico_reference(prog, "least", edb=edb, ties="lex")
+            ref = run_lico_reference(prog, "auto", edb=edb, ties="lex")
             assert greedy.as_sets() == ref, (shape, trial)
             # both queue layouts agree tuple-for-tuple under lex ties
-            off, _ = run_with_counters(prog, mode="greedy", ties="lex", edb=edb, pq="off")
+            off, _ = run_with_counters(prog, mode="auto", ties="lex", edb=edb, pq="off")
             assert greedy.as_sets() == off.as_sets(), (shape, trial)
 
 
@@ -158,7 +158,7 @@ def test_unique_key_keeps_what_the_declared_fds_admit(pq):
     assert choice_info(prog.rules[0]).unique_key is None
     interp, _ = run_with_counters(prog, ties="lex", pq=pq, edb=edb)
     assert set(interp.relations["p"].rows) == {("x", "y2", "z2", 0), ("x", "y2", "z", 5)}
-    assert interp.as_sets() == run_lico_reference(prog, "least", edb=edb)
+    assert interp.as_sets() == run_lico_reference(prog, "auto", edb=edb)
     assert check_stable_model(ground(foe_transform(prog), edb), _atoms(interp)).is_stable
 
 
@@ -192,14 +192,12 @@ def test_generated_programs_give_stable_reference_models(case):
     src, facts = case
     prog, edb = parse_program(src), {"q": facts}
     g = ground(foe_transform(prog), edb)
-    greedy = choice_info(prog.rules[0]).cost_pos is not None
     for mode in ("auto", "choice"):
         for ties, seed in (("lex", None), ("fifo", None), ("random", 7)):
             interp, _ = run_with_counters(prog, mode=mode, ties=ties, seed=seed, edb=edb)
             assert check_stable_model(g, _atoms(interp)).is_stable, (mode, ties)
             if ties == "lex":
-                ref_mode = "least" if greedy and mode == "auto" else "lazy"
-                assert interp.as_sets() == run_lico_reference(prog, ref_mode, edb=edb), mode
+                assert interp.as_sets() == run_lico_reference(prog, mode, edb=edb), mode
                 # linear scans select what the priority queue does
                 scanned, _ = run_with_counters(prog, mode=mode, ties=ties, pq="off", edb=edb)
                 assert scanned.as_sets() == interp.as_sets(), (mode, "pq off")

@@ -47,7 +47,8 @@ def _choice(program, ties="lex", **kw):
 
 
 def _greedy(program, ties="lex", **kw):
-    return run_with_counters(program, mode="greedy", ties=ties, **kw)[0]
+    """Mode auto, the greedy computation on a least/most program."""
+    return run_with_counters(program, mode="auto", ties=ties, **kw)[0]
 
 
 # immediate consequences and closure, through run_with_counters -------------
@@ -165,11 +166,6 @@ def test_exit_choice_rule_executes_once():
 # greedy fixpoint -------------------------------------------------------------
 
 
-def test_greedy_requires_extreme_rule():
-    with pytest.raises(EngineError):
-        _greedy(get_program("sequence"), edb={"d": [("x",)]})
-
-
 def test_dijkstra_small_graph():
     edb = {"g": [("a", "b", 1), ("b", "c", 2), ("a", "c", 5)]}
     m = _greedy(get_program("dijkstra"), edb=edb)
@@ -230,7 +226,7 @@ def test_tsp_path_is_hamiltonian():
 def test_lico_lazy_satisfies_fds():
     for name in ("spantree", "sequence", "matching"):
         edb = example_edb(name, 5, seed=1)
-        m = run_lico_reference(get_program(name), "lazy", edb=edb)
+        m = run_lico_reference(get_program(name), "choice", edb=edb)
         assert_fds_hold(get_program(name), m)
 
 
@@ -238,13 +234,13 @@ def test_lico_least_equals_greedy_on_small_graphs():
     for seed in range(4):
         edb = acyclic_digraph(7, 14, cost_max=40, seed=seed)
         a = _greedy(get_program("dijkstra"), edb=edb)
-        b = run_lico_reference(get_program("dijkstra"), "least", edb=edb)
+        b = run_lico_reference(get_program("dijkstra"), "auto", edb=edb)
         assert _model(a) == b
 
 
 def test_lico_no_choice_rules_gives_minimal_model():
     prog = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). e(a,b). e(b,c).")
-    m = run_lico_reference(prog, "lazy")
+    m = run_lico_reference(prog, "choice")
     assert m["t"] == {("a", "b"), ("b", "c"), ("a", "c")}
 
 
@@ -495,8 +491,10 @@ def test_unknown_pq_is_an_engine_error():
 
 
 def test_unknown_mode_is_an_engine_error():
-    with pytest.raises(EngineError, match="unknown mode 'bogus'"):
-        run_with_counters(get_program("sort"), mode="bogus", edb={"d": [(1,)]})
+    # auto and choice are the whole vocabulary, the reference operator's too
+    for mode in ("bogus", "greedy", "lazy", "least"):
+        with pytest.raises(EngineError, match=f"unknown mode '{mode}'"):
+            run_with_counters(get_program("sort"), mode=mode, edb={"d": [(1,)]})
 
 
 def test_mode_auto_is_greedy_exactly_with_least_or_most_rule():
@@ -611,11 +609,11 @@ def test_choice_mode_takes_rules_in_program_order():
         "pick(X,C) :- cand2(X,C), choice_least((),(C)).\n"
     )
     edb = {"cand": [("p1",), ("p2",)], "cand2": [("q1", 5), ("q2", 1)]}
-    for mode, ref_mode, first in (("choice", "lazy", "r1"), ("greedy", "least", "r2")):
+    for mode, first in (("choice", "r1"), ("auto", "r2")):
         buf = io.StringIO()
         interp, _ = run_with_counters(parse_program(src), mode=mode, ties="lex", edb=edb, trace=buf)
         assert buf.getvalue().split("\t")[1] == first
-        assert interp.as_sets() == run_lico_reference(parse_program(src), ref_mode, edb=edb)
+        assert interp.as_sets() == run_lico_reference(parse_program(src), mode, edb=edb)
 
 
 # compiled plans ---------------------------------------------------------------
@@ -835,6 +833,15 @@ def test_database_rows_for_a_reserved_predicate_are_an_engine_error(pred):
         Engine(get_program("dijkstra"), edb=edb)
 
 
+def test_database_rows_for_a_predicate_with_a_line_or_cell_separator_are_an_engine_error():
+    # the model line "a<TAB>b<TAB>1" would read back as the atom a(b, 1)
+    prog = parse_program("p(X) :- q(X).")
+    for c in "\t\n\r":
+        with pytest.raises(EngineError) as exc:
+            Engine(prog, edb={f"a{c}b": [(1,)], "q": [("b",)]})
+        assert str(exc.value) == f"database predicate a{c}b holds {c!r}"
+
+
 def test_database_rows_for_a_percent_led_predicate_are_an_engine_error(tmp_path):
     # the model line "%x<TAB>a" would read back as a comment, losing the fact
     prog = parse_program("p(X) :- q(X).")
@@ -940,7 +947,7 @@ def test_plans_compile_hostile_constants_and_predicate_names():
     # they all evaluate as the reference operator says
     prog = parse_program(HOSTILE_PROGRAM)
     model = run_with_counters(prog, mode="choice", ties="lex")[0].as_sets()
-    assert model == run_lico_reference(prog, "lazy")
+    assert model == run_lico_reference(prog, "choice")
     assert ("__import__", "{0}") in model["in"]
 
 

@@ -101,6 +101,14 @@ def test_reserved_prefix_rejected_in_a_body(prefix):
     assert msgs == [f"predicate name {prefix}r2 uses a reserved prefix"]
 
 
+def test_a_predicate_name_with_a_line_or_cell_separator_is_rejected():
+    # the model line of a fact over a<TAB>b would read back as other atoms
+    for c in "\t\n\r":
+        pred = f"a{c}b"
+        program = Program((Rule(Atom("p", (Var("X"),)), (Atom(pred, (Var("X"),)),), (), "r1"),), (Atom(pred, (1,)),))
+        assert [d.message for d in validate(program)] == [f"predicate name {pred} holds {c!r}"] * 2
+
+
 def test_spanning_tree_program_validates_cleanly():
     assert validate(parse_program(PROGRAMS["spantree"])) == []
 

@@ -4,14 +4,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdlog.analysis import foe_transform
+from gdlog.analysis import MODES, foe_transform
 from gdlog.corpus import (
     get_program,
     sparse_connected_graph,
 )
 from gdlog.engine import run_with_counters
 from gdlog import oracle
-from gdlog.lang import parse_program
+from gdlog.lang import GdlogError, parse_program
 from gdlog.oracle import (
     EnumerationError,
     GroundingError,
@@ -235,30 +235,57 @@ def test_greedy_model_is_a_choice_model():
         prog = get_program(name)
         edb = example_edb(name, size, seed=6)
         models = enumerate_choice_models(prog, edb)
-        got = run_with_counters(prog, mode="greedy", ties="lex", edb=edb)[0].as_sets()
+        got = run_with_counters(prog, mode="auto", ties="lex", edb=edb)[0].as_sets()
         assert any(m == got for m in models), name
 
 
+# q's rule reads p, which two rules of a lower stratum derive
+Q_RULE = "q(Y,X) :- p(X,Y), X \\= Y, choice((),(Y)), choice((),(X)).\n"
+P_RULES = (
+    "p(X,W) :- e(W,X,_), e(_,X,C), choice((X),(W)).\n"
+    "p(W,W) :- e(_,_,_), e(_,W,_), choice((),(W)).\n"
+)
+QP_EDB = {"e": [("a", "c", 3), ("b", "a", 2), ("b", "c", 0)]}
+# h is chosen in one stratum, dj by choice_least over h in the next: dj
+# reaches c by the shortest path only once h is complete
+LEAST_OVER_CHOSEN = (
+    "dj(a, 0).\n"
+    "h(X, Y, C) :- g(X, Y, C), choice((X, Y), (C)).\n"
+    "dj(Y, C) :- dj(X, C1), h(X, Y, C2), Y \\= a, C = C1 + C2, choice_least((Y), (C)).\n"
+)
+LEAST_OVER_CHOSEN_EDB = {"g": [("a", "c", 10), ("a", "b", 1), ("b", "c", 1)]}
+
+
 def test_reference_schedule_agrees_with_the_engine_in_stratum_order():
-    # q's rule reads p, which two rules of a lower stratum derive.  Written
-    # first, it chooses in the reference from the p of the first step; the
-    # engine completes p's stratum before it.  Written after the p rules,
-    # the two schedules agree.
-    q_rule = "q(Y,X) :- p(X,Y), X \\= Y, choice((),(Y)), choice((),(X)).\n"
-    p_rules = (
-        "p(X,W) :- e(W,X,_), e(_,X,C), choice((X),(W)).\n"
-        "p(W,W) :- e(_,_,_), e(_,W,_), choice((),(W)).\n"
-    )
-    edb = {"e": [("a", "c", 3), ("b", "a", 2), ("b", "c", 0)]}
-    models = {}
-    for order, src in (("program", q_rule + p_rules), ("stratum", p_rules + q_rule)):
+    # written first or after the p rules, q chooses only once p's stratum
+    # is complete, in the reference as in the engine
+    for src in (Q_RULE + P_RULES, P_RULES + Q_RULE):
         prog = parse_program(src)
-        models[order] = run_with_counters(prog, edb=edb, ties="lex")[0].as_sets(), run_lico_reference(prog, edb=edb)
-    engine, reference = models["stratum"]
-    assert engine == reference
-    assert engine["q"] == {("b", "a")}
-    engine, reference = models["program"]
-    assert engine["q"] == {("b", "a")} and reference["q"] == {("a", "c")}
+        engine = run_with_counters(prog, edb=QP_EDB, ties="lex")[0].as_sets()
+        assert engine == run_lico_reference(prog, edb=QP_EDB)
+        assert engine["q"] == {("b", "a")}
+
+
+SCHEDULE_CASES = [
+    (LEAST_OVER_CHOSEN, LEAST_OVER_CHOSEN_EDB, "dj", ("c", 2)),
+    (Q_RULE + P_RULES, QP_EDB, "q", ("b", "a")),
+    (P_RULES + Q_RULE, QP_EDB, "q", ("b", "a")),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("src, edb, pred, row", SCHEDULE_CASES, ids=["least-over-chosen", "q-first", "p-first"])
+def test_engine_and_reference_share_one_schedule(src, edb, pred, row, mode):
+    prog = parse_program(src)
+    engine = run_with_counters(prog, mode=mode, ties="lex", edb=edb)[0].as_sets()
+    assert engine == run_lico_reference(prog, mode, ties="lex", edb=edb)
+    assert row in engine[pred]
+
+
+@pytest.mark.parametrize("mode", ["greedy", "lazy", "least"])
+def test_reference_takes_only_the_engine_modes(mode):
+    with pytest.raises(GdlogError, match=f"unknown reference mode '{mode}'"):
+        run_lico_reference(parse_program(LEAST_OVER_CHOSEN), mode, edb=LEAST_OVER_CHOSEN_EDB)
 
 
 def test_choice_models_always_exist():

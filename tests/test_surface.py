@@ -1,6 +1,7 @@
 """The settable surface of gdlog, pinned: every defaulted parameter of the
-package's functions and methods, and every dataclass field with a default.
-A change that adds or removes a knob shows it in this file's diff."""
+package's functions and methods, every dataclass field with a default, and
+the values each knob with a fixed vocabulary accepts.  A change that adds
+or removes a knob, or a value of one, shows it in this file's diff."""
 
 import dataclasses
 import importlib
@@ -66,6 +67,13 @@ SURFACE = [
     "storage.Counters.wall_time_s",
 ]
 
+# the accepted values, by the name of the tuple that lists them
+KNOB_VALUES = {
+    "analysis.MODES": ("auto", "choice"),
+    "engine.PQ_SETTINGS": ("auto", "off"),
+    "storage.TIE_POLICIES": ("lex", "fifo", "random"),
+}
+
 
 def _defaulted(qualname, func):
     return [
@@ -105,3 +113,9 @@ def _settable_surface():
 
 def test_settable_surface_is_pinned():
     assert _settable_surface() == SURFACE
+
+
+def test_knob_values_are_pinned():
+    for name, values in KNOB_VALUES.items():
+        module, attr = name.split(".")
+        assert getattr(importlib.import_module(f"gdlog.{module}"), attr) == values, name
